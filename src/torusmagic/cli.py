@@ -92,7 +92,7 @@ def _cmd_verify(args) -> int:
         bad = report.bad_vertices()
         print(f"non-uniform weights at {len(bad)} vertices:")
         for v in bad:
-            print(f"  x_{v.i}_{v.j}: weight {report.weights[v]}")
+            print(f"  x_{v.i}_{v.j}: weight {report.weight_matrix[v.i - 1, v.j - 1]}")
     print(f"supermagic: {report.is_supermagic}")
     return EXIT_OK if report.is_supermagic else EXIT_VERDICT
 

@@ -25,11 +25,11 @@ rotation that moves the top label to the front.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagonals import CornerPos, Diagonal, decompose
+from .diagonals import CornerPos, decompose
 from .grid import GridDims, dims as make_dims, wrap
 from .labeling import Labeling
 
@@ -84,102 +84,109 @@ def plan_for(variant: str, dims: GridDims) -> ConstructionPlan:
     return ConstructionPlan(variant=variant, start_cols=tuple(starts))
 
 
-def _plain_blocks(j: int, l: int, q: int) -> tuple[list[int], list[int]]:
+class ConstructionError(RuntimeError):
+    """The label blocks failed to form a bijection onto 1..q: a defect in
+    the construction itself, never a property of the input."""
+
+
+def _role(variant: str, j: int, d: int) -> str:
+    """Which block layout diagonal j of d takes under the variant."""
+    if variant == ODD_ODD and j == d:
+        return "interleaved"
+    if variant == ODD_ODD and j == d - 1:
+        return "shifted"
+    return "plain" if j % 2 == 1 else "rotated"
+
+
+def _plain_blocks(j: int, l: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     # Increasing horizontals, decreasing verticals: every HV-corner sums
     # to 2nm+1, VH-corner 1 to 2nm-l+2, later VH-corners to 2nm+2.
-    h = [(j - 1) * l + k for k in range(1, l + 1)]
-    v = [q - (j - 1) * l - k + 1 for k in range(1, l + 1)]
-    return h, v
+    k = np.arange(1, l + 1)
+    return (j - 1) * l + k, q - (j - 1) * l + 1 - k
 
 
-def _rotated_blocks(j: int, l: int, q: int) -> tuple[list[int], list[int]]:
+def _rotated_blocks(j: int, l: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     # Horizontal labels shifted one step down with jl moved to the front:
     # HV-corner 1 sums to 2nm+l (exceptional), the rest to 2nm; all
     # VH-corners to 2nm+1.
-    h = [j * l] + [(j - 1) * l + k - 1 for k in range(2, l + 1)]
-    v = [q - (j - 1) * l - k + 1 for k in range(1, l + 1)]
-    return h, v
+    k = np.arange(1, l + 1)
+    return (j - 1) * l + np.roll(k, 1), q - (j - 1) * l + 1 - k
 
 
-def _shifted_blocks(d: int, l: int, lp: int, q: int) -> tuple[list[int], list[int]]:
+def _shifted_blocks(d: int, l: int, lp: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     # Diagonal d-1 (odd/odd only): same label blocks as the rotated form
     # but with the exceptional HV-corner moved to step l'+2 so that it
     # faces the exceptional VH-corner of the interleaved last diagonal.
-    j = d - 1
-    h = [(j - 1) * l + k + lp - 1 if k <= lp + 2 else (j - 1) * l + k - lp - 2
-         for k in range(1, l + 1)]
-    v = [q - (j - 1) * l - k - lp + 1 if k <= lp + 1 else q - (j - 1) * l - k + lp + 2
-         for k in range(1, l + 1)]
-    return h, v
+    # With l = 2l'+1 both blocks are rotations of 1..l: h starts at l',
+    # v at l'+1 below the top of its block.
+    k = np.arange(1, l + 1)
+    return (d - 2) * l + np.roll(k, lp + 2), q - (d - 2) * l + 1 - np.roll(k, lp + 1)
 
 
-def _interleaved_blocks(d: int, l: int, lp: int, q: int) -> tuple[list[int], list[int]]:
+def _interleaved_blocks(d: int, l: int, lp: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     # Last diagonal (odd/odd only): consumes the two central label blocks
     # with stride 2.  HV-corner 1 carries 2nm+l, VH-corner l'+2 carries
     # 2nm-l+2, everything else 2nm / 2nm+2.
-    h = [d * l]
-    h += [(d - 1) * l + 2 * k - 2 if k <= lp + 1 else (d - 2) * l + 2 * k - 2
-          for k in range(2, l + 1)]
-    v = [q - (d - 1) * l - 2 * k + 2 if k <= lp + 1 else q - (d - 2) * l - 2 * k + 2
-         for k in range(1, l + 1)]
-    return h, v
+    k = np.arange(1, l + 1)
+    offset = np.where(k <= lp + 1, (d - 1) * l, (d - 2) * l)
+    h = offset + 2 * k - 2
+    h[0] = d * l
+    return h, q - offset - 2 * k + 2
 
 
-class _Writer:
-    """Write-once accumulator; formula transcription errors fail immediately."""
+def _blocks(role: str, j: int, dims: GridDims) -> tuple[np.ndarray, np.ndarray]:
+    if role == "plain":
+        return _plain_blocks(j, dims.l, dims.q)
+    if role == "rotated":
+        return _rotated_blocks(j, dims.l, dims.q)
+    if role == "shifted":
+        return _shifted_blocks(dims.d, dims.l, dims.lp, dims.q)
+    return _interleaved_blocks(dims.d, dims.l, dims.lp, dims.q)
 
-    def __init__(self, dims: GridDims) -> None:
-        self.dims = dims
-        self.h = np.zeros((dims.n, dims.m), dtype=np.int64)
-        self.v = np.zeros((dims.n, dims.m), dtype=np.int64)
 
-    def put_diagonal(self, diag: Diagonal, h_labels: list[int], v_labels: list[int]) -> None:
-        for k in range(1, diag.length + 1):
-            self._put(diag.h(k), h_labels[k - 1])
-            self._put(diag.v(k), v_labels[k - 1])
+def _check_bijection(h: np.ndarray, v: np.ndarray, q: int) -> None:
+    """Raise ConstructionError unless h and v hold every label 1..q once.
 
-    def _put(self, e, value: int) -> None:
-        assert 1 <= value <= self.dims.q, f"label {value} out of range at {e}"
-        matrix = self.h if e.orient == "H" else self.v
-        assert matrix[e.i - 1, e.j - 1] == 0, f"double write at {e}"
-        matrix[e.i - 1, e.j - 1] = value
+    There are exactly q cells, so labels in 1..q, no cell left at 0 and
+    each label counted once together mean a bijection."""
+    flat = np.concatenate([h.ravel(), v.ravel()])
+    low, high = int(flat.min()), int(flat.max())
+    if low < 0 or high > q:
+        raise ConstructionError(f"labels span {low}..{high}, outside 1..{q}")
+    counts = np.bincount(flat, minlength=q + 1)
+    if counts[0]:
+        raise ConstructionError(f"{counts[0]} edges left unlabeled")
+    wrong = np.flatnonzero(counts[1:] != 1) + 1
+    if wrong.size:
+        raise ConstructionError(f"labels not used exactly once: {wrong[:10].tolist()}")
 
-    def finish(self) -> Labeling:
-        assert (self.h > 0).all() and (self.v > 0).all(), "unlabeled edges remain"
-        return Labeling(self.dims, self.h, self.v)
+
+def _build(variant: str, dims: GridDims) -> Labeling:
+    """Write every diagonal's label blocks (native orientation n <= m)."""
+    if dims.n > dims.m:
+        return _build(variant, make_dims(dims.m, dims.n)).transpose()
+    plan = plan_for(variant, dims)
+    h = np.zeros((dims.n, dims.m), dtype=np.int64)
+    v = np.zeros((dims.n, dims.m), dtype=np.int64)
+    for diag in decompose(dims, list(plan.start_cols)):
+        rows, h_cols, v_cols = diag.indices()
+        h[rows, h_cols], v[rows, v_cols] = _blocks(_role(variant, diag.index, dims.d),
+                                                   diag.index, dims)
+    _check_bijection(h, v, dims.q)
+    return Labeling(dims, h, v)
 
 
 def construct_odd_odd(dims: GridDims) -> Labeling:
     """Supermagic labeling for n, m odd with gcd(n,m) > 1.
 
-    For n > m the transposed instance is built and flipped back; corner
-    audits apply to the n <= m orientation.
-    """
+    For n > m the transposed instance is built and flipped back."""
     if dims.n % 2 == 0 or dims.m % 2 == 0:
         raise UnsupportedShape(f"odd/odd construction needs odd n, m, got {dims.n}x{dims.m}")
     if dims.d == 1:
         raise UnsupportedShape(
             f"odd/odd construction needs gcd(n,m) > 1, got coprime {dims.n}x{dims.m}"
         )
-    if dims.n > dims.m:
-        return construct_odd_odd(make_dims(dims.m, dims.n)).transpose()
-
-    l, d, q, lp = dims.l, dims.d, dims.q, dims.lp
-    assert lp is not None and d % 2 == 1 and d >= 3
-    plan = plan_for(ODD_ODD, dims)
-    writer = _Writer(dims)
-    for diag in decompose(dims, list(plan.start_cols)):
-        j = diag.index
-        if j == d:
-            blocks = _interleaved_blocks(d, l, lp, q)
-        elif j == d - 1:
-            blocks = _shifted_blocks(d, l, lp, q)
-        elif j % 2 == 1:
-            blocks = _plain_blocks(j, l, q)
-        else:
-            blocks = _rotated_blocks(j, l, q)
-        writer.put_diagonal(diag, *blocks)
-    return writer.finish()
+    return _build(ODD_ODD, dims)
 
 
 def construct_even_even(dims: GridDims) -> Labeling:
@@ -187,17 +194,7 @@ def construct_even_even(dims: GridDims) -> Labeling:
     needs the shifted or interleaved treatment)."""
     if dims.n % 2 == 1 or dims.m % 2 == 1:
         raise UnsupportedShape(f"even/even construction needs even n, m, got {dims.n}x{dims.m}")
-    if dims.n > dims.m:
-        return construct_even_even(make_dims(dims.m, dims.n)).transpose()
-
-    l, d, q = dims.l, dims.d, dims.q
-    plan = plan_for(EVEN_EVEN, dims)
-    writer = _Writer(dims)
-    for diag in decompose(dims, list(plan.start_cols)):
-        j = diag.index
-        blocks = _plain_blocks(j, l, q) if j % 2 == 1 else _rotated_blocks(j, l, q)
-        writer.put_diagonal(diag, *blocks)
-    return writer.finish()
+    return _build(EVEN_EVEN, dims)
 
 
 def construct(n: int, m: int) -> Labeling | Unsupported:
@@ -216,14 +213,29 @@ def construct(n: int, m: int) -> Labeling | Unsupported:
 
 @dataclass(frozen=True)
 class ExpectedCornerTable:
-    """Expected partial weight for every corner of every diagonal."""
+    """Expected partial weight for every corner of every diagonal.
+
+    Row j-1 of hv (vh) holds the HV (VH) weights of diagonal j for steps
+    k = 1..l."""
 
     dims: GridDims
     plan: ConstructionPlan
-    entries: dict[CornerPos, int]
+    hv: np.ndarray = field(repr=False, compare=False)
+    vh: np.ndarray = field(repr=False, compare=False)
 
     def __getitem__(self, c: CornerPos) -> int:
-        return self.entries[c]
+        if not (1 <= c.diag <= self.dims.d and 1 <= c.k <= self.dims.l):
+            raise KeyError(c)
+        return int((self.hv if c.kind == "HV" else self.vh)[c.diag - 1, c.k - 1])
+
+    @property
+    def entries(self) -> dict[CornerPos, int]:
+        """Every corner's expected weight, keyed by position."""
+        hv, vh = self.hv.tolist(), self.vh.tolist()
+        return {CornerPos(j, k, kind): weights[j - 1][k - 1]
+                for j in range(1, self.dims.d + 1)
+                for k in range(1, self.dims.l + 1)
+                for kind, weights in (("HV", hv), ("VH", vh))}
 
 
 def expected_corner_table(plan: ConstructionPlan, dims: GridDims) -> ExpectedCornerTable:
@@ -236,33 +248,26 @@ def expected_corner_table(plan: ConstructionPlan, dims: GridDims) -> ExpectedCor
     if plan != plan_for(plan.variant, dims):
         raise PlanShapeMismatch(f"plan {plan} is not the canonical plan for {dims.n}x{dims.m}")
     base, l, d = dims.q, dims.l, dims.d  # base = 2nm
-    hv = {}
-    vh = {}
+    hv = np.empty((d, l), dtype=np.int64)
+    vh = np.empty((d, l), dtype=np.int64)
     for j in range(1, d + 1):
-        if plan.variant == ODD_ODD:
-            lp = dims.lp
-            if j == d:
-                hv[j] = lambda k: base + l if k == 1 else base
-                vh[j] = lambda k, lp=lp: base - l + 2 if k == lp + 2 else base + 2
-            elif j == d - 1:
-                hv[j] = lambda k, lp=lp: base + l if k == lp + 2 else base
-                vh[j] = lambda k: base + 1
-            elif j % 2 == 1:
-                hv[j] = lambda k: base + 1
-                vh[j] = lambda k: base - l + 2 if k == 1 else base + 2
-            else:
-                hv[j] = lambda k: base + l if k == 1 else base
-                vh[j] = lambda k: base + 1
-        else:
-            if j % 2 == 1:
-                hv[j] = lambda k: base + 1
-                vh[j] = lambda k: base - l + 2 if k == 1 else base + 2
-            else:
-                hv[j] = lambda k: base + l if k == 1 else base
-                vh[j] = lambda k: base + 1
-    entries = {}
-    for j in range(1, d + 1):
-        for k in range(1, l + 1):
-            entries[CornerPos(j, k, "HV")] = hv[j](k)
-            entries[CornerPos(j, k, "VH")] = vh[j](k)
-    return ExpectedCornerTable(dims=dims, plan=plan, entries=entries)
+        hv_j, vh_j = hv[j - 1], vh[j - 1]
+        role = _role(plan.variant, j, d)
+        if role == "plain":
+            hv_j[:] = base + 1
+            vh_j[:] = base + 2
+            vh_j[0] = base - l + 2
+        elif role == "rotated":
+            hv_j[:] = base
+            hv_j[0] = base + l
+            vh_j[:] = base + 1
+        elif role == "shifted":
+            hv_j[:] = base
+            hv_j[dims.lp + 1] = base + l
+            vh_j[:] = base + 1
+        else:  # interleaved
+            hv_j[:] = base
+            hv_j[0] = base + l
+            vh_j[:] = base + 2
+            vh_j[dims.lp + 1] = base - l + 2
+    return ExpectedCornerTable(dims=dims, plan=plan, hv=hv, vh=vh)

@@ -17,6 +17,9 @@ diagonal and the VH-corner of the next one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .grid import EdgeRef, GridDims, VertexRef, wrap
 
@@ -43,11 +46,25 @@ class CornerPos:
 
 @dataclass(frozen=True)
 class Diagonal:
-    """One diagonal cycle: 2l edges alternating h_1, v_1, ..., h_l, v_l."""
+    """One diagonal cycle: 2l edges alternating h_1, v_1, ..., h_l, v_l.
+
+    The cycle is held as its closed form (index, start column, grid); the
+    EdgeRef tuple is built only when asked for."""
 
     index: int
     start_col: int
-    edges: tuple[EdgeRef, ...] = field(repr=False)
+    dims: GridDims = field(repr=False)
+
+    def indices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """0-based (rows, h_cols, v_cols); see diagonal_indices."""
+        return diagonal_indices(self.index, self.start_col, self.dims)
+
+    @cached_property
+    def edges(self) -> tuple[EdgeRef, ...]:
+        rows, h_cols, v_cols = (a.tolist() for a in self.indices())
+        return tuple(EdgeRef(orient, i + 1, j + 1)
+                     for i, hj, vj in zip(rows, h_cols, v_cols)
+                     for orient, j in (("H", hj), ("V", vj)))
 
     def h(self, k: int) -> EdgeRef:
         """k-th horizontal edge, k in 1..l."""
@@ -59,7 +76,7 @@ class Diagonal:
 
     @property
     def length(self) -> int:
-        return len(self.edges) // 2
+        return self.dims.l
 
     def h_edges(self) -> tuple[EdgeRef, ...]:
         return self.edges[0::2]
@@ -76,24 +93,34 @@ class Diagonal:
         raise ValueError(f"kind must be 'HV' or 'VH', got {kind!r}")
 
 
-def diagonal(j: int, start_col: int, dims: GridDims) -> Diagonal:
-    """Trace diagonal j rotated to begin at row 1, column start_col.
-
-    The rotation passes through row 1 at column s as an h-edge start only
-    when s is congruent to j mod d, hence the precondition.
-    """
+def _check_start(j: int, start_col: int, dims: GridDims) -> None:
+    # The rotation passes through row 1 at column s as an h-edge start only
+    # when s is congruent to j mod d.
     if not (1 <= j <= dims.d):
         raise InvalidStartColumn(f"diagonal index {j} out of 1..{dims.d}")
     if not (1 <= start_col <= dims.m) or (start_col - j) % dims.d != 0:
         raise InvalidStartColumn(
             f"start column {start_col} invalid for diagonal {j} (need s = j mod {dims.d}, s in 1..{dims.m})"
         )
-    edges: list[EdgeRef] = []
-    for k in range(1, dims.l + 1):
-        row = wrap(k, dims.n)
-        edges.append(EdgeRef("H", row, wrap(start_col + k - 1, dims.m)))
-        edges.append(EdgeRef("V", row, wrap(start_col + k, dims.m)))
-    return Diagonal(index=j, start_col=start_col, edges=tuple(edges))
+
+
+def diagonal_indices(j: int, start_col: int, dims: GridDims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal j with start column s as 0-based index arrays of length l.
+
+    Entry k-1 of (rows, h_cols, v_cols) locates h_k = H(k, s+k-1) at
+    h[rows, h_cols] and v_k = V(k, s+k) at v[rows, v_cols], so a whole
+    diagonal is read or written with one fancy-indexing operation.
+    """
+    _check_start(j, start_col, dims)
+    k = np.arange(dims.l)
+    h_cols = (k + (start_col - 1)) % dims.m
+    return k % dims.n, h_cols, (h_cols + 1) % dims.m
+
+
+def diagonal(j: int, start_col: int, dims: GridDims) -> Diagonal:
+    """Diagonal j rotated to begin at row 1, column start_col (s = j mod d)."""
+    _check_start(j, start_col, dims)
+    return Diagonal(index=j, start_col=start_col, dims=dims)
 
 
 def decompose(dims: GridDims, starts: list[int] | None = None) -> list[Diagonal]:

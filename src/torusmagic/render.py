@@ -17,8 +17,9 @@ from __future__ import annotations
 import colorsys
 from dataclasses import dataclass
 
-from .diagonals import diagonal_of_edge
-from .grid import EdgeRef, all_edges, all_vertices, wrap
+import numpy as np
+
+from .grid import GridDims, all_edges, all_vertices, wrap
 from .labeling import Labeling
 from .verify import weight_matrix
 
@@ -47,9 +48,23 @@ def _palette(d: int) -> list[str]:
     return colors
 
 
-def _edge_color(e: EdgeRef, lab: Labeling, palette: list[str]) -> str:
-    j, _, _ = diagonal_of_edge(e, lab.dims)
-    return palette[j - 1]
+def _diagonal_colors(dims: GridDims) -> tuple[np.ndarray, np.ndarray]:
+    """0-based diagonal index of every edge, as (H, V) matrices.
+
+    The diagonal through H(i,j) is (j-i) mod d + 1 and the one through
+    V(i,j) is (j-i-1) mod d + 1: the step along the diagonal plays no part.
+    """
+    rows = np.arange(dims.n)[:, None]
+    cols = np.arange(dims.m)[None, :]
+    return (cols - rows) % dims.d, (cols - rows - 1) % dims.d
+
+
+def _edge_colors(dims: GridDims) -> dict[str, list[list[str]]]:
+    """Per-edge diagonal colour, keyed by orientation then 0-based (i, j)."""
+    palette = _palette(dims.d)
+    h_idx, v_idx = _diagonal_colors(dims)
+    return {"H": [[palette[c] for c in row] for row in h_idx.tolist()],
+            "V": [[palette[c] for c in row] for row in v_idx.tolist()]}
 
 
 def _corner_sums(lab: Labeling, i: int, j: int) -> tuple[int, int]:
@@ -70,7 +85,7 @@ def render(lab: Labeling, spec: RenderSpec | None = None) -> str:
 
 def _render_dot(lab: Labeling, spec: RenderSpec) -> str:
     d = lab.dims
-    palette = _palette(d.d) if spec.highlight_diagonals else None
+    colors = _edge_colors(d) if spec.highlight_diagonals else None
     weights = weight_matrix(lab) if spec.annotate == "weights" else None
     lines = [f"graph torus_{d.n}x{d.m} {{"]
     lines.append("  layout=neato;")
@@ -88,8 +103,8 @@ def _render_dot(lab: Labeling, spec: RenderSpec) -> str:
     for e in all_edges(d):
         a, b = e.endpoints(d)
         attrs = [f'label="{lab.label(e)}"']
-        if palette:
-            attrs.append(f'color="{_edge_color(e, lab, palette)}"')
+        if colors:
+            attrs.append(f'color="{colors[e.orient][e.i - 1][e.j - 1]}"')
         lines.append(f"  x_{a.i}_{a.j} -- x_{b.i}_{b.j} [{', '.join(attrs)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -103,7 +118,7 @@ _R = 13
 
 def _render_svg(lab: Labeling, spec: RenderSpec) -> str:
     d = lab.dims
-    palette = _palette(d.d) if spec.highlight_diagonals else None
+    colors = _edge_colors(d) if spec.highlight_diagonals else None
     weights = weight_matrix(lab) if spec.annotate == "weights" else None
     width = 2 * _MARGIN + (d.m - 1) * _CELL
     height = 2 * _MARGIN + (d.n - 1) * _CELL
@@ -117,7 +132,7 @@ def _render_svg(lab: Labeling, spec: RenderSpec) -> str:
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     for e in all_edges(d):
-        color = _edge_color(e, lab, palette) if palette else "#444444"
+        color = colors[e.orient][e.i - 1][e.j - 1] if colors else "#444444"
         x, y = pos(e.i, e.j)
         segments = []
         if e.orient == "H":

@@ -13,12 +13,12 @@ its diagonal plus the VH partial weight from the successor diagonal.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .construct import ConstructionPlan, ExpectedCornerTable, expected_corner_table
+from .construct import ConstructionPlan, ExpectedCornerTable, expected_corner_table, plan_for
 from .construct import PlanShapeMismatch  # re-exported: raised by audit_corners
 from .diagonals import CornerPos, decompose
 from .grid import GridDims, VertexRef, check_vertex
@@ -30,23 +30,33 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class VerificationReport:
     """Outcome of a full supermagic check."""
 
     is_bijection: bool
     duplicate_or_missing: list[int]
-    weights: dict[VertexRef, int]
+    weight_matrix: np.ndarray = field(repr=False)
     constant: int | None
     is_supermagic: bool
 
+    @cached_property
+    def weights(self) -> dict[VertexRef, int]:
+        """Vertex weights by vertex, built from weight_matrix on first use."""
+        return {VertexRef(i + 1, j + 1): w
+                for i, row in enumerate(self.weight_matrix.tolist())
+                for j, w in enumerate(row)}
+
     def bad_vertices(self) -> list[VertexRef]:
-        """Vertices whose weight differs from the forced constant (all
-        violations, not just the first)."""
-        if not self.weights:
-            return []
-        expected = Counter(self.weights.values()).most_common(1)[0][0]
-        return [v for v, w in self.weights.items() if w != expected]
+        """Vertices whose weight differs from the most common weight (all
+        violations, not just the first; ties go to the weight seen first
+        in row-major order)."""
+        flat = self.weight_matrix.ravel()
+        values, first, counts = np.unique(flat, return_index=True, return_counts=True)
+        tied = counts == counts.max()
+        expected = values[tied][np.argmin(first[tied])]
+        rows, cols = np.nonzero(self.weight_matrix != expected)
+        return [VertexRef(i + 1, j + 1) for i, j in zip(rows.tolist(), cols.tolist())]
 
 
 @dataclass
@@ -66,9 +76,15 @@ def forced_constant(dims: GridDims) -> int:
 
 
 def weight_matrix(lab: Labeling) -> np.ndarray:
-    """All vertex weights at once: entry (i-1, j-1) is w(x_{ij})."""
+    """All vertex weights at once: entry (i-1, j-1) is w(x_{ij}), the sum
+    of H(i,j), H(i,j-1), V(i,j) and V(i-1,j)."""
     h, v = lab.h, lab.v
-    return h + np.roll(h, 1, axis=1) + v + np.roll(v, 1, axis=0)
+    w = h + v
+    w[:, 1:] += h[:, :-1]
+    w[:, 0] += h[:, -1]
+    w[1:] += v[:-1]
+    w[0] += v[-1]
+    return w
 
 
 def vertex_weight(lab: Labeling, v: VertexRef) -> int:
@@ -88,27 +104,28 @@ def verify(lab: Labeling) -> VerificationReport:
     shape = (d.n, d.m)
     if lab.h.shape != shape or lab.v.shape != shape:
         raise DomainMismatch(f"matrices must be {shape}")
-    if (lab.h < 1).any() or (lab.v < 1).any():
+    flat = lab.labels()
+    if flat.min() < 1:
         raise DomainMismatch("labels must be positive integers")
 
-    counts = Counter(int(x) for x in lab.labels())
-    offending = sorted(
-        {value for value, c in counts.items() if c > 1 or not (1 <= value <= d.q)}
-        | {value for value in range(1, d.q + 1) if value not in counts}
-    )
+    high = flat.max()
+    counts = np.bincount(flat if high <= d.q else flat[flat <= d.q], minlength=d.q + 1)
+    offending = np.flatnonzero(counts[1:] != 1) + 1
+    if high > d.q:
+        # labels above q are offending whatever their count
+        offending = np.concatenate([offending, np.unique(flat[flat > d.q])])
+    offending = offending.tolist()
     is_bijection = not offending
 
     w = weight_matrix(lab)
-    weights = {VertexRef(i + 1, j + 1): int(w[i, j])
-               for i in range(d.n) for j in range(d.m)}
-    uniform = len(set(weights.values())) == 1
-    constant = next(iter(weights.values())) if uniform else None
+    first = int(w.flat[0])
+    constant = first if (w == first).all() else None
     # bijection + uniformity already force constant = 4nm+2; the explicit
     # comparison keeps the check independent of that argument
     return VerificationReport(
         is_bijection=is_bijection,
         duplicate_or_missing=offending,
-        weights=weights,
+        weight_matrix=w,
         constant=constant,
         is_supermagic=is_bijection and constant == forced_constant(d),
     )
@@ -117,21 +134,33 @@ def verify(lab: Labeling) -> VerificationReport:
 def audit_corners(lab: Labeling, plan: ConstructionPlan) -> CornerAuditReport:
     """Compare every corner's measured partial weight against the expected
     table for the plan's rotation.  Clean for constructed labelings; a
-    single label swap shows up as located mismatches.
+    single label swap shows up as located mismatches, listed by diagonal,
+    then step k, then HV before VH.
 
     The table describes the construction in its native orientation
-    (n <= m).  A labeling built for n > m is the transpose of the native
-    one, which exchanges corner kinds; audit the transposed labeling
-    against the plan for the swapped dimensions instead."""
+    (n <= m), and a labeling for n > m is built as the transpose of the
+    m x n one, which exchanges corner kinds.  So an n > m labeling is
+    audited as its transpose against the plan's variant for (m, n), and
+    its mismatches are reported in that orientation."""
+    if lab.dims.n > lab.dims.m:
+        if plan != plan_for(plan.variant, lab.dims):
+            raise PlanShapeMismatch(
+                f"plan {plan} is not the canonical plan for {lab.dims.n}x{lab.dims.m}")
+        lab = lab.transpose()
+        plan = plan_for(plan.variant, lab.dims)
     table: ExpectedCornerTable = expected_corner_table(plan, lab.dims)
-    report = CornerAuditReport()
+    h_seq, v_seq = [], []
     for diag in decompose(lab.dims, list(plan.start_cols)):
-        for k in range(1, diag.length + 1):
-            for kind in ("HV", "VH"):
-                a, b = diag.corner_edges(k, kind)
-                pos = CornerPos(diag.index, k, kind)
-                actual = lab.label(a) + lab.label(b)
-                expected = table[pos]
-                if actual != expected:
-                    report.mismatches.append((pos, expected, actual))
+        rows, h_cols, v_cols = diag.indices()
+        h_seq.append(lab.h[rows, h_cols])
+        v_seq.append(lab.v[rows, v_cols])
+    h_seq, v_seq = np.array(h_seq), np.array(v_seq)
+    # HV corner k pairs h_k with v_k; VH corner k pairs v_{k-1} with h_k,
+    # wrapping to v_l at k = 1.  Axis 2 is the kind: HV, then VH.
+    actual = np.stack([h_seq + v_seq, np.roll(v_seq, 1, axis=1) + h_seq], axis=2)
+    expected = np.stack([table.hv, table.vh], axis=2)
+    report = CornerAuditReport()
+    for j, k, kind in zip(*(a.tolist() for a in np.nonzero(actual != expected))):
+        report.mismatches.append((CornerPos(j + 1, k + 1, ("HV", "VH")[kind]),
+                                  int(expected[j, k, kind]), int(actual[j, k, kind])))
     return report

@@ -163,3 +163,14 @@ def test_dimension_too_small_is_an_error(capsys):
     code, out, err = run(capsys, "decompose", "2", "5")
     assert code == EXIT_ERROR
     assert "error:" in err
+
+
+def test_audit_transposed_shape_is_clean(tmp_path, capsys):
+    # n > m: generate builds the transpose of the 9 x 15 labeling, and the
+    # audit must check it in that native orientation
+    doc = tmp_path / "c15x9.json"
+    code, out, err = run(capsys, "generate", "15", "9", "--out", str(doc))
+    assert code == EXIT_OK
+    code, out, err = run(capsys, "audit", str(doc), "--plan", "odd-odd")
+    assert code == EXIT_OK
+    assert out.startswith("corner audit clean: all 270 corners match")

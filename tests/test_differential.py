@@ -1,0 +1,127 @@
+"""The array-native construct/verify/audit_corners against the scalar
+per-EdgeRef reference in scalar_reference.py.
+
+Every verdict field is compared: is_bijection, duplicate_or_missing, the
+weights, constant, is_supermagic, bad_vertices and the full mismatch list.
+An n > m labeling is audited as its transpose, so its reference audit is
+the scalar audit of the transpose against the plan for (m, n).
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import scalar_reference as ref
+from torusmagic.construct import EVEN_EVEN, ODD_ODD, construct, expected_corner_table, plan_for
+from torusmagic.grid import dims
+from torusmagic.labeling import Labeling
+from torusmagic.verify import audit_corners, verify
+
+CONSTRUCTIBLE = [(n, m) for n in range(3, 28) for m in range(3, 28)
+                 if (n % 2 == m % 2 == 1 and math.gcd(n, m) > 1) or n % 2 == m % 2 == 0]
+SMALL = [(n, m) for n, m in CONSTRUCTIBLE if n * m <= 120]
+
+
+def variant_of(lab):
+    return ODD_ODD if lab.dims.n % 2 else EVEN_EVEN
+
+
+def assert_same_verdict(lab):
+    new, old = verify(lab), ref.verify(lab)
+    assert new.is_bijection == old.is_bijection
+    assert new.duplicate_or_missing == old.duplicate_or_missing
+    assert new.weights == old.weights
+    assert new.constant == old.constant
+    assert new.is_supermagic == old.is_supermagic
+    assert new.bad_vertices() == old.bad_vertices()
+
+
+def assert_same_audit(lab):
+    variant = variant_of(lab)
+    native = lab if lab.dims.n <= lab.dims.m else lab.transpose()
+    expected = ref.audit_corners(native, plan_for(variant, native.dims)).mismatches
+    assert audit_corners(lab, plan_for(variant, lab.dims)).mismatches == expected
+
+
+@st.composite
+def constructed(draw, shapes=SMALL):
+    n, m = draw(st.sampled_from(shapes))
+    return construct(n, m)
+
+
+def edge_cell(lab):
+    return st.tuples(st.sampled_from("hv"), st.integers(0, lab.dims.n - 1),
+                     st.integers(0, lab.dims.m - 1))
+
+
+def relabel(lab, changes):
+    """Copy of lab with the given (matrix, i, j) -> label writes applied."""
+    mats = {"h": lab.h.copy(), "v": lab.v.copy()}
+    for (which, i, j), value in changes:
+        mats[which][i, j] = value
+    return Labeling(lab.dims, mats["h"], mats["v"])
+
+
+def label_at(lab, cell):
+    which, i, j = cell
+    return int((lab.h if which == "h" else lab.v)[i, j])
+
+
+@pytest.mark.parametrize("n,m", CONSTRUCTIBLE)
+def test_constructible_shapes_match_bit_exact(n, m):
+    lab, old = construct(n, m), ref.construct(n, m)
+    assert lab.h.dtype == old.h.dtype and lab.v.dtype == old.v.dtype
+    assert np.array_equal(lab.h, old.h) and np.array_equal(lab.v, old.v)
+    assert_same_verdict(lab)
+    assert_same_audit(lab)
+    if n <= m:
+        plan = plan_for(variant_of(lab), lab.dims)
+        assert expected_corner_table(plan, lab.dims).entries == \
+            ref.expected_corner_table(plan, lab.dims).entries
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_single_label_swaps(data):
+    lab = data.draw(constructed())
+    a = data.draw(edge_cell(lab))
+    b = data.draw(edge_cell(lab).filter(lambda cell: cell != a))
+    swapped = relabel(lab, [(a, label_at(lab, b)), (b, label_at(lab, a))])
+    assert_same_verdict(swapped)
+    assert_same_audit(swapped)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL), st.randoms(use_true_random=False))
+def test_random_permutations(shape, rng):
+    n, m = shape
+    labels = list(range(1, 2 * n * m + 1))
+    rng.shuffle(labels)
+    flat = np.array(labels, dtype=np.int64)
+    lab = Labeling.from_matrices(dims(n, m), flat[: n * m].reshape(n, m),
+                                 flat[n * m:].reshape(n, m))
+    assert_same_verdict(lab)
+    assert_same_audit(lab)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_duplicate_and_out_of_range_labels(data):
+    lab = data.draw(constructed())
+    q = lab.dims.q
+    values = st.one_of(st.integers(1, q), st.integers(q + 1, q + 5), st.just(10**12))
+    changes = data.draw(st.lists(st.tuples(edge_cell(lab), values), min_size=1, max_size=4))
+    broken = relabel(lab, changes)
+    assert_same_verdict(broken)
+    assert_same_audit(broken)
+
+
+def test_tied_weights_pick_the_same_expected_value():
+    # two weights equally common: bad_vertices must blame the same half
+    lab = construct(4, 4)
+    h = lab.h.copy()
+    h[:2] += 1
+    tied = Labeling(lab.dims, h, lab.v.copy())
+    assert_same_verdict(tied)

@@ -1,9 +1,13 @@
+import importlib
 import re
 import xml.dom.minidom
 
+import numpy as np
 import pytest
 
 from torusmagic.construct import construct
+from torusmagic.diagonals import diagonal_of_edge
+from torusmagic.grid import all_edges
 from torusmagic.render import RenderSpec, render
 from torusmagic.verify import weight_matrix
 
@@ -79,3 +83,23 @@ def test_svg_corner_annotation_sums():
 def test_render_default_spec_is_dot():
     out = render(construct(3, 3))
     assert out.startswith("graph torus_3x3 {")
+
+
+@pytest.mark.parametrize("n,m", [(9, 15), (4, 6), (12, 8)])
+@pytest.mark.parametrize("fmt", ["svg", "dot"])
+def test_diagonal_colors_match_diagonal_of_edge(monkeypatch, n, m, fmt):
+    # the closed-form colour index must give byte-identical figures to
+    # locating every edge with diagonal_of_edge
+    render_module = importlib.import_module("torusmagic.render")
+    lab = construct(n, m)
+    spec = RenderSpec(format=fmt, annotate="weights", highlight_diagonals=True)
+    closed_form = render(lab, spec)
+
+    def located(dims):
+        idx = {"H": np.zeros((dims.n, dims.m), int), "V": np.zeros((dims.n, dims.m), int)}
+        for e in all_edges(dims):
+            idx[e.orient][e.i - 1, e.j - 1] = diagonal_of_edge(e, dims)[0] - 1
+        return idx["H"], idx["V"]
+
+    monkeypatch.setattr(render_module, "_diagonal_colors", located)
+    assert render(lab, spec).encode() == closed_form.encode()

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusmagic.construct import EVEN_EVEN, ODD_ODD, construct, plan_for
+from torusmagic.construct import (
+    EVEN_EVEN,
+    ODD_ODD,
+    ConstructionPlan,
+    PlanShapeMismatch,
+    construct,
+    plan_for,
+)
 from torusmagic.grid import H, V, VertexRef, all_edges, all_vertices, dims, incident_edges
 from torusmagic.labeling import DomainMismatch, Labeling
 from torusmagic.verify import (
@@ -160,3 +167,35 @@ def test_verify_shape_guard():
     lab = golden()
     with pytest.raises(DomainMismatch):
         Labeling.from_matrices(dims(3, 4), lab.h, lab.v)
+
+
+@pytest.mark.parametrize("n,m,variant", [(15, 9, ODD_ODD), (9, 3, ODD_ODD), (12, 8, EVEN_EVEN)])
+def test_audit_transposed_shapes_clean(n, m, variant):
+    lab = construct(n, m)
+    assert (lab.dims.n, lab.dims.m) == (n, m)
+    report = audit_corners(lab, plan_for(variant, lab.dims))
+    assert report.clean, report.mismatches[:3]
+
+
+def test_audit_transposed_shape_locates_a_swap():
+    # mismatches of an n > m labeling are those of its transpose
+    lab = construct(15, 9).with_swapped(H(2, 3), V(7, 1))
+    direct = audit_corners(lab, plan_for(ODD_ODD, lab.dims))
+    native = lab.transpose()
+    assert direct.mismatches == audit_corners(native, plan_for(ODD_ODD, native.dims)).mismatches
+    assert 1 <= len(direct.mismatches) <= 4
+
+
+def test_audit_transposed_shape_checks_the_plan():
+    lab = construct(9, 3)
+    with pytest.raises(PlanShapeMismatch):
+        audit_corners(lab, plan_for(ODD_ODD, dims(3, 9)))  # start columns of the 3 x 9 plan
+    with pytest.raises(PlanShapeMismatch):
+        audit_corners(construct(12, 8), ConstructionPlan(ODD_ODD, (1, 2, 3, 4)))
+
+
+def test_verify_report_keeps_the_weight_matrix():
+    lab = golden().with_swapped(H(1, 1), H(2, 2))
+    report = verify(lab)
+    assert np.array_equal(report.weight_matrix, weight_matrix(lab))
+    assert report.weights == {v: vertex_weight(lab, v) for v in all_vertices(lab.dims)}
