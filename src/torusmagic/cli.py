@@ -5,7 +5,7 @@ audit, search, decompose, render.  Data goes to stdout (or --out),
 diagnostics to stderr.  Exit codes are machine-scriptable:
 
   0  success (generate/search found; verify supermagic; audit clean)
-  1  usage, IO, or parse errors
+  1  usage, IO, or parse errors, or a grid too large to render
   2  well-formed input with a failing verdict (generate: shape not
      covered by a construction; verify: not supermagic; audit: dirty)
   3  search stopped by its node or time budget
@@ -31,7 +31,7 @@ from .construct import (
 from .diagonals import decompose
 from .grid import DimensionTooSmall, dims as make_dims
 from .labeling import DomainMismatch
-from .render import RenderSpec, render
+from .render import MAX_RENDER_EDGES, RenderSpec, RenderTooLarge, render
 from .search import SearchConfig, SearchOutcome, search
 from .serialize import ParseError, ShapeError, decode, encode
 from .verify import audit_corners, forced_constant, verify
@@ -195,7 +195,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("render", help="emit a DOT or SVG figure")
+    p = sub.add_parser("render", help=f"emit a DOT or SVG figure (at most "
+                                         f"{MAX_RENDER_EDGES:,} edges)")
     p.add_argument("file", help="labeling document (JSON or edge list, - for stdin)")
     p.add_argument("--format", default="dot", choices=["dot", "svg"])
     p.add_argument("--annotate", default="labels", choices=["labels", "weights", "corners"])
@@ -214,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
-    except (ParseError, ShapeError, DomainMismatch, DimensionTooSmall,
+    except (ParseError, ShapeError, DomainMismatch, DimensionTooSmall, RenderTooLarge,
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

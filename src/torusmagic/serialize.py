@@ -25,12 +25,14 @@ from typing import Mapping
 
 import numpy as np
 
-from .grid import EdgeRef, GridDims, dims as make_dims
+from .grid import dims as make_dims
 from .labeling import Labeling
 
 
-class ParseError(Exception):
-    """Document is not well-formed (bad JSON, bad types, bad edge lines)."""
+class ParseError(ValueError):
+    """Document is not well-formed (bad JSON, bad types, non-positive labels,
+    bad edge lines).  A ValueError, so callers that catch ValueError for bad
+    input catch it too."""
 
 
 class ShapeError(Exception):
@@ -38,7 +40,7 @@ class ShapeError(Exception):
 
 
 def _matrix_rows(matrix: np.ndarray) -> str:
-    rows = [json.dumps([int(x) for x in row]) for row in matrix]
+    rows = map(json.dumps, matrix.tolist())
     return "[\n    " + ",\n    ".join(rows) + "\n  ]"
 
 
@@ -81,14 +83,23 @@ def _decode_json(text: str) -> Labeling:
             raise ParseError(f"{key}: expected a list of rows")
         if len(rows) != n or any(len(r) != m for r in rows):
             raise ShapeError(f"{key}: expected {n} rows x {m} columns")
-        out = np.zeros((n, m), dtype=np.int64)
+        # whole rows at a time; the exact type test keeps out bools and floats
+        if all(set(map(type, row)) <= {int} for row in rows):
+            try:
+                out = np.array(rows, dtype=np.int64)
+            except OverflowError:
+                pass
+            else:
+                if (out >= 1).all():
+                    return out
+        # some cell is bad: raise for the first one in row-major order
         for i, row in enumerate(rows):
             for j, value in enumerate(row):
-                value = _require_int(value, f"{key}[{i + 1}][{j + 1}]")
+                where = f"{key}[{i + 1}][{j + 1}]"
+                _require_int(value, where)
                 if value < 1:
-                    raise ValueError(f"{key}[{i + 1}][{j + 1}]: labels must be positive, got {value}")
-                out[i, j] = value
-        return out
+                    raise ParseError(f"{where}: labels must be positive, got {value}")
+                np.int64(value)  # past the int64 range: OverflowError, as storing it would
 
     return Labeling(d, matrix("horizontal"), matrix("vertical"))
 
@@ -107,7 +118,7 @@ def _decode_edge_list(text: str) -> Labeling:
         except ValueError:
             raise ParseError(f"line {lineno}: indices and label must be integers") from None
         if value < 1:
-            raise ValueError(f"line {lineno}: labels must be positive, got {value}")
+            raise ParseError(f"line {lineno}: labels must be positive, got {value}")
         key = (fields[0], i, j)
         if key in entries:
             raise ShapeError(f"line {lineno}: duplicate edge {fields[0]}({i},{j})")

@@ -1,22 +1,30 @@
-"""Scalar reference implementation of construct, verify and audit_corners.
+"""Scalar reference implementation of construct, verify, audit_corners,
+the JSON document codec and the figure renderer.
 
 A verbatim copy of the per-EdgeRef code the package used before its core
 became numpy index arithmetic: diagonals traced edge by edge, labels
 written through a write-once accumulator, the bijection counted with a
 Counter, weights held in a VertexRef dict, and every corner looked up
-through a CornerPos.  It is slow and deliberately left alone, so that
-the differential tests can hold the array-native core to it.
+through a CornerPos.  The codec and the renderer are the per-edge
+versions the package used before they went row-wise: matrices decoded
+and checked cell by cell, numpy scalars converted one at a time, and
+figures drawn by walking all_edges/all_vertices with EdgeRef.endpoints
+and Labeling.label.  It is slow and deliberately left alone, so that the
+differential tests can hold the package to it.
 
 Only the module-level imports differ: the shared value types (EdgeRef,
-VertexRef, CornerPos, GridDims, Labeling, ConstructionPlan, plan_for)
-come from the package.
+VertexRef, CornerPos, GridDims, Labeling, ConstructionPlan, plan_for,
+RenderSpec, ParseError, ShapeError) come from the package.
 """
 
 from __future__ import annotations
 
+import colorsys
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -30,8 +38,18 @@ from torusmagic.construct import (
     plan_for,
 )
 from torusmagic.diagonals import CornerPos, InvalidStartColumn
-from torusmagic.grid import EdgeRef, GridDims, VertexRef, dims as make_dims, wrap
+from torusmagic.grid import (
+    EdgeRef,
+    GridDims,
+    VertexRef,
+    all_edges,
+    all_vertices,
+    dims as make_dims,
+    wrap,
+)
 from torusmagic.labeling import DomainMismatch, Labeling
+from torusmagic.render import RenderSpec
+from torusmagic.serialize import ParseError, ShapeError
 
 
 # --- diagonals -------------------------------------------------------------
@@ -326,3 +344,204 @@ def audit_corners(lab: Labeling, plan: ConstructionPlan) -> CornerAuditReport:
                 if actual != expected:
                     report.mismatches.append((pos, expected, actual))
     return report
+
+
+# --- serialize -------------------------------------------------------------
+
+def _matrix_rows(matrix: np.ndarray) -> str:
+    rows = [json.dumps([int(x) for x in row]) for row in matrix]
+    return "[\n    " + ",\n    ".join(rows) + "\n  ]"
+
+
+def encode(lab: Labeling, metadata: Mapping[str, object] | None = None) -> str:
+    """Serialize to the canonical JSON document (byte-stable across runs)."""
+    parts = [
+        f'  "n": {lab.dims.n}',
+        f'  "m": {lab.dims.m}',
+        f'  "horizontal": {_matrix_rows(lab.h)}',
+        f'  "vertical": {_matrix_rows(lab.v)}',
+    ]
+    if metadata:
+        parts.append(f'  "metadata": {json.dumps(dict(metadata), sort_keys=True)}')
+    return "{\n" + ",\n".join(parts) + "\n}\n"
+
+
+def _require_int(value: object, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _decode_json(text: str) -> Labeling:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError("top-level JSON value must be an object")
+    for key in ("n", "m", "horizontal", "vertical"):
+        if key not in doc:
+            raise ParseError(f"missing field {key!r}")
+    n = _require_int(doc["n"], "n")
+    m = _require_int(doc["m"], "m")
+    d = make_dims(n, m)
+
+    def matrix(key: str) -> np.ndarray:
+        rows = doc[key]
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ParseError(f"{key}: expected a list of rows")
+        if len(rows) != n or any(len(r) != m for r in rows):
+            raise ShapeError(f"{key}: expected {n} rows x {m} columns")
+        out = np.zeros((n, m), dtype=np.int64)
+        for i, row in enumerate(rows):
+            for j, value in enumerate(row):
+                value = _require_int(value, f"{key}[{i + 1}][{j + 1}]")
+                if value < 1:
+                    raise ValueError(f"{key}[{i + 1}][{j + 1}]: labels must be positive, got {value}")
+                out[i, j] = value
+        return out
+
+    return Labeling(d, matrix("horizontal"), matrix("vertical"))
+
+
+# --- render ----------------------------------------------------------------
+
+def _palette(d: int) -> list[str]:
+    colors = []
+    for idx in range(d):
+        r, g, b = colorsys.hls_to_rgb(idx / d, 0.42, 0.72)
+        colors.append(f"#{round(r * 255):02x}{round(g * 255):02x}{round(b * 255):02x}")
+    return colors
+
+
+def _diagonal_colors(dims: GridDims) -> tuple[np.ndarray, np.ndarray]:
+    """0-based diagonal index of every edge, as (H, V) matrices.
+
+    The diagonal through H(i,j) is (j-i) mod d + 1 and the one through
+    V(i,j) is (j-i-1) mod d + 1: the step along the diagonal plays no part.
+    """
+    rows = np.arange(dims.n)[:, None]
+    cols = np.arange(dims.m)[None, :]
+    return (cols - rows) % dims.d, (cols - rows - 1) % dims.d
+
+
+def _edge_colors(dims: GridDims) -> dict[str, list[list[str]]]:
+    """Per-edge diagonal colour, keyed by orientation then 0-based (i, j)."""
+    palette = _palette(dims.d)
+    h_idx, v_idx = _diagonal_colors(dims)
+    return {"H": [[palette[c] for c in row] for row in h_idx.tolist()],
+            "V": [[palette[c] for c in row] for row in v_idx.tolist()]}
+
+
+def _corner_sums(lab: Labeling, i: int, j: int) -> tuple[int, int]:
+    # HV corner at (i,j): H(i,j-1) + V(i,j); VH corner: V(i-1,j) + H(i,j)
+    d = lab.dims
+    hv = int(lab.h[i - 1, wrap(j - 1, d.m) - 1] + lab.v[i - 1, j - 1])
+    vh = int(lab.v[wrap(i - 1, d.n) - 1, j - 1] + lab.h[i - 1, j - 1])
+    return hv, vh
+
+
+def render(lab: Labeling, spec: RenderSpec | None = None) -> str:
+    """Figure text for a total labeling, per the render spec."""
+    spec = spec or RenderSpec()
+    if spec.format == "dot":
+        return _render_dot(lab, spec)
+    return _render_svg(lab, spec)
+
+
+def _render_dot(lab: Labeling, spec: RenderSpec) -> str:
+    d = lab.dims
+    colors = _edge_colors(d) if spec.highlight_diagonals else None
+    weights = weight_matrix(lab) if spec.annotate == "weights" else None
+    lines = [f"graph torus_{d.n}x{d.m} {{"]
+    lines.append("  layout=neato;")
+    lines.append('  node [shape=circle, fontsize=10];')
+    lines.append("  edge [fontsize=9];")
+    for v in all_vertices(d):
+        name = f"x_{v.i}_{v.j}"
+        attrs = [f'pos="{v.j},{d.n - v.i}!"']
+        if spec.annotate == "weights":
+            attrs.append(f'label="{name}\\n{int(weights[v.i - 1, v.j - 1])}"')
+        elif spec.annotate == "corners":
+            hv, vh = _corner_sums(lab, v.i, v.j)
+            attrs.append(f'label="{name}\\nHV={hv}\\nVH={vh}"')
+        lines.append(f"  {name} [{', '.join(attrs)}];")
+    for e in all_edges(d):
+        a, b = e.endpoints(d)
+        attrs = [f'label="{lab.label(e)}"']
+        if colors:
+            attrs.append(f'color="{colors[e.orient][e.i - 1][e.j - 1]}"')
+        lines.append(f"  x_{a.i}_{a.j} -- x_{b.i}_{b.j} [{', '.join(attrs)}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+_CELL = 80
+_MARGIN = 56
+_STUB = 26
+_R = 13
+
+
+def _render_svg(lab: Labeling, spec: RenderSpec) -> str:
+    d = lab.dims
+    colors = _edge_colors(d) if spec.highlight_diagonals else None
+    weights = weight_matrix(lab) if spec.annotate == "weights" else None
+    width = 2 * _MARGIN + (d.m - 1) * _CELL
+    height = 2 * _MARGIN + (d.n - 1) * _CELL
+
+    def pos(i: int, j: int) -> tuple[int, int]:
+        return _MARGIN + (j - 1) * _CELL, _MARGIN + (i - 1) * _CELL
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}" font-family="sans-serif">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    for e in all_edges(d):
+        color = colors[e.orient][e.i - 1][e.j - 1] if colors else "#444444"
+        x, y = pos(e.i, e.j)
+        segments = []
+        if e.orient == "H":
+            if e.j < d.m:
+                segments.append((x, y, x + _CELL, y))
+                lx, ly = x + _CELL // 2, y - 6
+            else:
+                xw, yw = pos(e.i, 1)
+                segments.append((x, y, x + _STUB, y))
+                segments.append((xw - _STUB, yw, xw, yw))
+                lx, ly = x + _STUB, y - 6
+        else:
+            if e.i < d.n:
+                segments.append((x, y, x, y + _CELL))
+                lx, ly = x + 7, y + _CELL // 2 + 4
+            else:
+                xw, yw = pos(1, e.j)
+                segments.append((x, y, x, y + _STUB))
+                segments.append((xw, yw - _STUB, xw, yw))
+                lx, ly = x + 7, y + _STUB
+        out.append(f'<g class="edge" data-edge="{e}">')
+        for x1, y1, x2, y2 in segments:
+            out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+                       f'stroke="{color}" stroke-width="2"/>')
+        out.append(f'<text x="{lx}" y="{ly}" font-size="11" fill="{color}">'
+                   f"{lab.label(e)}</text>")
+        out.append("</g>")
+    for v in all_vertices(d):
+        x, y = pos(v.i, v.j)
+        out.append(f'<g class="vertex" data-vertex="x_{v.i}_{v.j}">')
+        out.append(f'<circle cx="{x}" cy="{y}" r="{_R}" fill="#f5f5f5" stroke="#222222"/>')
+        out.append(f'<text x="{x}" y="{y + 3}" font-size="9" text-anchor="middle">'
+                   f"{v.i},{v.j}</text>")
+        if spec.annotate == "weights":
+            out.append(f'<text x="{x}" y="{y + _R + 12}" font-size="10" '
+                       f'text-anchor="middle" fill="#a23b00">'
+                       f"{int(weights[v.i - 1, v.j - 1])}</text>")
+        elif spec.annotate == "corners":
+            hv, vh = _corner_sums(lab, v.i, v.j)
+            out.append(f'<text x="{x}" y="{y + _R + 11}" font-size="8" '
+                       f'text-anchor="middle" fill="#1f4d8f">HV={hv}</text>')
+            out.append(f'<text x="{x}" y="{y + _R + 20}" font-size="8" '
+                       f'text-anchor="middle" fill="#7a1f8f">VH={vh}</text>')
+        out.append("</g>")
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

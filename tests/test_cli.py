@@ -148,6 +148,26 @@ def test_render_svg_to_file(tmp_path, capsys):
     assert dst.read_text().startswith("<svg")
 
 
+def test_render_too_large_exits_one(tmp_path, capsys):
+    src = tmp_path / "big.json"
+    src.write_text(encode(construct(600, 600)))
+    dst = tmp_path / "fig.svg"
+    code, out, err = run(capsys, "render", str(src), "--format", "svg", "--out", str(dst))
+    assert code == EXIT_ERROR
+    assert "720000 edges" in err
+    assert not dst.exists()
+
+
+def test_verify_nonpositive_label_exits_one(tmp_path, capsys):
+    doc = json.loads(encode(construct(3, 3)))
+    doc["horizontal"][2][1] = 0
+    src = tmp_path / "lab.json"
+    src.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(src))
+    assert code == EXIT_ERROR
+    assert "horizontal[3][2]: labels must be positive, got 0" in err
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["generate", "three", "3"]) == EXIT_ERROR
     assert main(["nonsense"]) == EXIT_ERROR

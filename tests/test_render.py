@@ -8,7 +8,7 @@ import pytest
 from torusmagic.construct import construct
 from torusmagic.diagonals import diagonal_of_edge
 from torusmagic.grid import all_edges
-from torusmagic.render import RenderSpec, render
+from torusmagic.render import RenderSpec, RenderTooLarge, render
 from torusmagic.verify import weight_matrix
 
 
@@ -103,3 +103,28 @@ def test_diagonal_colors_match_diagonal_of_edge(monkeypatch, n, m, fmt):
 
     monkeypatch.setattr(render_module, "_diagonal_colors", located)
     assert render(lab, spec).encode() == closed_form.encode()
+
+
+def test_render_refuses_a_grid_over_the_edge_cap(monkeypatch):
+    render_module = importlib.import_module("torusmagic.render")
+    lab = construct(600, 600)  # 720,000 edges
+    assert lab.dims.q > render_module.MAX_RENDER_EDGES
+
+    def no_text(*args, **kwargs):
+        raise AssertionError("figure text was built")
+
+    for name in ("_render_svg", "_render_dot", "_edge_colors", "_corner_sums", "weight_matrix"):
+        monkeypatch.setattr(render_module, name, no_text)
+    for fmt in ("svg", "dot"):
+        with pytest.raises(RenderTooLarge, match="C_600 x C_600 has 720000 edges"):
+            render(lab, RenderSpec(format=fmt, annotate="weights", highlight_diagonals=True))
+
+
+def test_render_edge_cap_is_inclusive(monkeypatch):
+    render_module = importlib.import_module("torusmagic.render")
+    lab = construct(3, 3)  # 18 edges
+    monkeypatch.setattr(render_module, "MAX_RENDER_EDGES", 18)
+    assert render(lab).startswith("graph torus_3x3 {")
+    monkeypatch.setattr(render_module, "MAX_RENDER_EDGES", 17)
+    with pytest.raises(RenderTooLarge):
+        render(lab)

@@ -64,8 +64,13 @@ def test_decode_rejects_nonpositive_entry():
     lab = construct(3, 3)
     doc = json.loads(encode(lab))
     doc["vertical"][0][0] = 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match=r"^vertical\[1\]\[1\]: labels must be positive, got 0$"):
         decode(json.dumps(doc))
+
+
+def test_edge_list_rejects_nonpositive_label():
+    with pytest.raises(ParseError, match=r"^line 2: labels must be positive, got -4$"):
+        decode("H 1 1 1\nV 1 1 -4\n")
 
 
 def test_decode_rejects_bool_entry():
