@@ -118,8 +118,10 @@ def _cmd_search(args) -> int:
         cfg = SearchConfig(node_budget=args.node_budget, time_budget=args.time_budget)
     outcome: SearchOutcome = search(args.n, args.m, cfg)
     s = outcome.stats
-    print(f"status: {outcome.status} | nodes {s.nodes} | restarts {s.restarts} | "
-          f"max depth {s.max_depth} | {s.elapsed:.2f}s", file=sys.stderr)
+    rate = s.nodes / s.elapsed if s.elapsed > 0 else 0.0
+    print(f"status: {outcome.status} | nodes {s.nodes} | propagations {s.propagations} | "
+          f"restarts {s.restarts} | max depth {s.max_depth} | {s.elapsed:.2f}s | "
+          f"{rate:.0f} nodes/s", file=sys.stderr)
     if s.prunes:
         pruned = ", ".join(f"{k}={v}" for k, v in sorted(s.prunes.items()))
         print(f"prunes: {pruned}", file=sys.stderr)

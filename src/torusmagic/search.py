@@ -32,8 +32,8 @@ also f(V(1,1))=1.
 
 from __future__ import annotations
 
-import sys
 import time
+from itertools import compress
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -84,9 +84,6 @@ class SearchStats:
     prunes: dict[str, int] = field(default_factory=dict)
     elapsed: float = 0.0
 
-    def bump(self, rule: str) -> None:
-        self.prunes[rule] = self.prunes.get(rule, 0) + 1
-
 
 @dataclass
 class SearchOutcome:
@@ -111,8 +108,12 @@ class PartialLabeling:
     """Mutable partial assignment over the grid's edges.
 
     Edge slots are flat indices: the H block row-major, then the V block.
-    Tracks per-vertex partial sums and unlabeled-edge counts so the
-    pruning rules are O(1) lookups plus a scan of the unused pool.
+    The free labels are a bitset `pool` (bit x set while label x is
+    unused) with a mirrored copy `rpool` (bit 2q - x), so the smallest
+    and largest free labels are low set bits of one or the other, and the
+    free pairs with a given sum are one shift and one AND.  Per vertex it
+    keeps `need` (the constant minus the partial sum) and `vcnt` (the
+    number of unlabeled edges).
     """
 
     def __init__(self, dims: GridDims, assignments: Mapping[EdgeRef, int] | None = None):
@@ -130,7 +131,6 @@ class PartialLabeling:
                     nm + i * m + j,            # V(i, j): south
                     nm + ((i - 1) % n) * m + j,  # V(i-1, j): north
                 ))
-        self.vert_edges = vert_edges
         edge_verts: list[list[int]] = [[] for _ in range(q)]
         for v, edges in enumerate(vert_edges):
             for e in edges:
@@ -141,18 +141,25 @@ class PartialLabeling:
         self.rank = [0] * q
         for pos, e in enumerate(order):
             self.rank[e] = pos
+        # each vertex's edges by rank: its first unlabeled one is its best
+        self.vert_edges = [tuple(sorted(edges, key=self.rank.__getitem__))
+                           for edges in vert_edges]
 
         self.label = [0] * q          # 0 = unassigned
-        self.used = [False] * (q + 1)
-        self.vsum = [0] * nm
+        self.pool = ((1 << q) - 1) << 1   # bits 1..q
+        self.rpool = ((1 << q) - 1) << q  # bits 2q-1..q
+        self.need = [self.constant] * nm
         self.vcnt = [4] * nm
-        self.unassigned = q
         self.trail: list[int] = []
         if assignments:
             for e, value in sorted(assignments.items(), key=lambda kv: kv[0].sort_key()):
                 self.assign(e, value)
 
     # -- public views ------------------------------------------------------
+
+    @property
+    def unassigned(self) -> int:
+        return self.dims.q - len(self.trail)
 
     def edge_index(self, e: EdgeRef) -> int:
         base = 0 if e.orient == "H" else self.nm
@@ -166,16 +173,19 @@ class PartialLabeling:
         value = self.label[self.edge_index(e)]
         return value if value else None
 
+    def is_free(self, value: int) -> bool:
+        return 1 <= value <= self.dims.q and bool(self.pool >> value & 1)
+
     def assign(self, e: EdgeRef, value: int) -> None:
         idx = self.edge_index(e)
         if self.label[idx]:
             raise ValueError(f"{e} already labeled")
-        if not (1 <= value <= self.dims.q) or self.used[value]:
+        if not self.is_free(value):
             raise ValueError(f"label {value} unavailable")
         self._set(idx, value)
 
     def unused_labels(self) -> list[int]:
-        return [x for x in range(1, self.dims.q + 1) if not self.used[x]]
+        return [x for x in range(1, self.dims.q + 1) if self.pool >> x & 1]
 
     def to_labeling(self) -> Labeling:
         if self.unassigned:
@@ -185,63 +195,44 @@ class PartialLabeling:
         return Labeling(self.dims, flat[:nm].reshape(n, m).copy(),
                         flat[nm:].reshape(n, m).copy())
 
-    # -- state updates -----------------------------------------------------
+    # -- state updates and pruning primitives --------------------------------
+    # The engine inlines _set, and its undo, in its loop.
 
     def _set(self, idx: int, value: int) -> None:
         self.label[idx] = value
-        self.used[value] = True
+        self.pool ^= 1 << value
+        self.rpool ^= 1 << (2 * self.dims.q - value)
         for v in self.edge_verts[idx]:
-            self.vsum[v] += value
+            self.need[v] -= value
             self.vcnt[v] -= 1
-        self.unassigned -= 1
         self.trail.append(idx)
-
-    def _undo_to(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            idx = self.trail.pop()
-            value = self.label[idx]
-            self.label[idx] = 0
-            self.used[value] = False
-            for v in self.edge_verts[idx]:
-                self.vsum[v] -= value
-                self.vcnt[v] += 1
-            self.unassigned += 1
-
-    # -- pruning primitives --------------------------------------------------
 
     def _extreme_sums(self, count: int) -> tuple[list[int], list[int]]:
         # prefix sums of the `count` smallest and largest unused labels
-        used, q = self.used, self.dims.q
         mins, maxs = [0], [0]
-        x = 1
-        while x <= q and len(mins) <= count:
-            if not used[x]:
-                mins.append(mins[-1] + x)
-            x += 1
-        x = q
-        while x >= 1 and len(maxs) <= count:
-            if not used[x]:
-                maxs.append(maxs[-1] + x)
-            x -= 1
+        low, high, top = self.pool, self.rpool, 2 * self.dims.q + 1
+        while low and len(mins) <= count:
+            bit = low & -low
+            mins.append(mins[-1] + bit.bit_length() - 1)
+            low ^= bit
+            bit = high & -high
+            maxs.append(maxs[-1] + top - bit.bit_length())
+            high ^= bit
         return mins, maxs
 
     def _pair_exists(self, target: int) -> bool:
-        used, q = self.used, self.dims.q
-        a = max(1, target - q)
-        half = (target - 1) // 2
-        while a <= half:
-            if not used[a] and not used[target - a]:
-                return True
-            a += 1
-        return False
+        # Bit z of `pairs` is set when z and target - z are both free; a
+        # single bit can only be z = target / 2, which is not a pair.
+        if not 3 <= target < 2 * self.dims.q:
+            return False
+        pairs = self.pool & (self.rpool >> (2 * self.dims.q - target))
+        return bool(pairs & (pairs - 1))
 
     def forced_value(self, v_idx: int) -> int | None:
         """The only label that can close a vertex with 3 labeled edges,
         or None when it is out of range or already used."""
-        need = self.constant - self.vsum[v_idx]
-        if need < 1 or need > self.dims.q or self.used[need]:
-            return None
-        return need
+        need = self.need[v_idx]
+        return need if self.is_free(need) else None
 
 
 def forced_label(partial: PartialLabeling, v: VertexRef) -> int | None:
@@ -264,9 +255,9 @@ def feasible_completion(partial: PartialLabeling, v: VertexRef) -> bool:
     r = partial.vcnt[v_idx]
     if r not in (1, 2, 3):
         raise ValueError(f"vertex {v} must have 1..3 unlabeled edges, has {r}")
-    need = partial.constant - partial.vsum[v_idx]
+    need = partial.need[v_idx]
     if r == 1:
-        return 1 <= need <= partial.dims.q and not partial.used[need]
+        return partial.is_free(need)
     mins, maxs = partial._extreme_sums(r)
     if len(mins) <= r or not (mins[r] <= need <= maxs[r]):
         return False
@@ -275,8 +266,18 @@ def feasible_completion(partial: PartialLabeling, v: VertexRef) -> bool:
     return True
 
 
+# binary digits '0'/'1' to the bytes 0/1, so they can select from a range
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 class _Engine:
-    """One depth-first run over a PartialLabeling."""
+    """One depth-first run over a PartialLabeling.
+
+    The tree is walked with an explicit stack of frames, one per decision
+    level: (edge, its endpoints, candidate iterator, trail mark, pool and
+    mirrored pool at the mark).  Resuming a frame undoes the trail to its
+    mark and restores both pools from it.
+    """
 
     def __init__(self, state: PartialLabeling, stats: SearchStats, *,
                  node_limit: int, deadline: float, value_order: str,
@@ -290,129 +291,196 @@ class _Engine:
         self.find_all = find_all
         self.solutions: list[Labeling] = []
 
-    # Propagate consequences of the assignment(s) made since `queue` was
-    # seeded.  Returns False when any rule refutes the branch.
-    def _propagate(self, queue: list[int]) -> bool:
-        s = self.s
-        c = s.constant
-        stats = self.stats
-        changed: dict[int, None] = {}
-        while queue:
-            v = queue.pop()
-            changed[v] = None
-            cnt = s.vcnt[v]
-            if cnt == 0:
-                if s.vsum[v] != c:
-                    stats.bump("closed-sum")
-                    return False
-            elif cnt == 1:
-                need = c - s.vsum[v]
-                if need < 1 or need > s.dims.q:
-                    stats.bump("forced-range")
-                    return False
-                if s.used[need]:
-                    stats.bump("forced-used")
-                    return False
-                for e in s.vert_edges[v]:
-                    if not s.label[e]:
-                        s._set(e, need)
-                        stats.propagations += 1
-                        queue.extend(s.edge_verts[e])
-                        break
-
-        mins, maxs = s._extreme_sums(3)
-        vsum, vcnt = s.vsum, s.vcnt
-        for v in range(s.nm):
-            r = vcnt[v]
-            if 1 <= r <= 3:
-                need = c - vsum[v]
-                if need < mins[r] or need > maxs[r]:
-                    stats.bump("bounds")
-                    return False
-        for v in changed:
-            if vcnt[v] == 2 and not s._pair_exists(c - vsum[v]):
-                stats.bump("pair")
-                return False
-        return True
-
-    def _pick_edge(self) -> int:
-        s = self.s
-        best_cnt = 5
-        best_vertices: list[int] = []
-        vcnt = s.vcnt
-        for v in range(s.nm):
-            cnt = vcnt[v]
-            if 0 < cnt < best_cnt:
-                best_cnt = cnt
-                best_vertices = [v]
-            elif cnt == best_cnt:
-                best_vertices.append(v)
-        best_edge = -1
-        best_rank = None
-        for v in best_vertices:
-            for e in s.vert_edges[v]:
-                if not s.label[e]:
-                    r = s.rank[e]
-                    if best_rank is None or r < best_rank:
-                        best_rank = r
-                        best_edge = e
-        return best_edge
-
-    def _candidates(self, e: int) -> list[int]:
-        s = self.s
-        c, q = s.constant, s.dims.q
-        mins, maxs = s._extreme_sums(3)
-        lo, hi = 1, q
-        for v in s.edge_verts[e]:
-            r = s.vcnt[v]
-            need = c - s.vsum[v]
-            # L plus r-1 further unused labels must reach `need`
-            if len(mins) > r - 1:
-                hi = min(hi, need - mins[r - 1])
-            if len(maxs) > r - 1:
-                lo = max(lo, need - maxs[r - 1])
-        used = s.used
-        values = [x for x in range(max(lo, 1), min(hi, q) + 1) if not used[x]]
-        if self.value_order == "descending":
-            values.reverse()
-        elif self.value_order == "random":
-            self.rng.shuffle(values)
-        return values
-
     def run(self) -> str:
-        if not self._propagate(list(range(self.s.nm))):
-            return EXHAUSTED
-        return self._dfs(0)
+        s, stats = self.s, self.stats
+        prunes = stats.prunes
+        q, c = s.dims.q, s.constant
+        q2, top = 2 * q, 2 * q + 1
+        label, need, vcnt, trail = s.label, s.need, s.vcnt, s.trail
+        ends, vert_edges, rank = s.edge_verts, s.vert_edges, s.rank
+        pool, rpool = s.pool, s.rpool
+        order = self.value_order
+        shuffle = self.rng.shuffle if order == "random" else None
+        node_limit, deadline, find_all = self.node_limit, self.deadline, self.find_all
+        nodes, propagations, max_depth = stats.nodes, stats.propagations, stats.max_depth
+        stack: list[tuple] = []
+        status = EXHAUSTED
+        queue = list(range(s.nm))  # the root checks every vertex
+        while True:
+            # Propagate the last assignment: a vertex with one open edge
+            # forces its label, a closed vertex must sum to c.
+            rule = None
+            popped = []
+            while queue:
+                v = queue.pop()
+                popped.append(v)
+                r = vcnt[v]
+                if r == 1:
+                    x = need[v]
+                    if x < 1 or x > q:
+                        rule = "forced-range"
+                        break
+                    if not pool >> x & 1:
+                        rule = "forced-used"
+                        break
+                    for f in vert_edges[v]:
+                        if not label[f]:
+                            break
+                    label[f] = x
+                    pool ^= 1 << x
+                    rpool ^= 1 << (q2 - x)
+                    fa, fb = ends[f]
+                    need[fa] -= x
+                    need[fb] -= x
+                    vcnt[fa] -= 1
+                    vcnt[fb] -= 1
+                    trail.append(f)
+                    propagations += 1
+                    queue.append(fa)
+                    queue.append(fb)
+                elif not r and need[v]:
+                    rule = "closed-sum"
+                    break
+            if rule is None:
+                # Sum-range bounds: a vertex with r open edges needs between
+                # the sums of the r smallest and the r largest free labels.
+                # lows/highs are indexed by r; a closed vertex needs 0 and an
+                # untouched one c, so those two entries always pass.  With
+                # fewer than three free labels the last sums are meaningless,
+                # but a vertex with r open edges means r free labels, so no
+                # rule reads them.
+                p = pool
+                b1 = p & -p
+                p ^= b1
+                b2 = p & -p
+                p ^= b2
+                lo1 = b1.bit_length() - 1
+                lo2 = lo1 + b2.bit_length() - 1
+                lows = (0, lo1, lo2, lo2 + (p & -p).bit_length() - 1, 0)
+                p = rpool
+                b1 = p & -p
+                p ^= b1
+                b2 = p & -p
+                p ^= b2
+                hi1 = top - b1.bit_length()
+                hi2 = hi1 + top - b2.bit_length()
+                highs = (0, hi1, hi2, hi2 + top - (p & -p).bit_length(), c)
+                for x, r in zip(need, vcnt):
+                    if x < lows[r] or x > highs[r]:
+                        rule = "bounds"
+                        break
+                else:
+                    # exact pair test where two edges are open (the sum is
+                    # within the r=2 bounds, so the shift is positive)
+                    for v in popped:
+                        if vcnt[v] == 2:
+                            pairs = pool & (rpool >> (q2 - need[v]))
+                            if not pairs & (pairs - 1):
+                                rule = "pair"
+                                break
+            if rule is not None:
+                prunes[rule] = prunes.get(rule, 0) + 1
+            elif len(trail) < q:
+                # Enter the node.  Branch on the lowest-ranked open edge of
+                # the vertices with the fewest open edges; after propagation
+                # no vertex has exactly one.
+                if len(stack) > max_depth:
+                    max_depth = len(stack)
+                best = 2 if 2 in vcnt else 3 if 3 in vcnt else 4
+                best_rank = q
+                v = -1
+                for _ in range(vcnt.count(best)):
+                    v = vcnt.index(best, v + 1)
+                    for f in vert_edges[v]:
+                        if not label[f]:
+                            if rank[f] < best_rank:
+                                best_rank = rank[f]
+                                e = f
+                            break
+                a, b = ends[e]
+                # the label plus r-1 further free labels must make up each
+                # endpoint's need
+                ra, rb = vcnt[a] - 1, vcnt[b] - 1
+                lo = max(need[a] - highs[ra], need[b] - highs[rb], 1)
+                hi = min(need[a] - lows[ra], need[b] - lows[rb], q)
+                values = []
+                if lo <= hi:
+                    # The free labels in lo..hi, read off the pool's binary
+                    # digits (lowest first) in C; peeling bits one at a time
+                    # costs O(q) per label on a wide pool.
+                    digits = bin(pool >> lo & ((2 << (hi - lo)) - 1))[:1:-1]
+                    values = list(compress(range(lo, hi + 1),
+                                           digits.encode().translate(_DIGIT_BITS)))
+                    if shuffle is not None:
+                        shuffle(values)
+                    elif order == "descending":
+                        values.reverse()
+                stack.append((e, a, b, iter(values), len(trail), pool, rpool))
+            else:
+                if len(stack) > max_depth:
+                    max_depth = len(stack)
+                solution = s.to_labeling()
+                report = verify(solution)
+                if not report.is_supermagic or report.constant != s.constant:
+                    raise RuntimeError("internal defect: search produced a non-supermagic labeling")
+                self.solutions.append(solution)
+                if not find_all:
+                    status = FOUND
+                    break
 
-    def _dfs(self, depth: int) -> str:
-        s = self.s
-        stats = self.stats
-        if depth > stats.max_depth:
-            stats.max_depth = depth
-        if s.unassigned == 0:
-            solution = s.to_labeling()
-            report = verify(solution)
-            if not report.is_supermagic or report.constant != s.constant:
-                raise RuntimeError("internal defect: search produced a non-supermagic labeling")
-            self.solutions.append(solution)
-            return EXHAUSTED if self.find_all else FOUND
+            # Resume the deepest frame with its next candidate that the
+            # endpoint checks do not refute.  They replay the first pops of
+            # the propagation (endpoint b, then a if b forced nothing)
+            # before any state changes.  The candidate range closes an
+            # endpoint exactly and keeps a forced label within 1..q, so the
+            # one rule that can refute here is a forced label in use.
+            while stack:
+                e, a, b, values, mark, pool, rpool = stack[-1]
+                while len(trail) > mark:
+                    f = trail.pop()
+                    x = label[f]
+                    label[f] = 0
+                    fa, fb = ends[f]
+                    need[fa] += x
+                    need[fb] += x
+                    vcnt[fa] += 1
+                    vcnt[fb] += 1
+                for x in values:
+                    if nodes >= node_limit:
+                        status = BUDGET_EXCEEDED
+                        break
+                    nodes += 1
+                    if not nodes & 1023 and time.perf_counter() > deadline:
+                        status = BUDGET_EXCEEDED
+                        break
+                    y = need[b] - x
+                    if vcnt[b] == 2:
+                        if y != x and pool >> y & 1:
+                            break  # b forces a free label: propagate in full
+                    else:
+                        y = need[a] - x
+                        if vcnt[a] != 2 or y != x and pool >> y & 1:
+                            break
+                    prunes["forced-used"] = prunes.get("forced-used", 0) + 1
+                else:
+                    stack.pop()
+                    continue
+                break
+            if not stack or status != EXHAUSTED:
+                break
+            label[e] = x
+            pool ^= 1 << x
+            rpool ^= 1 << (q2 - x)
+            need[a] -= x
+            need[b] -= x
+            vcnt[a] -= 1
+            vcnt[b] -= 1
+            trail.append(e)
+            queue = [a, b]
 
-        e = self._pick_edge()
-        for value in self._candidates(e):
-            if stats.nodes >= self.node_limit:
-                return BUDGET_EXCEEDED
-            stats.nodes += 1
-            if stats.nodes % 1024 == 0 and time.perf_counter() > self.deadline:
-                return BUDGET_EXCEEDED
-            mark = len(s.trail)
-            s._set(e, value)
-            if self._propagate(list(s.edge_verts[e])):
-                sub = self._dfs(depth + 1)
-                if sub != EXHAUSTED:
-                    s._undo_to(mark)
-                    return sub
-            s._undo_to(mark)
-        return EXHAUSTED
+        s.pool, s.rpool = pool, rpool  # the state is consistent at every exit
+        stats.nodes, stats.propagations, stats.max_depth = nodes, propagations, max_depth
+        return status
 
 
 def _derived_seed(seed: int, *parts: int) -> int:
@@ -475,8 +543,6 @@ def search(n: int, m: int, cfg: SearchConfig | None = None) -> SearchOutcome:
     """
     cfg = cfg or SearchConfig()
     d = make_dims(n, m)
-    if d.q > 4 * sys.getrecursionlimit() // 5:
-        sys.setrecursionlimit(2 * d.q + 100)
     stats = SearchStats()
     start = time.perf_counter()
     deadline = start + cfg.time_budget

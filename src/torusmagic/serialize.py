@@ -30,13 +30,16 @@ from .labeling import Labeling
 
 
 class ParseError(ValueError):
-    """Document is not well-formed (bad JSON, bad types, non-positive labels,
-    bad edge lines).  A ValueError, so callers that catch ValueError for bad
-    input catch it too."""
+    """Document is not well-formed (bad JSON, bad types, labels below 1 or
+    past the int64 range, bad edge lines).  A ValueError, so callers that
+    catch ValueError for bad input catch it too."""
 
 
 class ShapeError(Exception):
     """Matrices or edge lines do not cover an n x m grid exactly."""
+
+
+_LABEL_LIMIT = 2**63  # labels are stored as int64
 
 
 def _matrix_rows(matrix: np.ndarray) -> str:
@@ -99,7 +102,8 @@ def _decode_json(text: str) -> Labeling:
                 _require_int(value, where)
                 if value < 1:
                     raise ParseError(f"{where}: labels must be positive, got {value}")
-                np.int64(value)  # past the int64 range: OverflowError, as storing it would
+                if value >= _LABEL_LIMIT:
+                    raise ParseError(f"{where}: labels must be below 2**63, got {value}")
 
     return Labeling(d, matrix("horizontal"), matrix("vertical"))
 
@@ -119,6 +123,8 @@ def _decode_edge_list(text: str) -> Labeling:
             raise ParseError(f"line {lineno}: indices and label must be integers") from None
         if value < 1:
             raise ParseError(f"line {lineno}: labels must be positive, got {value}")
+        if value >= _LABEL_LIMIT:
+            raise ParseError(f"line {lineno}: labels must be below 2**63, got {value}")
         key = (fields[0], i, j)
         if key in entries:
             raise ShapeError(f"line {lineno}: duplicate edge {fields[0]}({i},{j})")

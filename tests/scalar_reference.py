@@ -12,9 +12,16 @@ figures drawn by walking all_edges/all_vertices with EdgeRef.endpoints
 and Labeling.label.  It is slow and deliberately left alone, so that the
 differential tests can hold the package to it.
 
+The search engine is the recursive one the package used before its
+engine became an iterative loop over a bitset pool: `_dfs` recursion,
+a `used[]` list scanned for the extreme labels and for pairs, and
+`_set`/`_undo_to` method calls per edge.  Its solutions are checked with
+this module's scalar `verify`.
+
 Only the module-level imports differ: the shared value types (EdgeRef,
 VertexRef, CornerPos, GridDims, Labeling, ConstructionPlan, plan_for,
-RenderSpec, ParseError, ShapeError) come from the package.
+RenderSpec, ParseError, ShapeError, and the search's config, outcome
+and restart helpers) come from the package.
 """
 
 from __future__ import annotations
@@ -22,6 +29,8 @@ from __future__ import annotations
 import colorsys
 import json
 import math
+import sys
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -49,6 +58,17 @@ from torusmagic.grid import (
 )
 from torusmagic.labeling import DomainMismatch, Labeling
 from torusmagic.render import RenderSpec
+from torusmagic.search import (
+    BUDGET_EXCEEDED,
+    EXHAUSTED,
+    FOUND,
+    _LUBY_UNIT,
+    SearchConfig,
+    SearchOutcome,
+    _derived_seed,
+    _luby,
+    _pins,
+)
 from torusmagic.serialize import ParseError, ShapeError
 
 
@@ -545,3 +565,357 @@ def _render_svg(lab: Labeling, spec: RenderSpec) -> str:
         out.append("</g>")
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+# --- search ----------------------------------------------------------------
+
+@dataclass
+class SearchStats:
+    nodes: int = 0
+    max_depth: int = 0
+    propagations: int = 0
+    restarts: int = 0
+    prunes: dict[str, int] = field(default_factory=dict)
+    elapsed: float = 0.0
+
+    def bump(self, rule: str) -> None:
+        self.prunes[rule] = self.prunes.get(rule, 0) + 1
+
+
+
+class PartialLabeling:
+    """Mutable partial assignment over the grid's edges.
+
+    Edge slots are flat indices: the H block row-major, then the V block.
+    Tracks per-vertex partial sums and unlabeled-edge counts so the
+    pruning rules are O(1) lookups plus a scan of the unused pool.
+    """
+
+    def __init__(self, dims: GridDims, assignments: Mapping[EdgeRef, int] | None = None):
+        self.dims = dims
+        self.constant = forced_constant(dims)
+        n, m, q = dims.n, dims.m, dims.q
+        nm = n * m
+        self.nm = nm
+        vert_edges = []
+        for i in range(n):
+            for j in range(m):
+                vert_edges.append((
+                    i * m + j,                 # H(i, j): east
+                    i * m + (j - 1) % m,       # H(i, j-1): west
+                    nm + i * m + j,            # V(i, j): south
+                    nm + ((i - 1) % n) * m + j,  # V(i-1, j): north
+                ))
+        self.vert_edges = vert_edges
+        edge_verts: list[list[int]] = [[] for _ in range(q)]
+        for v, edges in enumerate(vert_edges):
+            for e in edges:
+                edge_verts[e].append(v)
+        self.edge_verts = [tuple(vs) for vs in edge_verts]
+        # decision tie-break: lexicographic (i, j, orient) with H before V
+        order = sorted(range(q), key=lambda e: (e % nm // m, e % nm % m, e // nm))
+        self.rank = [0] * q
+        for pos, e in enumerate(order):
+            self.rank[e] = pos
+
+        self.label = [0] * q          # 0 = unassigned
+        self.used = [False] * (q + 1)
+        self.vsum = [0] * nm
+        self.vcnt = [4] * nm
+        self.unassigned = q
+        self.trail: list[int] = []
+        if assignments:
+            for e, value in sorted(assignments.items(), key=lambda kv: kv[0].sort_key()):
+                self.assign(e, value)
+
+    # -- public views ------------------------------------------------------
+
+    def edge_index(self, e: EdgeRef) -> int:
+        base = 0 if e.orient == "H" else self.nm
+        return base + (e.i - 1) * self.dims.m + (e.j - 1)
+
+    def assign(self, e: EdgeRef, value: int) -> None:
+        idx = self.edge_index(e)
+        if self.label[idx]:
+            raise ValueError(f"{e} already labeled")
+        if not (1 <= value <= self.dims.q) or self.used[value]:
+            raise ValueError(f"label {value} unavailable")
+        self._set(idx, value)
+
+    def to_labeling(self) -> Labeling:
+        if self.unassigned:
+            raise ValueError("labeling is not total yet")
+        n, m, nm = self.dims.n, self.dims.m, self.nm
+        flat = np.asarray(self.label, dtype=np.int64)
+        return Labeling(self.dims, flat[:nm].reshape(n, m).copy(),
+                        flat[nm:].reshape(n, m).copy())
+
+    # -- state updates -----------------------------------------------------
+
+    def _set(self, idx: int, value: int) -> None:
+        self.label[idx] = value
+        self.used[value] = True
+        for v in self.edge_verts[idx]:
+            self.vsum[v] += value
+            self.vcnt[v] -= 1
+        self.unassigned -= 1
+        self.trail.append(idx)
+
+    def _undo_to(self, mark: int) -> None:
+        while len(self.trail) > mark:
+            idx = self.trail.pop()
+            value = self.label[idx]
+            self.label[idx] = 0
+            self.used[value] = False
+            for v in self.edge_verts[idx]:
+                self.vsum[v] -= value
+                self.vcnt[v] += 1
+            self.unassigned += 1
+
+    # -- pruning primitives --------------------------------------------------
+
+    def _extreme_sums(self, count: int) -> tuple[list[int], list[int]]:
+        # prefix sums of the `count` smallest and largest unused labels
+        used, q = self.used, self.dims.q
+        mins, maxs = [0], [0]
+        x = 1
+        while x <= q and len(mins) <= count:
+            if not used[x]:
+                mins.append(mins[-1] + x)
+            x += 1
+        x = q
+        while x >= 1 and len(maxs) <= count:
+            if not used[x]:
+                maxs.append(maxs[-1] + x)
+            x -= 1
+        return mins, maxs
+
+    def _pair_exists(self, target: int) -> bool:
+        used, q = self.used, self.dims.q
+        a = max(1, target - q)
+        half = (target - 1) // 2
+        while a <= half:
+            if not used[a] and not used[target - a]:
+                return True
+            a += 1
+        return False
+
+class _Engine:
+    """One depth-first run over a PartialLabeling."""
+
+    def __init__(self, state: PartialLabeling, stats: SearchStats, *,
+                 node_limit: int, deadline: float, value_order: str,
+                 rng=None, find_all: bool = False):
+        self.s = state
+        self.stats = stats
+        self.node_limit = node_limit
+        self.deadline = deadline
+        self.value_order = value_order
+        self.rng = rng
+        self.find_all = find_all
+        self.solutions: list[Labeling] = []
+
+    # Propagate consequences of the assignment(s) made since `queue` was
+    # seeded.  Returns False when any rule refutes the branch.
+    def _propagate(self, queue: list[int]) -> bool:
+        s = self.s
+        c = s.constant
+        stats = self.stats
+        changed: dict[int, None] = {}
+        while queue:
+            v = queue.pop()
+            changed[v] = None
+            cnt = s.vcnt[v]
+            if cnt == 0:
+                if s.vsum[v] != c:
+                    stats.bump("closed-sum")
+                    return False
+            elif cnt == 1:
+                need = c - s.vsum[v]
+                if need < 1 or need > s.dims.q:
+                    stats.bump("forced-range")
+                    return False
+                if s.used[need]:
+                    stats.bump("forced-used")
+                    return False
+                for e in s.vert_edges[v]:
+                    if not s.label[e]:
+                        s._set(e, need)
+                        stats.propagations += 1
+                        queue.extend(s.edge_verts[e])
+                        break
+
+        mins, maxs = s._extreme_sums(3)
+        vsum, vcnt = s.vsum, s.vcnt
+        for v in range(s.nm):
+            r = vcnt[v]
+            if 1 <= r <= 3:
+                need = c - vsum[v]
+                if need < mins[r] or need > maxs[r]:
+                    stats.bump("bounds")
+                    return False
+        for v in changed:
+            if vcnt[v] == 2 and not s._pair_exists(c - vsum[v]):
+                stats.bump("pair")
+                return False
+        return True
+
+    def _pick_edge(self) -> int:
+        s = self.s
+        best_cnt = 5
+        best_vertices: list[int] = []
+        vcnt = s.vcnt
+        for v in range(s.nm):
+            cnt = vcnt[v]
+            if 0 < cnt < best_cnt:
+                best_cnt = cnt
+                best_vertices = [v]
+            elif cnt == best_cnt:
+                best_vertices.append(v)
+        best_edge = -1
+        best_rank = None
+        for v in best_vertices:
+            for e in s.vert_edges[v]:
+                if not s.label[e]:
+                    r = s.rank[e]
+                    if best_rank is None or r < best_rank:
+                        best_rank = r
+                        best_edge = e
+        return best_edge
+
+    def _candidates(self, e: int) -> list[int]:
+        s = self.s
+        c, q = s.constant, s.dims.q
+        mins, maxs = s._extreme_sums(3)
+        lo, hi = 1, q
+        for v in s.edge_verts[e]:
+            r = s.vcnt[v]
+            need = c - s.vsum[v]
+            # L plus r-1 further unused labels must reach `need`
+            if len(mins) > r - 1:
+                hi = min(hi, need - mins[r - 1])
+            if len(maxs) > r - 1:
+                lo = max(lo, need - maxs[r - 1])
+        used = s.used
+        values = [x for x in range(max(lo, 1), min(hi, q) + 1) if not used[x]]
+        if self.value_order == "descending":
+            values.reverse()
+        elif self.value_order == "random":
+            self.rng.shuffle(values)
+        return values
+
+    def run(self) -> str:
+        if not self._propagate(list(range(self.s.nm))):
+            return EXHAUSTED
+        return self._dfs(0)
+
+    def _dfs(self, depth: int) -> str:
+        s = self.s
+        stats = self.stats
+        if depth > stats.max_depth:
+            stats.max_depth = depth
+        if s.unassigned == 0:
+            solution = s.to_labeling()
+            report = verify(solution)
+            if not report.is_supermagic or report.constant != s.constant:
+                raise RuntimeError("internal defect: search produced a non-supermagic labeling")
+            self.solutions.append(solution)
+            return EXHAUSTED if self.find_all else FOUND
+
+        e = self._pick_edge()
+        for value in self._candidates(e):
+            if stats.nodes >= self.node_limit:
+                return BUDGET_EXCEEDED
+            stats.nodes += 1
+            if stats.nodes % 1024 == 0 and time.perf_counter() > self.deadline:
+                return BUDGET_EXCEEDED
+            mark = len(s.trail)
+            s._set(e, value)
+            if self._propagate(list(s.edge_verts[e])):
+                sub = self._dfs(depth + 1)
+                if sub != EXHAUSTED:
+                    s._undo_to(mark)
+                    return sub
+            s._undo_to(mark)
+        return EXHAUSTED
+
+
+def _run_branch(dims: GridDims, base: Mapping[EdgeRef, int], cfg: SearchConfig,
+                stats: SearchStats, deadline: float, branch: int) -> tuple[str, Labeling | None]:
+    import random
+
+    if cfg.restart_policy == "none":
+        state = PartialLabeling(dims, base)
+        rng = random.Random(_derived_seed(cfg.seed, branch)) if cfg.value_order == "random" else None
+        engine = _Engine(state, stats, node_limit=cfg.node_budget, deadline=deadline,
+                         value_order=cfg.value_order, rng=rng)
+        status = engine.run()
+        return status, engine.solutions[0] if engine.solutions else None
+
+    run = 0
+    while True:
+        if stats.nodes >= cfg.node_budget or time.perf_counter() > deadline:
+            return BUDGET_EXCEEDED, None
+        run += 1
+        window = min(stats.nodes + _LUBY_UNIT * _luby(run), cfg.node_budget)
+        state = PartialLabeling(dims, base)
+        engine = _Engine(state, stats, node_limit=window, deadline=deadline,
+                         value_order="random", rng=random.Random(_derived_seed(cfg.seed, branch, run)))
+        status = engine.run()
+        if status == FOUND:
+            return status, engine.solutions[0]
+        if status == EXHAUSTED:
+            # a run that ends inside its window is a genuine refutation
+            return status, None
+        stats.restarts += 1
+
+
+def search(n: int, m: int, cfg: SearchConfig | None = None) -> SearchOutcome:
+    """Look for a supermagic labeling of C_n x C_m with constant 4nm+2.
+
+    Found outcomes carry a labeling that has already passed verification.
+    Exhausted is only reported when every branch of the pinned search tree
+    was refuted within budget; budget exhaustion is reported as such and
+    never treated as evidence of non-existence.
+    """
+    cfg = cfg or SearchConfig()
+    d = make_dims(n, m)
+    if d.q > 4 * sys.getrecursionlimit() // 5:
+        sys.setrecursionlimit(2 * d.q + 100)
+    stats = SearchStats()
+    start = time.perf_counter()
+    deadline = start + cfg.time_budget
+    status_overall = EXHAUSTED
+    labeling = None
+    for branch, pin in enumerate(_pins(d)):
+        status, labeling = _run_branch(d, pin, cfg, stats, deadline, branch)
+        if status == FOUND:
+            status_overall = FOUND
+            break
+        if status == BUDGET_EXCEEDED:
+            status_overall = BUDGET_EXCEEDED
+            break
+    stats.elapsed = time.perf_counter() - start
+    return SearchOutcome(status=status_overall, labeling=labeling, stats=stats)
+
+
+def enumerate_completions(dims: GridDims, assignments: Mapping[EdgeRef, int],
+                          cfg: SearchConfig | None = None) -> tuple[list[Labeling], SearchOutcome]:
+    """All supermagic completions of a partial assignment (no symmetry
+    breaking, so the enumeration is the complete solution set)."""
+    cfg = cfg or SearchConfig()
+    stats = SearchStats()
+    start = time.perf_counter()
+    state = PartialLabeling(dims, assignments)
+    rng = None
+    if cfg.value_order == "random":
+        import random
+
+        rng = random.Random(_derived_seed(cfg.seed, 0))
+    engine = _Engine(state, stats, node_limit=cfg.node_budget,
+                     deadline=start + cfg.time_budget, value_order=cfg.value_order,
+                     rng=rng, find_all=True)
+    status = engine.run()
+    stats.elapsed = time.perf_counter() - start
+    outcome = SearchOutcome(status=status, labeling=None, stats=stats)
+    return engine.solutions, outcome

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from torusmagic.cli import (
 )
 from torusmagic.construct import construct
 from torusmagic.grid import H, V
+from torusmagic.search import SearchConfig, search
 from torusmagic.serialize import encode
 
 
@@ -105,6 +107,19 @@ def test_search_found_writes_document(tmp_path, capsys):
     assert code == EXIT_OK
 
 
+def test_search_summary_line_reports_propagations_and_rate(capsys):
+    code, out, err = run(capsys, "search", "3", "4", "--node-budget", "5000")
+    assert code == EXIT_BUDGET
+    line = err.splitlines()[0]
+    match = re.fullmatch(r"status: budget-exceeded \| nodes (\d+) \| propagations (\d+) \| "
+                         r"restarts 0 \| max depth (\d+) \| ([\d.]+)s \| (\d+) nodes/s", line)
+    assert match, line
+    stats = search(3, 4, SearchConfig(node_budget=5000)).stats
+    assert (int(match[1]), int(match[2]), int(match[3])) == (5000, stats.propagations,
+                                                           stats.max_depth)
+    assert stats.propagations > 0 and int(match[5]) > 0
+
+
 def test_search_budget_exit_code(capsys):
     code, out, err = run(capsys, "search", "3", "6", "--node-budget", "1000")
     assert code == EXIT_BUDGET
@@ -166,6 +181,16 @@ def test_verify_nonpositive_label_exits_one(tmp_path, capsys):
     code, out, err = run(capsys, "verify", str(src))
     assert code == EXIT_ERROR
     assert "horizontal[3][2]: labels must be positive, got 0" in err
+
+
+def test_verify_label_past_int64_exits_one(tmp_path, capsys):
+    doc = json.loads(encode(construct(3, 3)))
+    doc["horizontal"][1][1] = 2**63
+    src = tmp_path / "lab.json"
+    src.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(src))
+    assert code == EXIT_ERROR
+    assert err == "error: horizontal[2][2]: labels must be below 2**63, got 9223372036854775808\n"
 
 
 def test_usage_errors_exit_one(capsys):

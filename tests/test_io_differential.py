@@ -4,8 +4,10 @@ reference in scalar_reference.py.
 encode and render must give the reference's bytes for every format,
 annotation and highlight setting.  decode must give the reference's
 labeling, or raise the reference's error type with its message, on
-malformed matrices; the one intended difference is that a non-positive
-label raises ParseError where the reference raised a bare ValueError.
+malformed matrices.  Two differences are intended: a non-positive label
+raises ParseError where the reference raised a bare ValueError, and a
+label past the int64 range raises ParseError naming the cell where the
+reference raised a bare OverflowError.
 Finally, none of these paths may build an EdgeRef or a VertexRef.
 """
 
@@ -63,8 +65,20 @@ def outcome(decoder, text):
 def reference_outcome(text):
     kind, value = outcome(ref._decode_json, text)
     if kind is ValueError and "labels must be positive" in value:
-        return ParseError, value  # the one intended difference
+        return ParseError, value  # intended: a typed error, same message
+    if kind is OverflowError:
+        return ParseError, overflow_message(json.loads(text))  # intended: a typed error
     return kind, value
+
+
+def overflow_message(doc):
+    # The reference overflows at the first bad cell, so every cell before
+    # it is a good label and the first one past int64 is that cell.
+    for key in ("horizontal", "vertical"):
+        for i, row in enumerate(doc[key]):
+            for j, value in enumerate(row):
+                if type(value) is int and value >= 2**63:
+                    return f"{key}[{i + 1}][{j + 1}]: labels must be below 2**63, got {value}"
 
 
 BAD_VALUES = [True, False, 1.5, 2.0, 0, -1, -(2**40), 2**63, 2**70, -(2**63) - 1, None, "7"]
@@ -101,8 +115,10 @@ def test_first_bad_cell_in_row_major_order_wins():
     doc["horizontal"][1][4] = 2**63
     doc["horizontal"][1][5] = True
     text = json.dumps(doc)
+    assert outcome(ref._decode_json, text)[0] is OverflowError
     assert outcome(decode, text) == reference_outcome(text)
-    with pytest.raises(OverflowError):  # H(2,5): past int64, as the reference raises
+    with pytest.raises(ParseError, match=r"^horizontal\[2\]\[5\]: labels must be below 2\*\*63, "
+                                         r"got 9223372036854775808$"):
         decode(text)
     doc["horizontal"][1][4] = -3
     with pytest.raises(ParseError, match=r"^horizontal\[2\]\[5\]: labels must be positive, got -3$"):

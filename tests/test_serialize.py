@@ -73,6 +73,21 @@ def test_edge_list_rejects_nonpositive_label():
         decode("H 1 1 1\nV 1 1 -4\n")
 
 
+def test_decode_rejects_label_past_int64():
+    doc = json.loads(encode(construct(3, 3)))
+    doc["vertical"][1][2] = 2**63
+    with pytest.raises(ParseError, match=r"^vertical\[2\]\[3\]: labels must be below 2\*\*63, "
+                                         r"got 9223372036854775808$"):
+        decode(json.dumps(doc))
+    doc["vertical"][1][2] = 2**63 - 1  # the largest int64 decodes; verify flags it
+    assert decode(json.dumps(doc)).v[1, 2] == 2**63 - 1
+
+
+def test_edge_list_rejects_label_past_int64():
+    with pytest.raises(ParseError, match=r"^line 2: labels must be below 2\*\*63, got 2{70}$"):
+        decode("H 1 1 1\nV 1 1 " + "2" * 70 + "\n")
+
+
 def test_decode_rejects_bool_entry():
     lab = construct(3, 3)
     doc = json.loads(encode(lab))
