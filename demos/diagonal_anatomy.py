@@ -11,6 +11,7 @@ from collections import Counter
 
 from torusmagic import (
     ODD_ODD,
+    EdgeRef,
     construct,
     decompose,
     diagonal_of_edge,
@@ -28,8 +29,9 @@ print(f"construction start columns: {plan.start_cols} "
 
 lab = construct(3, 9)
 for diag in decompose(d, list(plan.start_cols)):
-    h = [lab.label(e) for e in diag.h_edges()]
-    v = [lab.label(e) for e in diag.v_edges()]
+    rows, h_cols, v_cols = diag.indices()  # h_k at (rows, h_cols), v_k at (rows, v_cols)
+    h = lab.h[rows, h_cols].tolist()
+    v = lab.v[rows, v_cols].tolist()
     print(f"D{diag.index} h-labels: {h}")
     print(f"   v-labels: {v}")
 
@@ -41,6 +43,6 @@ for value, count in sorted(Counter(table.entries.values()).items()):
             d.q - d.l + 2: "2nm-l+2 (exceptional VH)"}[value]
     print(f"  {value:3d} = {name}: {count} corners")
 
-e = next(iter(lab.items()))[0]
+e = EdgeRef("H", 1, 1)
 j, k, orient = diagonal_of_edge(e, d)
 print(f"\nevery edge knows its place: {e} is step {k} ({orient}) of diagonal {j}")

@@ -17,120 +17,55 @@ necessarily 4nm+2.  The package provides:
 """
 
 from .construct import (
-    EVEN_EVEN,
     ODD_ODD,
-    ConstructionPlan,
-    ExpectedCornerTable,
+    ConstructionError,
     PlanShapeMismatch,
-    Unsupported,
-    UnsupportedShape,
     construct,
-    construct_even_even,
-    construct_odd_odd,
     expected_corner_table,
     plan_for,
 )
-from .diagonals import (
-    CornerPos,
-    Diagonal,
-    InvalidStartColumn,
-    corner_vertex,
-    decompose,
-    diagonal,
-    diagonal_of_edge,
-)
-from .grid import (
-    DimensionTooSmall,
-    EdgeRef,
-    GridDims,
-    VertexRef,
-    all_edges,
-    all_vertices,
-    dims,
-    incident_edges,
-    wrap,
-)
-from .labeling import DomainMismatch, Labeling
-from .render import RenderSpec, render
-from .search import (
-    BUDGET_EXCEEDED,
-    EXHAUSTED,
-    FOUND,
-    PartialLabeling,
-    SearchConfig,
-    SearchOutcome,
-    SearchStats,
-    enumerate_completions,
-    feasible_completion,
-    forced_label,
-    search,
-)
+from .diagonals import InvalidStartColumn, decompose, diagonal_of_edge
+from .grid import DimensionTooSmall, EdgeRef, TorusMagicError, dims
+from .labeling import DomainMismatch
+from .render import RenderSpec, RenderTooLarge, render
+from .search import FOUND, SearchConfig, enumerate_completions, search
 from .serialize import ParseError, ShapeError, decode, encode
-from .verify import (
-    CornerAuditReport,
-    VerificationReport,
-    audit_corners,
-    forced_constant,
-    verify,
-    vertex_weight,
-    weight_matrix,
-)
+from .verify import audit_corners, forced_constant, verify, weight_matrix
 
 __version__ = "0.1.0"
 
+# What the README, the demos and the benchmark reach as torusmagic.X, plus
+# the exceptions those calls raise.  Everything else is imported from its
+# submodule.
 __all__ = [
-    "BUDGET_EXCEEDED",
-    "ConstructionPlan",
-    "CornerAuditReport",
-    "CornerPos",
-    "Diagonal",
-    "DimensionTooSmall",
-    "DomainMismatch",
-    "EVEN_EVEN",
-    "EXHAUSTED",
-    "EdgeRef",
-    "ExpectedCornerTable",
     "FOUND",
-    "GridDims",
-    "InvalidStartColumn",
-    "Labeling",
     "ODD_ODD",
-    "ParseError",
-    "PartialLabeling",
-    "PlanShapeMismatch",
+    "EdgeRef",
     "RenderSpec",
     "SearchConfig",
-    "SearchOutcome",
-    "SearchStats",
-    "ShapeError",
-    "Unsupported",
-    "UnsupportedShape",
-    "VerificationReport",
-    "VertexRef",
-    "all_edges",
-    "all_vertices",
     "audit_corners",
     "construct",
-    "construct_even_even",
-    "construct_odd_odd",
-    "corner_vertex",
     "decode",
     "decompose",
-    "diagonal",
     "diagonal_of_edge",
     "dims",
     "encode",
     "enumerate_completions",
     "expected_corner_table",
-    "feasible_completion",
     "forced_constant",
-    "forced_label",
-    "incident_edges",
     "plan_for",
     "render",
     "search",
     "verify",
-    "vertex_weight",
     "weight_matrix",
-    "wrap",
+    # exceptions
+    "TorusMagicError",
+    "ConstructionError",
+    "DimensionTooSmall",
+    "DomainMismatch",
+    "InvalidStartColumn",
+    "ParseError",
+    "PlanShapeMismatch",
+    "RenderTooLarge",
+    "ShapeError",
 ]

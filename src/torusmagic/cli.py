@@ -29,11 +29,10 @@ from .construct import (
     plan_for,
 )
 from .diagonals import decompose
-from .grid import DimensionTooSmall, dims as make_dims
-from .labeling import DomainMismatch
-from .render import MAX_RENDER_EDGES, RenderSpec, RenderTooLarge, render
+from .grid import TorusMagicError, dims as make_dims
+from .render import MAX_RENDER_EDGES, RenderSpec, render
 from .search import SearchConfig, SearchOutcome, search
-from .serialize import ParseError, ShapeError, decode, encode
+from .serialize import ParseError, decode, encode
 from .verify import audit_corners, forced_constant, verify
 
 EXIT_OK = 0
@@ -44,9 +43,12 @@ EXIT_EXHAUSTED = 4
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _write_data(text: str, out: str | None) -> None:
@@ -217,8 +219,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
-    except (ParseError, ShapeError, DomainMismatch, DimensionTooSmall, RenderTooLarge,
-            ValueError, OSError) as exc:
+    except (TorusMagicError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -30,18 +30,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagonals import CornerPos, decompose
-from .grid import GridDims, dims as make_dims, wrap
+from .grid import GridDims, TorusMagicError, dims as make_dims, wrap
 from .labeling import Labeling
 
 ODD_ODD = "odd-odd"
 EVEN_EVEN = "even-even"
 
 
-class UnsupportedShape(ValueError):
+class UnsupportedShape(TorusMagicError):
     """Grid shape outside what the direct constructions cover."""
 
 
-class PlanShapeMismatch(ValueError):
+class PlanShapeMismatch(TorusMagicError):
     """Construction plan inconsistent with the grid's parity."""
 
 

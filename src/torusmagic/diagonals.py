@@ -21,10 +21,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import EdgeRef, GridDims, VertexRef, wrap
+from .grid import EdgeRef, GridDims, TorusMagicError, wrap
 
 
-class InvalidStartColumn(ValueError):
+class InvalidStartColumn(TorusMagicError):
     """Start column not congruent to the diagonal index mod d (or out of range)."""
 
 
@@ -38,7 +38,7 @@ class CornerPos:
 
     def __post_init__(self) -> None:
         if self.kind not in ("HV", "VH"):
-            raise ValueError(f"kind must be 'HV' or 'VH', got {self.kind!r}")
+            raise TorusMagicError(f"kind must be 'HV' or 'VH', got {self.kind!r}")
 
     def __str__(self) -> str:
         return f"D{self.diag} {self.kind} k={self.k}"
@@ -55,9 +55,28 @@ class Diagonal:
     start_col: int
     dims: GridDims = field(repr=False)
 
+    def __post_init__(self) -> None:
+        # The rotation passes through row 1 at column s as an h-edge start
+        # only when s is congruent to j mod d.
+        j, s, d = self.index, self.start_col, self.dims
+        if not (1 <= j <= d.d):
+            raise InvalidStartColumn(f"diagonal index {j} out of 1..{d.d}")
+        if not (1 <= s <= d.m) or (s - j) % d.d != 0:
+            raise InvalidStartColumn(
+                f"start column {s} invalid for diagonal {j} (need s = j mod {d.d}, s in 1..{d.m})"
+            )
+
     def indices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """0-based (rows, h_cols, v_cols); see diagonal_indices."""
-        return diagonal_indices(self.index, self.start_col, self.dims)
+        """The diagonal as 0-based index arrays (rows, h_cols, v_cols) of length l.
+
+        Entry k-1 locates h_k = H(k, s+k-1) at h[rows, h_cols] and
+        v_k = V(k, s+k) at v[rows, v_cols], so a whole diagonal is read or
+        written with one fancy-indexing operation.  HV corner k sits at
+        vertex (rows, v_cols) and VH corner k at (rows, h_cols).
+        """
+        k = np.arange(self.dims.l)
+        h_cols = (k + (self.start_col - 1)) % self.dims.m
+        return k % self.dims.n, h_cols, (h_cols + 1) % self.dims.m
 
     @cached_property
     def edges(self) -> tuple[EdgeRef, ...]:
@@ -66,60 +85,9 @@ class Diagonal:
                      for i, hj, vj in zip(rows, h_cols, v_cols)
                      for orient, j in (("H", hj), ("V", vj)))
 
-    def h(self, k: int) -> EdgeRef:
-        """k-th horizontal edge, k in 1..l."""
-        return self.edges[2 * (k - 1)]
-
-    def v(self, k: int) -> EdgeRef:
-        """k-th vertical edge, k in 1..l."""
-        return self.edges[2 * k - 1]
-
-    @property
-    def length(self) -> int:
-        return self.dims.l
-
-    def h_edges(self) -> tuple[EdgeRef, ...]:
-        return self.edges[0::2]
-
-    def v_edges(self) -> tuple[EdgeRef, ...]:
-        return self.edges[1::2]
-
-    def corner_edges(self, k: int, kind: str) -> tuple[EdgeRef, EdgeRef]:
-        """The two edges forming the k-th corner of the given kind."""
-        if kind == "HV":
-            return (self.h(k), self.v(k))
-        if kind == "VH":
-            return (self.v(k - 1) if k > 1 else self.v(self.length), self.h(k))
-        raise ValueError(f"kind must be 'HV' or 'VH', got {kind!r}")
-
-
-def _check_start(j: int, start_col: int, dims: GridDims) -> None:
-    # The rotation passes through row 1 at column s as an h-edge start only
-    # when s is congruent to j mod d.
-    if not (1 <= j <= dims.d):
-        raise InvalidStartColumn(f"diagonal index {j} out of 1..{dims.d}")
-    if not (1 <= start_col <= dims.m) or (start_col - j) % dims.d != 0:
-        raise InvalidStartColumn(
-            f"start column {start_col} invalid for diagonal {j} (need s = j mod {dims.d}, s in 1..{dims.m})"
-        )
-
-
-def diagonal_indices(j: int, start_col: int, dims: GridDims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonal j with start column s as 0-based index arrays of length l.
-
-    Entry k-1 of (rows, h_cols, v_cols) locates h_k = H(k, s+k-1) at
-    h[rows, h_cols] and v_k = V(k, s+k) at v[rows, v_cols], so a whole
-    diagonal is read or written with one fancy-indexing operation.
-    """
-    _check_start(j, start_col, dims)
-    k = np.arange(dims.l)
-    h_cols = (k + (start_col - 1)) % dims.m
-    return k % dims.n, h_cols, (h_cols + 1) % dims.m
-
 
 def diagonal(j: int, start_col: int, dims: GridDims) -> Diagonal:
     """Diagonal j rotated to begin at row 1, column start_col (s = j mod d)."""
-    _check_start(j, start_col, dims)
     return Diagonal(index=j, start_col=start_col, dims=dims)
 
 
@@ -137,7 +105,7 @@ def _crt_step(a: int, b: int, dims: GridDims) -> int:
     # residues are compatible mod d by construction of the diagonal index.
     n, m, d = dims.n, dims.m, dims.d
     if (b - a) % d != 0:
-        raise ValueError("incompatible residues")
+        raise TorusMagicError("incompatible residues")
     mp = m // d
     t = ((b - a) // d * pow(n // d, -1, mp)) % mp
     return a + n * t
@@ -156,15 +124,3 @@ def diagonal_of_edge(e: EdgeRef, dims: GridDims) -> tuple[int, int, str]:
         j = wrap(e.j - e.i, dims.d)
         k = _crt_step(e.i, wrap(e.j - j, dims.m), dims)
     return (j, k, e.orient)
-
-
-def corner_vertex(c: CornerPos, start_col: int, dims: GridDims) -> VertexRef:
-    """Vertex shared by the two edges of a corner, for a given start column.
-
-    HV corner k sits at (k, s+k); VH corner k at (k, s+k-1), wrapped.  In
-    particular VH corner 1 sits at the diagonal's start vertex (1, s).
-    """
-    row = wrap(c.k, dims.n)
-    if c.kind == "HV":
-        return VertexRef(row, wrap(start_col + c.k, dims.m))
-    return VertexRef(row, wrap(start_col + c.k - 1, dims.m))

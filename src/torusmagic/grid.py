@@ -21,7 +21,12 @@ import math
 from dataclasses import dataclass
 
 
-class DimensionTooSmall(ValueError):
+class TorusMagicError(ValueError):
+    """Bad input to a torusmagic call; every input error the package raises
+    is one.  A ValueError, so callers that catch ValueError catch it too."""
+
+
+class DimensionTooSmall(TorusMagicError):
     """Raised when a cycle length is below 3 (no C_1 or C_2 factors)."""
 
 
@@ -48,7 +53,7 @@ class GridDims:
 
     def __post_init__(self) -> None:
         if self.l * self.d != self.n * self.m:
-            raise ValueError("inconsistent lcm/gcd")
+            raise TorusMagicError("inconsistent lcm/gcd")
 
 
 def dims(n: int, m: int) -> GridDims:
@@ -79,7 +84,7 @@ class EdgeRef:
 
     def __post_init__(self) -> None:
         if self.orient not in ("H", "V"):
-            raise ValueError(f"orient must be 'H' or 'V', got {self.orient!r}")
+            raise TorusMagicError(f"orient must be 'H' or 'V', got {self.orient!r}")
 
     def endpoints(self, dims: GridDims) -> tuple[VertexRef, VertexRef]:
         """The two vertices of this edge, in trace order."""
@@ -124,7 +129,7 @@ def all_edges(dims: GridDims):
 
 def check_vertex(v: VertexRef, dims: GridDims) -> None:
     if not (1 <= v.i <= dims.n and 1 <= v.j <= dims.m):
-        raise ValueError(f"vertex {v} out of range for C_{dims.n} x C_{dims.m}")
+        raise TorusMagicError(f"vertex {v} out of range for C_{dims.n} x C_{dims.m}")
 
 
 def incident_edges(v: VertexRef, dims: GridDims) -> set[EdgeRef]:

@@ -10,14 +10,14 @@ verifier, never assumed here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .grid import EdgeRef, GridDims, all_edges
+from .grid import EdgeRef, GridDims, TorusMagicError, all_edges
 
 
-class DomainMismatch(ValueError):
+class DomainMismatch(TorusMagicError):
     """Labeling domain differs from the grid's edge set."""
 
 
@@ -43,11 +43,6 @@ class Labeling:
         return int(matrix[e.i - 1, e.j - 1])
 
     __getitem__ = label
-
-    def items(self) -> Iterator[tuple[EdgeRef, int]]:
-        """All (edge, label) pairs, H block first, row-major."""
-        for e in all_edges(self.dims):
-            yield e, self.label(e)
 
     def labels(self) -> np.ndarray:
         """All q labels as a flat array (H block then V block, row-major)."""

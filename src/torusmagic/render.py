@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridDims
+from .grid import GridDims, TorusMagicError
 from .labeling import Labeling
 from .verify import weight_matrix
 
@@ -31,7 +31,7 @@ _ANNOTATE = ("labels", "weights", "corners")
 MAX_RENDER_EDGES = 500_000
 
 
-class RenderTooLarge(ValueError):
+class RenderTooLarge(TorusMagicError):
     """The grid has more edges than MAX_RENDER_EDGES."""
 
 
@@ -43,9 +43,9 @@ class RenderSpec:
 
     def __post_init__(self) -> None:
         if self.format not in _FORMATS:
-            raise ValueError(f"format must be one of {_FORMATS}")
+            raise TorusMagicError(f"format must be one of {_FORMATS}")
         if self.annotate not in _ANNOTATE:
-            raise ValueError(f"annotate must be one of {_ANNOTATE}")
+            raise TorusMagicError(f"annotate must be one of {_ANNOTATE}")
 
 
 def _palette(d: int) -> list[str]:

@@ -39,7 +39,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .grid import EdgeRef, GridDims, VertexRef, check_vertex, dims as make_dims
+from .grid import EdgeRef, GridDims, TorusMagicError, dims as make_dims
 from .labeling import Labeling
 from .verify import forced_constant, verify
 
@@ -62,17 +62,16 @@ class SearchConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.node_budget <= 0 or self.time_budget <= 0:
-            raise ValueError("budgets must be positive")
+        if not (self.node_budget > 0 and self.time_budget > 0):  # NaN fails too
+            raise TorusMagicError("budgets must be positive")
         if self.value_order not in _ORDERS:
-            raise ValueError(f"value_order must be one of {_ORDERS}")
+            raise TorusMagicError(f"value_order must be one of {_ORDERS}")
         if self.restart_policy not in _RESTARTS:
-            raise ValueError(f"restart_policy must be one of {_RESTARTS}")
+            raise TorusMagicError(f"restart_policy must be one of {_RESTARTS}")
         if self.value_order == "random" and self.seed is None:
-            raise ValueError("seeded-random value order needs a seed")
-        if self.restart_policy == "luby":
-            if self.value_order != "random":
-                raise ValueError("luby restarts only make sense with seeded-random value order")
+            raise TorusMagicError("seeded-random value order needs a seed")
+        if self.restart_policy == "luby" and self.value_order != "random":
+            raise TorusMagicError("luby restarts only make sense with seeded-random value order")
 
 
 @dataclass
@@ -155,23 +154,15 @@ class PartialLabeling:
             for e, value in sorted(assignments.items(), key=lambda kv: kv[0].sort_key()):
                 self.assign(e, value)
 
-    # -- public views ------------------------------------------------------
-
     @property
     def unassigned(self) -> int:
         return self.dims.q - len(self.trail)
 
     def edge_index(self, e: EdgeRef) -> int:
+        if not (1 <= e.i <= self.dims.n and 1 <= e.j <= self.dims.m):
+            raise TorusMagicError(f"{e} is not an edge of C_{self.dims.n} x C_{self.dims.m}")
         base = 0 if e.orient == "H" else self.nm
         return base + (e.i - 1) * self.dims.m + (e.j - 1)
-
-    def vertex_index(self, v: VertexRef) -> int:
-        check_vertex(v, self.dims)
-        return (v.i - 1) * self.dims.m + (v.j - 1)
-
-    def label_of(self, e: EdgeRef) -> int | None:
-        value = self.label[self.edge_index(e)]
-        return value if value else None
 
     def is_free(self, value: int) -> bool:
         return 1 <= value <= self.dims.q and bool(self.pool >> value & 1)
@@ -179,26 +170,10 @@ class PartialLabeling:
     def assign(self, e: EdgeRef, value: int) -> None:
         idx = self.edge_index(e)
         if self.label[idx]:
-            raise ValueError(f"{e} already labeled")
+            raise TorusMagicError(f"{e} already labeled")
         if not self.is_free(value):
-            raise ValueError(f"label {value} unavailable")
-        self._set(idx, value)
-
-    def unused_labels(self) -> list[int]:
-        return [x for x in range(1, self.dims.q + 1) if self.pool >> x & 1]
-
-    def to_labeling(self) -> Labeling:
-        if self.unassigned:
-            raise ValueError("labeling is not total yet")
-        n, m, nm = self.dims.n, self.dims.m, self.nm
-        flat = np.asarray(self.label, dtype=np.int64)
-        return Labeling(self.dims, flat[:nm].reshape(n, m).copy(),
-                        flat[nm:].reshape(n, m).copy())
-
-    # -- state updates and pruning primitives --------------------------------
-    # The engine inlines _set, and its undo, in its loop.
-
-    def _set(self, idx: int, value: int) -> None:
+            raise TorusMagicError(f"label {value} unavailable")
+        # the engine inlines this update, and its undo, in its loop
         self.label[idx] = value
         self.pool ^= 1 << value
         self.rpool ^= 1 << (2 * self.dims.q - value)
@@ -207,280 +182,218 @@ class PartialLabeling:
             self.vcnt[v] -= 1
         self.trail.append(idx)
 
-    def _extreme_sums(self, count: int) -> tuple[list[int], list[int]]:
-        # prefix sums of the `count` smallest and largest unused labels
-        mins, maxs = [0], [0]
-        low, high, top = self.pool, self.rpool, 2 * self.dims.q + 1
-        while low and len(mins) <= count:
-            bit = low & -low
-            mins.append(mins[-1] + bit.bit_length() - 1)
-            low ^= bit
-            bit = high & -high
-            maxs.append(maxs[-1] + top - bit.bit_length())
-            high ^= bit
-        return mins, maxs
-
-    def _pair_exists(self, target: int) -> bool:
-        # Bit z of `pairs` is set when z and target - z are both free; a
-        # single bit can only be z = target / 2, which is not a pair.
-        if not 3 <= target < 2 * self.dims.q:
-            return False
-        pairs = self.pool & (self.rpool >> (2 * self.dims.q - target))
-        return bool(pairs & (pairs - 1))
-
-    def forced_value(self, v_idx: int) -> int | None:
-        """The only label that can close a vertex with 3 labeled edges,
-        or None when it is out of range or already used."""
-        need = self.need[v_idx]
-        return need if self.is_free(need) else None
-
-
-def forced_label(partial: PartialLabeling, v: VertexRef) -> int | None:
-    """Unit propagation at one vertex (requires exactly 3 labeled edges):
-    the forced fourth label, or None when infeasible."""
-    v_idx = partial.vertex_index(v)
-    if partial.vcnt[v_idx] != 1:
-        raise ValueError(f"vertex {v} has {4 - partial.vcnt[v_idx]} labeled edges, need exactly 3")
-    return partial.forced_value(v_idx)
-
-
-def feasible_completion(partial: PartialLabeling, v: VertexRef) -> bool:
-    """Can the vertex still be completed from the unused pool?
-
-    Exact for 1 or 2 missing edges (membership / pair lookup); for 3
-    missing edges a sum-range bound against the smallest and largest
-    unused labels.
-    """
-    v_idx = partial.vertex_index(v)
-    r = partial.vcnt[v_idx]
-    if r not in (1, 2, 3):
-        raise ValueError(f"vertex {v} must have 1..3 unlabeled edges, has {r}")
-    need = partial.need[v_idx]
-    if r == 1:
-        return partial.is_free(need)
-    mins, maxs = partial._extreme_sums(r)
-    if len(mins) <= r or not (mins[r] <= need <= maxs[r]):
-        return False
-    if r == 2:
-        return partial._pair_exists(need)
-    return True
+    def to_labeling(self) -> Labeling:
+        if self.unassigned:
+            raise TorusMagicError("labeling is not total yet")
+        n, m, nm = self.dims.n, self.dims.m, self.nm
+        flat = np.asarray(self.label, dtype=np.int64)
+        return Labeling(self.dims, flat[:nm].reshape(n, m).copy(),
+                        flat[nm:].reshape(n, m).copy())
 
 
 # binary digits '0'/'1' to the bytes 0/1, so they can select from a range
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-class _Engine:
-    """One depth-first run over a PartialLabeling.
+def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadline: float,
+         order: str, rng=None, find_all: bool = False) -> tuple[str, list[Labeling]]:
+    """One depth-first run over a PartialLabeling: (status, solutions).
 
     The tree is walked with an explicit stack of frames, one per decision
     level: (edge, its endpoints, candidate iterator, trail mark, pool and
     mirrored pool at the mark).  Resuming a frame undoes the trail to its
     mark and restores both pools from it.
     """
-
-    def __init__(self, state: PartialLabeling, stats: SearchStats, *,
-                 node_limit: int, deadline: float, value_order: str,
-                 rng=None, find_all: bool = False):
-        self.s = state
-        self.stats = stats
-        self.node_limit = node_limit
-        self.deadline = deadline
-        self.value_order = value_order
-        self.rng = rng
-        self.find_all = find_all
-        self.solutions: list[Labeling] = []
-
-    def run(self) -> str:
-        s, stats = self.s, self.stats
-        prunes = stats.prunes
-        q, c = s.dims.q, s.constant
-        q2, top = 2 * q, 2 * q + 1
-        label, need, vcnt, trail = s.label, s.need, s.vcnt, s.trail
-        ends, vert_edges, rank = s.edge_verts, s.vert_edges, s.rank
-        pool, rpool = s.pool, s.rpool
-        order = self.value_order
-        shuffle = self.rng.shuffle if order == "random" else None
-        node_limit, deadline, find_all = self.node_limit, self.deadline, self.find_all
-        nodes, propagations, max_depth = stats.nodes, stats.propagations, stats.max_depth
-        stack: list[tuple] = []
-        status = EXHAUSTED
-        queue = list(range(s.nm))  # the root checks every vertex
-        while True:
-            # Propagate the last assignment: a vertex with one open edge
-            # forces its label, a closed vertex must sum to c.
-            rule = None
-            popped = []
-            while queue:
-                v = queue.pop()
-                popped.append(v)
-                r = vcnt[v]
-                if r == 1:
-                    x = need[v]
-                    if x < 1 or x > q:
-                        rule = "forced-range"
-                        break
-                    if not pool >> x & 1:
-                        rule = "forced-used"
-                        break
-                    for f in vert_edges[v]:
-                        if not label[f]:
-                            break
-                    label[f] = x
-                    pool ^= 1 << x
-                    rpool ^= 1 << (q2 - x)
-                    fa, fb = ends[f]
-                    need[fa] -= x
-                    need[fb] -= x
-                    vcnt[fa] -= 1
-                    vcnt[fb] -= 1
-                    trail.append(f)
-                    propagations += 1
-                    queue.append(fa)
-                    queue.append(fb)
-                elif not r and need[v]:
-                    rule = "closed-sum"
+    prunes = stats.prunes
+    q, c = state.dims.q, state.constant
+    q2, top = 2 * q, 2 * q + 1
+    label, need, vcnt, trail = state.label, state.need, state.vcnt, state.trail
+    ends, vert_edges, rank = state.edge_verts, state.vert_edges, state.rank
+    pool, rpool = state.pool, state.rpool
+    shuffle = rng.shuffle if order == "random" else None
+    nodes, propagations, max_depth = stats.nodes, stats.propagations, stats.max_depth
+    stack: list[tuple] = []
+    solutions: list[Labeling] = []
+    status = EXHAUSTED
+    queue = list(range(state.nm))  # the root checks every vertex
+    # A node's bounds scan visits all nm vertices, so read the clock about
+    # every 2**15 vertex visits, and at most every 1,024 nodes.
+    clock_mask = (1 << max(0, min(10, (32768 // state.nm).bit_length() - 1))) - 1
+    while True:
+        # Propagate the last assignment: a vertex with one open edge
+        # forces its label, a closed vertex must sum to c.
+        rule = None
+        popped = []
+        while queue:
+            v = queue.pop()
+            popped.append(v)
+            r = vcnt[v]
+            if r == 1:
+                x = need[v]
+                if x < 1 or x > q:
+                    rule = "forced-range"
                     break
-            if rule is None:
-                # Sum-range bounds: a vertex with r open edges needs between
-                # the sums of the r smallest and the r largest free labels.
-                # lows/highs are indexed by r; a closed vertex needs 0 and an
-                # untouched one c, so those two entries always pass.  With
-                # fewer than three free labels the last sums are meaningless,
-                # but a vertex with r open edges means r free labels, so no
-                # rule reads them.
-                p = pool
-                b1 = p & -p
-                p ^= b1
-                b2 = p & -p
-                p ^= b2
-                lo1 = b1.bit_length() - 1
-                lo2 = lo1 + b2.bit_length() - 1
-                lows = (0, lo1, lo2, lo2 + (p & -p).bit_length() - 1, 0)
-                p = rpool
-                b1 = p & -p
-                p ^= b1
-                b2 = p & -p
-                p ^= b2
-                hi1 = top - b1.bit_length()
-                hi2 = hi1 + top - b2.bit_length()
-                highs = (0, hi1, hi2, hi2 + top - (p & -p).bit_length(), c)
-                for x, r in zip(need, vcnt):
-                    if x < lows[r] or x > highs[r]:
-                        rule = "bounds"
+                if not pool >> x & 1:
+                    rule = "forced-used"
+                    break
+                for f in vert_edges[v]:
+                    if not label[f]:
                         break
-                else:
-                    # exact pair test where two edges are open (the sum is
-                    # within the r=2 bounds, so the shift is positive)
-                    for v in popped:
-                        if vcnt[v] == 2:
-                            pairs = pool & (rpool >> (q2 - need[v]))
-                            if not pairs & (pairs - 1):
-                                rule = "pair"
-                                break
-            if rule is not None:
-                prunes[rule] = prunes.get(rule, 0) + 1
-            elif len(trail) < q:
-                # Enter the node.  Branch on the lowest-ranked open edge of
-                # the vertices with the fewest open edges; after propagation
-                # no vertex has exactly one.
-                if len(stack) > max_depth:
-                    max_depth = len(stack)
-                best = 2 if 2 in vcnt else 3 if 3 in vcnt else 4
-                best_rank = q
-                v = -1
-                for _ in range(vcnt.count(best)):
-                    v = vcnt.index(best, v + 1)
-                    for f in vert_edges[v]:
-                        if not label[f]:
-                            if rank[f] < best_rank:
-                                best_rank = rank[f]
-                                e = f
-                            break
-                a, b = ends[e]
-                # the label plus r-1 further free labels must make up each
-                # endpoint's need
-                ra, rb = vcnt[a] - 1, vcnt[b] - 1
-                lo = max(need[a] - highs[ra], need[b] - highs[rb], 1)
-                hi = min(need[a] - lows[ra], need[b] - lows[rb], q)
-                values = []
-                if lo <= hi:
-                    # The free labels in lo..hi, read off the pool's binary
-                    # digits (lowest first) in C; peeling bits one at a time
-                    # costs O(q) per label on a wide pool.
-                    digits = bin(pool >> lo & ((2 << (hi - lo)) - 1))[:1:-1]
-                    values = list(compress(range(lo, hi + 1),
-                                           digits.encode().translate(_DIGIT_BITS)))
-                    if shuffle is not None:
-                        shuffle(values)
-                    elif order == "descending":
-                        values.reverse()
-                stack.append((e, a, b, iter(values), len(trail), pool, rpool))
+                label[f] = x
+                pool ^= 1 << x
+                rpool ^= 1 << (q2 - x)
+                fa, fb = ends[f]
+                need[fa] -= x
+                need[fb] -= x
+                vcnt[fa] -= 1
+                vcnt[fb] -= 1
+                trail.append(f)
+                propagations += 1
+                queue.append(fa)
+                queue.append(fb)
+            elif not r and need[v]:
+                rule = "closed-sum"
+                break
+        if rule is None:
+            # Sum-range bounds: a vertex with r open edges needs between
+            # the sums of the r smallest and the r largest free labels.
+            # lows/highs are indexed by r; a closed vertex needs 0 and an
+            # untouched one c, so those two entries always pass.  With
+            # fewer than three free labels the last sums are meaningless,
+            # but a vertex with r open edges means r free labels, so no
+            # rule reads them.
+            p = pool
+            b1 = p & -p
+            p ^= b1
+            b2 = p & -p
+            p ^= b2
+            lo1 = b1.bit_length() - 1
+            lo2 = lo1 + b2.bit_length() - 1
+            lows = (0, lo1, lo2, lo2 + (p & -p).bit_length() - 1, 0)
+            p = rpool
+            b1 = p & -p
+            p ^= b1
+            b2 = p & -p
+            p ^= b2
+            hi1 = top - b1.bit_length()
+            hi2 = hi1 + top - b2.bit_length()
+            highs = (0, hi1, hi2, hi2 + top - (p & -p).bit_length(), c)
+            for x, r in zip(need, vcnt):
+                if x < lows[r] or x > highs[r]:
+                    rule = "bounds"
+                    break
             else:
-                if len(stack) > max_depth:
-                    max_depth = len(stack)
-                solution = s.to_labeling()
-                report = verify(solution)
-                if not report.is_supermagic or report.constant != s.constant:
-                    raise RuntimeError("internal defect: search produced a non-supermagic labeling")
-                self.solutions.append(solution)
-                if not find_all:
-                    status = FOUND
-                    break
-
-            # Resume the deepest frame with its next candidate that the
-            # endpoint checks do not refute.  They replay the first pops of
-            # the propagation (endpoint b, then a if b forced nothing)
-            # before any state changes.  The candidate range closes an
-            # endpoint exactly and keeps a forced label within 1..q, so the
-            # one rule that can refute here is a forced label in use.
-            while stack:
-                e, a, b, values, mark, pool, rpool = stack[-1]
-                while len(trail) > mark:
-                    f = trail.pop()
-                    x = label[f]
-                    label[f] = 0
-                    fa, fb = ends[f]
-                    need[fa] += x
-                    need[fb] += x
-                    vcnt[fa] += 1
-                    vcnt[fb] += 1
-                for x in values:
-                    if nodes >= node_limit:
-                        status = BUDGET_EXCEEDED
-                        break
-                    nodes += 1
-                    if not nodes & 1023 and time.perf_counter() > deadline:
-                        status = BUDGET_EXCEEDED
-                        break
-                    y = need[b] - x
-                    if vcnt[b] == 2:
-                        if y != x and pool >> y & 1:
-                            break  # b forces a free label: propagate in full
-                    else:
-                        y = need[a] - x
-                        if vcnt[a] != 2 or y != x and pool >> y & 1:
+                # exact pair test where two edges are open (the sum is
+                # within the r=2 bounds, so the shift is positive)
+                for v in popped:
+                    if vcnt[v] == 2:
+                        pairs = pool & (rpool >> (q2 - need[v]))
+                        if not pairs & (pairs - 1):
+                            rule = "pair"
                             break
-                    prunes["forced-used"] = prunes.get("forced-used", 0) + 1
-                else:
-                    stack.pop()
-                    continue
+        if rule is not None:
+            prunes[rule] = prunes.get(rule, 0) + 1
+        elif len(trail) < q:
+            # Enter the node.  Branch on the lowest-ranked open edge of
+            # the vertices with the fewest open edges; after propagation
+            # no vertex has exactly one.
+            if len(stack) > max_depth:
+                max_depth = len(stack)
+            best = 2 if 2 in vcnt else 3 if 3 in vcnt else 4
+            best_rank = q
+            v = -1
+            for _ in range(vcnt.count(best)):
+                v = vcnt.index(best, v + 1)
+                for f in vert_edges[v]:
+                    if not label[f]:
+                        if rank[f] < best_rank:
+                            best_rank = rank[f]
+                            e = f
+                        break
+            a, b = ends[e]
+            # the label plus r-1 further free labels must make up each
+            # endpoint's need
+            ra, rb = vcnt[a] - 1, vcnt[b] - 1
+            lo = max(need[a] - highs[ra], need[b] - highs[rb], 1)
+            hi = min(need[a] - lows[ra], need[b] - lows[rb], q)
+            values = []
+            if lo <= hi:
+                # The free labels in lo..hi, read off the pool's binary
+                # digits (lowest first) in C; peeling bits one at a time
+                # costs O(q) per label on a wide pool.
+                digits = bin(pool >> lo & ((2 << (hi - lo)) - 1))[:1:-1]
+                values = list(compress(range(lo, hi + 1),
+                                       digits.encode().translate(_DIGIT_BITS)))
+                if shuffle is not None:
+                    shuffle(values)
+                elif order == "descending":
+                    values.reverse()
+            stack.append((e, a, b, iter(values), len(trail), pool, rpool))
+        else:
+            if len(stack) > max_depth:
+                max_depth = len(stack)
+            solution = state.to_labeling()
+            report = verify(solution)
+            if not report.is_supermagic or report.constant != state.constant:
+                raise RuntimeError("internal defect: search produced a non-supermagic labeling")
+            solutions.append(solution)
+            if not find_all:
+                status = FOUND
                 break
-            if not stack or status != EXHAUSTED:
-                break
-            label[e] = x
-            pool ^= 1 << x
-            rpool ^= 1 << (q2 - x)
-            need[a] -= x
-            need[b] -= x
-            vcnt[a] -= 1
-            vcnt[b] -= 1
-            trail.append(e)
-            queue = [a, b]
 
-        s.pool, s.rpool = pool, rpool  # the state is consistent at every exit
-        stats.nodes, stats.propagations, stats.max_depth = nodes, propagations, max_depth
-        return status
+        # Resume the deepest frame with its next candidate that the
+        # endpoint checks do not refute.  They replay the first pops of
+        # the propagation (endpoint b, then a if b forced nothing)
+        # before any state changes.  The candidate range closes an
+        # endpoint exactly and keeps a forced label within 1..q, so the
+        # one rule that can refute here is a forced label in use.
+        while stack:
+            e, a, b, values, mark, pool, rpool = stack[-1]
+            while len(trail) > mark:
+                f = trail.pop()
+                x = label[f]
+                label[f] = 0
+                fa, fb = ends[f]
+                need[fa] += x
+                need[fb] += x
+                vcnt[fa] += 1
+                vcnt[fb] += 1
+            for x in values:
+                if nodes >= node_limit:
+                    status = BUDGET_EXCEEDED
+                    break
+                nodes += 1
+                if not nodes & clock_mask and time.perf_counter() > deadline:
+                    status = BUDGET_EXCEEDED
+                    break
+                y = need[b] - x
+                if vcnt[b] == 2:
+                    if y != x and pool >> y & 1:
+                        break  # b forces a free label: propagate in full
+                else:
+                    y = need[a] - x
+                    if vcnt[a] != 2 or y != x and pool >> y & 1:
+                        break
+                prunes["forced-used"] = prunes.get("forced-used", 0) + 1
+            else:
+                stack.pop()
+                continue
+            break
+        if not stack or status != EXHAUSTED:
+            break
+        label[e] = x
+        pool ^= 1 << x
+        rpool ^= 1 << (q2 - x)
+        need[a] -= x
+        need[b] -= x
+        vcnt[a] -= 1
+        vcnt[b] -= 1
+        trail.append(e)
+        queue = [a, b]
+
+    state.pool, state.rpool = pool, rpool  # the state is consistent at every exit
+    stats.nodes, stats.propagations, stats.max_depth = nodes, propagations, max_depth
+    return status, solutions
 
 
 def _derived_seed(seed: int, *parts: int) -> int:
@@ -489,6 +402,15 @@ def _derived_seed(seed: int, *parts: int) -> int:
     for part in parts:
         value = (value * 1_000_003 + part + 1) & 0xFFFFFFFFFFFFFFFF
     return value
+
+
+def _rng(cfg: SearchConfig, *parts: int):
+    """The value-order stream for one run, or None for a fixed order."""
+    if cfg.value_order != "random":
+        return None
+    import random
+
+    return random.Random(_derived_seed(cfg.seed, *parts))
 
 
 def _pins(dims: GridDims) -> list[dict[EdgeRef, int]]:
@@ -505,15 +427,10 @@ _LUBY_UNIT = 4096
 
 def _run_branch(dims: GridDims, base: Mapping[EdgeRef, int], cfg: SearchConfig,
                 stats: SearchStats, deadline: float, branch: int) -> tuple[str, Labeling | None]:
-    import random
-
     if cfg.restart_policy == "none":
-        state = PartialLabeling(dims, base)
-        rng = random.Random(_derived_seed(cfg.seed, branch)) if cfg.value_order == "random" else None
-        engine = _Engine(state, stats, node_limit=cfg.node_budget, deadline=deadline,
-                         value_order=cfg.value_order, rng=rng)
-        status = engine.run()
-        return status, engine.solutions[0] if engine.solutions else None
+        status, solutions = _run(PartialLabeling(dims, base), stats, node_limit=cfg.node_budget,
+                                 deadline=deadline, order=cfg.value_order, rng=_rng(cfg, branch))
+        return status, solutions[0] if solutions else None
 
     run = 0
     while True:
@@ -521,12 +438,11 @@ def _run_branch(dims: GridDims, base: Mapping[EdgeRef, int], cfg: SearchConfig,
             return BUDGET_EXCEEDED, None
         run += 1
         window = min(stats.nodes + _LUBY_UNIT * _luby(run), cfg.node_budget)
-        state = PartialLabeling(dims, base)
-        engine = _Engine(state, stats, node_limit=window, deadline=deadline,
-                         value_order="random", rng=random.Random(_derived_seed(cfg.seed, branch, run)))
-        status = engine.run()
+        status, solutions = _run(PartialLabeling(dims, base), stats, node_limit=window,
+                                 deadline=deadline, order=cfg.value_order,
+                                 rng=_rng(cfg, branch, run))
         if status == FOUND:
-            return status, engine.solutions[0]
+            return status, solutions[0]
         if status == EXHAUSTED:
             # a run that ends inside its window is a genuine refutation
             return status, None
@@ -567,16 +483,8 @@ def enumerate_completions(dims: GridDims, assignments: Mapping[EdgeRef, int],
     cfg = cfg or SearchConfig()
     stats = SearchStats()
     start = time.perf_counter()
-    state = PartialLabeling(dims, assignments)
-    rng = None
-    if cfg.value_order == "random":
-        import random
-
-        rng = random.Random(_derived_seed(cfg.seed, 0))
-    engine = _Engine(state, stats, node_limit=cfg.node_budget,
-                     deadline=start + cfg.time_budget, value_order=cfg.value_order,
-                     rng=rng, find_all=True)
-    status = engine.run()
+    status, solutions = _run(PartialLabeling(dims, assignments), stats,
+                             node_limit=cfg.node_budget, deadline=start + cfg.time_budget,
+                             order=cfg.value_order, rng=_rng(cfg, 0), find_all=True)
     stats.elapsed = time.perf_counter() - start
-    outcome = SearchOutcome(status=status, labeling=None, stats=stats)
-    return engine.solutions, outcome
+    return solutions, SearchOutcome(status=status, labeling=None, stats=stats)

@@ -21,12 +21,12 @@ import numpy as np
 from .construct import ConstructionPlan, ExpectedCornerTable, expected_corner_table, plan_for
 from .construct import PlanShapeMismatch  # re-exported: raised by audit_corners
 from .diagonals import CornerPos, decompose
-from .grid import GridDims, VertexRef, check_vertex
+from .grid import GridDims, VertexRef
 from .labeling import DomainMismatch, Labeling
 
 __all__ = [
     "VerificationReport", "CornerAuditReport", "PlanShapeMismatch",
-    "vertex_weight", "weight_matrix", "verify", "forced_constant", "audit_corners",
+    "weight_matrix", "verify", "forced_constant", "audit_corners",
 ]
 
 
@@ -85,13 +85,6 @@ def weight_matrix(lab: Labeling) -> np.ndarray:
     w[1:] += v[:-1]
     w[0] += v[-1]
     return w
-
-
-def vertex_weight(lab: Labeling, v: VertexRef) -> int:
-    """Sum of the labels of the 4 edges at one vertex."""
-    check_vertex(v, lab.dims)
-    i, j = v.i - 1, v.j - 1
-    return int(lab.h[i, j] + lab.h[i, j - 1] + lab.v[i, j] + lab.v[i - 1, j])
 
 
 def verify(lab: Labeling) -> VerificationReport:

@@ -123,14 +123,15 @@ def test_criterion_5_decomposition_fuzz(acceptance_report):
         for diag in diagonals:
             counts.update(diag.edges)
         partition_ok = (len(diagonals) == math.gcd(n, m)
-                        and all(diag.length == math.lcm(n, m) for diag in diagonals)
+                        and all(len(diag.edges) == 2 * math.lcm(n, m) for diag in diagonals)
                         and len(counts) == 2 * n * m
                         and set(counts.values()) == {1}
                         and set(counts) == set(all_edges(d)))
         inversion_ok = all(
-            diagonal_of_edge(diag.h(k), d) == (diag.index, k, "H")
-            and diagonal_of_edge(diag.v(k), d) == (diag.index, k, "V")
-            for diag in diagonals for k in range(1, diag.length + 1)
+            diagonal_of_edge(h, d) == (diag.index, k, "H")
+            and diagonal_of_edge(v, d) == (diag.index, k, "V")
+            for diag in diagonals
+            for k, (h, v) in enumerate(zip(diag.edges[0::2], diag.edges[1::2]), start=1)
         )
         if not (partition_ok and inversion_ok):
             bad += 1

@@ -219,3 +219,42 @@ def test_audit_transposed_shape_is_clean(tmp_path, capsys):
     code, out, err = run(capsys, "audit", str(doc), "--plan", "odd-odd")
     assert code == EXIT_OK
     assert out.startswith("corner audit clean: all 270 corners match")
+
+
+def test_search_zero_node_budget_exits_one(capsys):
+    code, out, err = run(capsys, "search", "3", "4", "--node-budget", "0")
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == "error: budgets must be positive\n"
+
+
+def test_verify_non_utf8_file_exits_one(tmp_path, capsys):
+    src = tmp_path / "lab.json"
+    src.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "verify", str(src))
+    assert code == EXIT_ERROR
+    assert "not UTF-8 text" in err
+
+
+def test_verify_oversized_integer_exits_one(tmp_path, capsys):
+    # json refuses integers of more than 4,300 digits with a bare ValueError
+    src = tmp_path / "lab.json"
+    src.write_text('{"n": ' + "9" * 5000 + "}")
+    code, out, err = run(capsys, "verify", str(src))
+    assert code == EXIT_ERROR
+    assert err.startswith("error: not valid JSON:")
+
+
+def test_internal_value_error_is_not_a_usage_error(tmp_path, capsys, monkeypatch):
+    # only TorusMagicError and OSError map to exit 1; anything else is a
+    # defect and propagates
+    import torusmagic.cli as cli_module
+
+    def broken(lab):
+        raise ValueError("defect")
+
+    src = tmp_path / "lab.json"
+    src.write_text(encode(construct(3, 3)))
+    monkeypatch.setattr(cli_module, "verify", broken)
+    with pytest.raises(ValueError, match="defect"):
+        main(["verify", str(src)])

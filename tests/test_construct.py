@@ -27,10 +27,8 @@ GOLDEN_V = [[12, 18, 14], [13, 10, 17], [16, 15, 11]]
 
 def diag_labels(lab: Labeling, j: int):
     plan = plan_for(ODD_ODD if lab.dims.n % 2 else EVEN_EVEN, lab.dims)
-    diag = decompose(lab.dims, list(plan.start_cols))[j - 1]
-    h = tuple(lab.label(e) for e in diag.h_edges())
-    v = tuple(lab.label(e) for e in diag.v_edges())
-    return h, v
+    rows, h_cols, v_cols = decompose(lab.dims, list(plan.start_cols))[j - 1].indices()
+    return tuple(lab.h[rows, h_cols].tolist()), tuple(lab.v[rows, v_cols].tolist())
 
 
 def test_golden_3_3_matrices():
@@ -122,10 +120,12 @@ def test_expected_corner_table_matches_actual_labels():
     plan = plan_for(ODD_ODD, d)
     table = expected_corner_table(plan, d)
     diag2, diag3 = decompose(d, list(plan.start_cols))[1:]
-    a, b = diag2.corner_edges(3, "HV")
-    assert lab.label(a) + lab.label(b) == 21  # 6 + 15
-    a, b = diag3.corner_edges(3, "VH")
-    assert lab.label(a) + lab.label(b) == 17  # 10 + 7
+    rows, h_cols, v_cols = diag2.indices()
+    h, v = lab.h[rows, h_cols], lab.v[rows, v_cols]
+    assert h[2] + v[2] == table[CornerPos(2, 3, "HV")] == 21  # h_3 + v_3 = 6 + 15
+    rows, h_cols, v_cols = diag3.indices()
+    h, v = lab.h[rows, h_cols], lab.v[rows, v_cols]
+    assert v[1] + h[2] == table[CornerPos(3, 3, "VH")] == 17  # v_2 + h_3 = 10 + 7
 
 
 def test_expected_corner_table_rejects_noncanonical_plan():
@@ -136,9 +136,9 @@ def test_expected_corner_table_rejects_noncanonical_plan():
 
 def test_corner_seam_sums_to_constant():
     # the HV entry at a vertex (from its diagonal) plus the VH entry
-    # (from the successor diagonal) must give the magic constant
-    from torusmagic.diagonals import corner_vertex
-
+    # (from the successor diagonal) must give the magic constant; HV
+    # corners sit at (rows, v_cols) of a diagonal's indices, VH corners at
+    # (rows, h_cols)
     for n, m in [(3, 9), (5, 5), (4, 4), (4, 6), (15, 21)]:
         d = dims(n, m)
         plan = plan_for(ODD_ODD if n % 2 else EVEN_EVEN, d)
@@ -147,16 +147,13 @@ def test_corner_seam_sums_to_constant():
         assert set(table.entries.values()) <= {
             base - d.l + 2, base, base + 1, base + 2, base + d.l
         }
-        hv_at = {}
-        vh_at = {}
+        hv_at = np.zeros((n, m), dtype=np.int64)
+        vh_at = np.zeros((n, m), dtype=np.int64)
         for diag in decompose(d, list(plan.start_cols)):
-            for k in range(1, d.l + 1):
-                hv = CornerPos(diag.index, k, "HV")
-                vh = CornerPos(diag.index, k, "VH")
-                hv_at[corner_vertex(hv, diag.start_col, d)] = table[hv]
-                vh_at[corner_vertex(vh, diag.start_col, d)] = table[vh]
-        for vertex, hv_weight in hv_at.items():
-            assert hv_weight + vh_at[vertex] == forced_constant(d)
+            rows, h_cols, v_cols = diag.indices()
+            hv_at[rows, v_cols] = [table[CornerPos(diag.index, k, "HV")] for k in range(1, d.l + 1)]
+            vh_at[rows, h_cols] = [table[CornerPos(diag.index, k, "VH")] for k in range(1, d.l + 1)]
+        assert (hv_at + vh_at == forced_constant(d)).all()
 
 
 @pytest.mark.parametrize("n,m", [(3, 3), (3, 9), (5, 5), (9, 15), (5, 15)])

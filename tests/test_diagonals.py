@@ -3,14 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusmagic.diagonals import (
-    CornerPos,
-    InvalidStartColumn,
-    corner_vertex,
-    decompose,
-    diagonal,
-    diagonal_of_edge,
-)
+from torusmagic.diagonals import InvalidStartColumn, decompose, diagonal, diagonal_of_edge
 from torusmagic.grid import H, V, VertexRef, all_edges, all_vertices, dims, incident_edges
 
 sizes = st.integers(min_value=3, max_value=24)
@@ -18,16 +11,15 @@ sizes = st.integers(min_value=3, max_value=24)
 
 def test_trace_3_3_first_diagonal():
     diag = diagonal(1, 1, dims(3, 3))
-    assert diag.h_edges() == (H(1, 1), H(2, 2), H(3, 3))
-    assert diag.v_edges() == (V(1, 2), V(2, 3), V(3, 1))
+    assert diag.edges[0::2] == (H(1, 1), H(2, 2), H(3, 3))
+    assert diag.edges[1::2] == (V(1, 2), V(2, 3), V(3, 1))
 
 
 def test_paper_start_column_for_first_diagonal_3_9():
     # d = 3, so column 4 is a legal start for diagonal 1 (4 = 1 mod 3)
     diag = diagonal(1, 4, dims(3, 9))
     assert diag.start_col == 4
-    assert diag.h(1) == H(1, 4)
-    assert diag.v(1) == V(1, 5)
+    assert diag.edges[:2] == (H(1, 4), V(1, 5))
 
 
 def test_invalid_start_column():
@@ -40,9 +32,12 @@ def test_invalid_start_column():
 
 
 def test_decompose_counts():
-    assert [d.length for d in decompose(dims(3, 4))] == [12]
-    assert [d.length for d in decompose(dims(6, 4))] == [12, 12]
-    assert [d.length for d in decompose(dims(3, 3))] == [3, 3, 3]
+    def lengths(d):
+        return [len(rows) for rows, _, _ in (diag.indices() for diag in decompose(d))]
+
+    assert lengths(dims(3, 4)) == [12]
+    assert lengths(dims(6, 4)) == [12, 12]
+    assert lengths(dims(3, 3)) == [3, 3, 3]
 
 
 @given(sizes, sizes)
@@ -53,7 +48,6 @@ def test_decompose_partitions_all_edges(n, m):
     assert len(diagonals) == d.d
     counts = Counter()
     for diag in diagonals:
-        assert diag.length == d.l
         assert len(diag.edges) == 2 * d.l
         counts.update(diag.edges)
     assert len(counts) == d.q
@@ -66,12 +60,12 @@ def test_decompose_partitions_all_edges(n, m):
 def test_diagonal_is_a_closed_alternating_cycle(n, m):
     d = dims(n, m)
     for diag in decompose(d):
-        for k in range(1, diag.length + 1):
-            h, v = diag.h(k), diag.v(k)
+        edges = diag.edges
+        for k in range(0, len(edges), 2):
+            h, v, nxt = edges[k], edges[k + 1], edges[(k + 2) % len(edges)]
             assert h.orient == "H" and v.orient == "V"
             # h_k ends where v_k starts; v_k ends where h_{k+1} starts
             assert h.endpoints(d)[1] == v.endpoints(d)[0]
-            nxt = diag.h(k + 1) if k < diag.length else diag.h(1)
             assert v.endpoints(d)[1] == nxt.endpoints(d)[0]
 
 
@@ -87,34 +81,37 @@ def test_diagonal_of_edge_examples():
 def test_diagonal_of_edge_inverts_positional_lookup(n, m):
     d = dims(n, m)
     for diag in decompose(d):
-        for k in range(1, diag.length + 1):
-            assert diagonal_of_edge(diag.h(k), d) == (diag.index, k, "H")
-            assert diagonal_of_edge(diag.v(k), d) == (diag.index, k, "V")
+        for k, (h, v) in enumerate(zip(diag.edges[0::2], diag.edges[1::2]), start=1):
+            assert diagonal_of_edge(h, d) == (diag.index, k, "H")
+            assert diagonal_of_edge(v, d) == (diag.index, k, "V")
 
+
+# Corner k of a diagonal: HV pairs (h_k, v_k) and sits at (rows, v_cols) of
+# diag.indices(); VH pairs (v_{k-1}, h_k), with v_0 = v_l, at (rows, h_cols).
 
 def test_corner_edges_share_their_vertex():
     d = dims(3, 9)
     for diag in decompose(d):
-        for k in range(1, diag.length + 1):
-            for kind in ("HV", "VH"):
-                a, b = diag.corner_edges(k, kind)
+        rows, h_cols, v_cols = (a.tolist() for a in diag.indices())
+        hs, vs = diag.edges[0::2], diag.edges[1::2]
+        for k in range(d.l):
+            for (a, b), col in (((hs[k], vs[k]), v_cols[k]), ((vs[k - 1], hs[k]), h_cols[k])):
                 shared = set(a.endpoints(d)) & set(b.endpoints(d))
-                assert len(shared) == 1
-                pos = CornerPos(diag.index, k, kind)
-                assert corner_vertex(pos, diag.start_col, d) in shared
+                assert shared == {VertexRef(rows[k] + 1, col + 1)}
 
 
 def test_vh_corner_one_pairs_last_vertical_with_first_horizontal():
     diag = diagonal(1, 1, dims(3, 3))
-    assert diag.corner_edges(1, "VH") == (V(3, 1), H(1, 1))
-    assert corner_vertex(CornerPos(1, 1, "VH"), 1, dims(3, 3)) == VertexRef(1, 1)
+    assert (diag.edges[-1], diag.edges[0]) == (V(3, 1), H(1, 1))
+    rows, h_cols, _ = diag.indices()
+    assert (rows[0], h_cols[0]) == (0, 0)  # vertex (1,1)
 
 
 def test_corner_vertex_examples():
-    d = dims(3, 3)
-    # HV corner k sits at (k, s+k); k=2, s=1 lands on (2,3)
-    assert corner_vertex(CornerPos(1, 2, "HV"), 1, d) == VertexRef(2, 3)
-    assert corner_vertex(CornerPos(1, 1, "HV"), 1, d) == VertexRef(1, 2)
+    # HV corner k sits at (k, s+k); k=2, s=1 lands on (2,3), k=1 on (1,2)
+    rows, _, v_cols = diagonal(1, 1, dims(3, 3)).indices()
+    assert (rows[1] + 1, v_cols[1] + 1) == (2, 3)
+    assert (rows[0] + 1, v_cols[0] + 1) == (1, 2)
 
 
 @given(sizes, sizes)
@@ -124,22 +121,26 @@ def test_corners_cover_every_vertex_once_per_kind(n, m):
     hv_at = Counter()
     vh_at = Counter()
     for diag in decompose(d):
-        for k in range(1, diag.length + 1):
-            hv_at[corner_vertex(CornerPos(diag.index, k, "HV"), diag.start_col, d)] += 1
-            vh_at[corner_vertex(CornerPos(diag.index, k, "VH"), diag.start_col, d)] += 1
+        rows, h_cols, v_cols = (a.tolist() for a in diag.indices())
+        hv_at.update(VertexRef(i + 1, j + 1) for i, j in zip(rows, v_cols))
+        vh_at.update(VertexRef(i + 1, j + 1) for i, j in zip(rows, h_cols))
     verts = set(all_vertices(d))
     assert set(hv_at) == verts and set(hv_at.values()) == {1}
     assert set(vh_at) == verts and set(vh_at.values()) == {1}
 
 
 def test_corner_pair_is_the_vertex_weight_split():
-    # at each vertex the HV pair and VH pair together are its 4 edges
+    # at each vertex the HV pair and the VH pair together are its 4 edges
     d = dims(5, 15)
+    hv_at, vh_at = {}, {}
     for diag in decompose(d):
-        for k in range(1, diag.length + 1):
-            hv = diag.corner_edges(k, "HV")
-            vertex = corner_vertex(CornerPos(diag.index, k, "HV"), diag.start_col, d)
-            assert set(hv) <= incident_edges(vertex, d)
+        rows, h_cols, v_cols = (a.tolist() for a in diag.indices())
+        hs, vs = diag.edges[0::2], diag.edges[1::2]
+        for k in range(d.l):
+            hv_at[VertexRef(rows[k] + 1, v_cols[k] + 1)] = {hs[k], vs[k]}
+            vh_at[VertexRef(rows[k] + 1, h_cols[k] + 1)] = {vs[k - 1], hs[k]}
+    for vertex in all_vertices(d):
+        assert hv_at[vertex] | vh_at[vertex] == incident_edges(vertex, d)
 
 
 def test_decompose_rejects_wrong_start_count():

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from torusmagic.construct import construct
-from torusmagic.grid import H, V, VertexRef, all_edges, dims
+from torusmagic.grid import H, V, TorusMagicError, all_edges, dims
 from torusmagic.labeling import Labeling
 from torusmagic.search import (
     BUDGET_EXCEEDED,
@@ -13,8 +13,6 @@ from torusmagic.search import (
     SearchConfig,
     _luby,
     enumerate_completions,
-    feasible_completion,
-    forced_label,
     search,
 )
 from torusmagic.verify import verify
@@ -42,6 +40,13 @@ def test_search_node_budget_one():
     assert out.stats.nodes <= 2  # one per symmetry branch at most
 
 
+def test_time_budget_holds_on_a_large_grid():
+    # a node costs O(nm) here, so the clock is read every few nodes
+    out = search(100, 100, SearchConfig(time_budget=0.05))
+    assert out.status == BUDGET_EXCEEDED
+    assert out.stats.elapsed < 0.5
+
+
 def test_search_deterministic_given_seed():
     cfg = SearchConfig(node_budget=5_000_000, time_budget=120,
                        value_order="random", restart_policy="luby", seed=11)
@@ -59,17 +64,19 @@ def test_search_descending_also_works():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(TorusMagicError):
         SearchConfig(node_budget=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TorusMagicError):
         SearchConfig(time_budget=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TorusMagicError):
+        SearchConfig(time_budget=float("nan"))  # would never expire
+    with pytest.raises(TorusMagicError):
         SearchConfig(value_order="spiral")
-    with pytest.raises(ValueError):
+    with pytest.raises(TorusMagicError):
         SearchConfig(value_order="random")  # seed required
-    with pytest.raises(ValueError):
+    with pytest.raises(TorusMagicError):
         SearchConfig(restart_policy="luby", value_order="ascending")
-    with pytest.raises(ValueError):
+    with pytest.raises(TorusMagicError):
         SearchConfig(restart_policy="often")
 
 
@@ -85,78 +92,94 @@ def golden_partial(keep_all_but=8):
     return d, golden, {e: golden.label(e) for e in kept}, edges[len(edges) - keep_all_but:]
 
 
+def first_node(assignments):
+    """(status, nodes, propagations, prunes) of a 3 x 3 completion cut
+    after one node: a partial the root refutes ends EXHAUSTED with 0 nodes
+    and the refuting rule; one it accepts spends the single node."""
+    _, out = enumerate_completions(dims(3, 3), assignments, SearchConfig(node_budget=1))
+    return out.status, out.stats.nodes, out.stats.propagations, out.stats.prunes
+
+
 def test_forced_label_examples():
-    d, golden, assignments, _ = golden_partial()
-    partial = PartialLabeling(dims(3, 3), {H(1, 1): 1, H(1, 3): 9, V(1, 1): 12})
-    # vertex (1,1) has labels {1, 9, 12}: the fourth edge must be 16
-    assert forced_label(partial, VertexRef(1, 1)) == 16
+    # vertex (1,1) has labels {1, 9, 12}: the fourth edge, V(3,1), is forced
+    # to 38 - 22 = 16 at the root.  With V(3,1) = 16 given, the same child
+    # node propagates nothing, so the one propagation is the root's.
+    assert first_node({H(1, 1): 1, H(1, 3): 9, V(1, 1): 12}) == (BUDGET_EXCEEDED, 1, 1, {})
+    assert first_node({H(1, 1): 1, H(1, 3): 9, V(1, 1): 12, V(3, 1): 16}) == (
+        BUDGET_EXCEEDED, 1, 0, {})
+    assert first_node({H(1, 1): 1, H(1, 3): 9, V(1, 1): 12, V(3, 1): 15}) == (
+        EXHAUSTED, 0, 0, {"closed-sum": 1})
 
-    partial = PartialLabeling(dims(3, 3), {H(1, 1): 18, H(1, 3): 17, V(1, 1): 16})
-    assert forced_label(partial, VertexRef(1, 1)) is None  # 38 - 51 < 1
-
-    partial = PartialLabeling(dims(3, 3), {H(1, 1): 1, H(1, 3): 2, V(1, 1): 3})
-    assert forced_label(partial, VertexRef(1, 1)) is None  # needs 32 > 18
+    # 38 - 51 < 1
+    assert first_node({H(1, 1): 18, H(1, 3): 17, V(1, 1): 16}) == (
+        EXHAUSTED, 0, 0, {"forced-range": 1})
+    # needs 32 > 18
+    assert first_node({H(1, 1): 1, H(1, 3): 2, V(1, 1): 3}) == (
+        EXHAUSTED, 0, 0, {"forced-range": 1})
 
 
 def test_forced_label_requires_three_edges():
-    partial = PartialLabeling(dims(3, 3), {H(1, 1): 1})
-    with pytest.raises(ValueError):
-        forced_label(partial, VertexRef(1, 1))
+    # one labeled edge at (1,1) forces nothing
+    assert first_node({H(1, 1): 1}) == (BUDGET_EXCEEDED, 1, 0, {})
 
 
 def test_forced_label_rejects_used_value():
-    partial = PartialLabeling(
-        dims(3, 3), {H(1, 1): 10, H(1, 3): 9, V(1, 1): 3, H(2, 2): 16}
-    )
     # vertex (1,1) needs 16, but 16 is already used elsewhere
-    assert forced_label(partial, VertexRef(1, 1)) is None
+    assert first_node({H(1, 1): 10, H(1, 3): 9, V(1, 1): 3, H(2, 2): 16}) == (
+        EXHAUSTED, 0, 0, {"forced-used": 1})
 
 
 def test_feasible_completion_examples():
-    # r=1: vertex sum 35 needs 3, which is unused
-    partial = PartialLabeling(dims(3, 3), {H(1, 1): 18, H(1, 3): 9, V(1, 1): 8})
-    assert feasible_completion(partial, VertexRef(1, 1)) is True
+    # r=1: vertex sum 35 needs 3, which is unused: forced, not refuted
+    assert first_node({H(1, 1): 18, H(1, 3): 9, V(1, 1): 8}) == (BUDGET_EXCEEDED, 1, 1, {})
+    # r=2: (1,1) needs 35 from two labels, and with 18 used the two
+    # largest free ones sum to 33
+    assert first_node({H(1, 1): 1, H(1, 3): 2, H(2, 2): 18}) == (EXHAUSTED, 0, 0, {"bounds": 1})
 
-    # r=1: low vertex sum needs a label beyond q
-    partial = PartialLabeling(dims(3, 3), {H(1, 1): 1, H(1, 3): 2, V(1, 1): 3})
-    assert feasible_completion(partial, VertexRef(1, 1)) is False  # needs 32 > 18
+
+# Diagonal 1 of the 3 x 3 construction (start column 1) left open: six
+# vertices with two open edges each, three closed ones, and the pool
+# {1, 2, 3, 16, 17, 18}.
+DIAGONAL_1 = {H(1, 1), V(1, 2), H(2, 2), V(2, 3), H(3, 3), V(3, 1)}
 
 
 def test_feasible_completion_pair_lookup():
-    # r=2 at vertex (1,1) with sum 20: need 18 from two unused labels.
-    # Make the global pool {1, 2, 17}: a pair {1,17} exists.
-    d = dims(3, 3)
-    assignments = {H(1, 1): 16, H(1, 3): 4}
-    pool = [x for x in range(1, 19) if x not in (16, 4, 1, 2, 17)]
-    fill_edges = [e for e in all_edges(d)
-                  if e not in (H(1, 1), H(1, 3), V(1, 1), V(3, 1))][: len(pool)]
-    assignments.update(zip(fill_edges, pool))
-    partial = PartialLabeling(d, assignments)
-    assert sorted(partial.unused_labels()) == [1, 2, 17]
-    assert feasible_completion(partial, VertexRef(1, 1)) is True
+    # The golden labels on the other two diagonals: (1,1) needs
+    # 38 - 9 - 12 = 17 = 1 + 16, every open vertex finds its pair, and the
+    # enumeration completes to the golden labeling and one more.
+    d, golden = dims(3, 3), construct(3, 3)
+    assignments = {e: golden.label(e) for e in all_edges(d) if e not in DIAGONAL_1}
+    solutions, out = enumerate_completions(d, assignments)
+    assert (out.status, out.stats.nodes, out.stats.propagations, out.stats.prunes) == (
+        EXHAUSTED, 4, 14, {"forced-used": 2})
+    assert len(solutions) == 2 and golden in solutions
 
-    # same shape but sum 22 and pool {1, 4, 17}: need 16, pairs give
-    # only 5, 18, 21, so the bound check passes but the pair lookup fails
-    assignments = {H(1, 1): 16, H(1, 3): 6}
-    pool = [x for x in range(1, 19) if x not in (16, 6, 1, 4, 17)]
-    fill_edges = [e for e in all_edges(d)
-                  if e not in (H(1, 1), H(1, 3), V(1, 1), V(3, 1))][: len(pool)]
-    assignments.update(zip(fill_edges, pool))
-    partial = PartialLabeling(d, assignments)
-    assert sorted(partial.unused_labels()) == [1, 4, 17]
-    assert feasible_completion(partial, VertexRef(1, 1)) is False
+    # The same labels 4..15 rearranged so that every closed vertex still
+    # sums to 38, but (1,1) needs 38 - 4 - 12 = 22: within the r=2 bounds
+    # 1 + 2 .. 17 + 18, yet no two free labels sum to 22.
+    assignments = {H(1, 2): 5, H(1, 3): 4, H(2, 1): 6, H(2, 3): 7, H(3, 1): 8, H(3, 2): 9,
+                   V(1, 1): 12, V(1, 3): 14, V(2, 1): 13, V(2, 2): 11, V(3, 2): 10, V(3, 3): 15}
+    assert set(assignments) | DIAGONAL_1 == set(all_edges(d))
+    assert first_node(assignments) == (EXHAUSTED, 0, 0, {"pair": 1})
 
 
 def test_partial_labeling_guards():
     partial = PartialLabeling(dims(3, 3), {H(1, 1): 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(TorusMagicError):
         partial.assign(H(1, 1), 2)  # already labeled
-    with pytest.raises(ValueError):
+    with pytest.raises(TorusMagicError):
         partial.assign(H(1, 2), 1)  # label in use
-    with pytest.raises(ValueError):
+    with pytest.raises(TorusMagicError):
         partial.assign(H(1, 2), 19)  # out of range
-    assert partial.label_of(H(1, 1)) == 1
-    assert partial.label_of(H(1, 2)) is None
+    with pytest.raises(TorusMagicError):
+        partial.assign(H(1, 4), 2)  # off the 3 x 3 grid, not H(2,1)
+    with pytest.raises(TorusMagicError):
+        partial.assign(V(0, 1), 2)  # off the grid, not V(3,1)
+    # the refused calls changed nothing
+    assert partial.unassigned == 17
+    assert not partial.is_free(1) and partial.is_free(2)
+    with pytest.raises(TorusMagicError):
+        enumerate_completions(dims(3, 3), {H(1, 1): 1, H(4, 1): 2})
 
 
 def test_enumerate_completions_matches_brute_force():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusmagic.construct import construct
-from torusmagic.grid import dims
+from torusmagic.grid import all_edges, dims
 from torusmagic.labeling import Labeling
 from torusmagic.serialize import ParseError, ShapeError, decode, encode
 
@@ -99,8 +99,8 @@ def test_decode_rejects_bool_entry():
 def test_edge_list_roundtrip():
     lab = construct(3, 3)
     lines = ["# hand-written labeling"]
-    for e, value in lab.items():
-        lines.append(f"{e.orient} {e.i} {e.j} {value}")
+    for e in all_edges(lab.dims):
+        lines.append(f"{e.orient} {e.i} {e.j} {lab.label(e)}")
     assert decode("\n".join(lines)) == lab
 
 
@@ -113,6 +113,17 @@ def test_edge_list_rejects_duplicates_and_gaps():
     with pytest.raises(ShapeError):
         decode(text)
 
+    lines = [f"{e.orient} {e.i} {e.j} {construct(3, 3).label(e)}" for e in all_edges(dims(3, 3))]
+    # one edge missing: 17 of the 18 edges
+    with pytest.raises(ShapeError, match=r"^expected 18 edges for a 3x3 grid, got 17$"):
+        decode("\n".join(lines[:-1]))
+    # 18 distinct keys, one of them off the grid, so one edge is not covered
+    with pytest.raises(ShapeError, match=r"^edge V\(0,3\) out of the 3x3 grid$"):
+        decode("\n".join(lines[:-1] + ["V 0 3 11"]))
+    # a duplicate key is refused at its line, whatever the count
+    with pytest.raises(ShapeError, match=r"^line 19: duplicate edge V\(3,3\)$"):
+        decode("\n".join(lines + ["V 3 3 11"]))
+
 
 def test_edge_list_rejects_garbage():
     with pytest.raises(ParseError):
@@ -124,5 +135,5 @@ def test_edge_list_rejects_garbage():
 def test_decode_autodetects_format():
     lab = construct(4, 4)
     as_json = encode(lab)
-    as_edges = "\n".join(f"{e.orient} {e.i} {e.j} {v}" for e, v in lab.items())
+    as_edges = "\n".join(f"{e.orient} {e.i} {e.j} {lab.label(e)}" for e in all_edges(lab.dims))
     assert decode(as_json) == decode(as_edges) == lab
