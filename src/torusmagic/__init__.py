@@ -28,7 +28,7 @@ from .diagonals import InvalidStartColumn, decompose, diagonal_of_edge
 from .grid import DimensionTooSmall, EdgeRef, TorusMagicError, dims
 from .labeling import DomainMismatch
 from .render import RenderSpec, RenderTooLarge, render
-from .search import FOUND, SearchConfig, enumerate_completions, search
+from .search import FOUND, SearchConfig, SearchTooLarge, enumerate_completions, search
 from .serialize import ParseError, ShapeError, decode, encode
 from .verify import audit_corners, forced_constant, verify, weight_matrix
 
@@ -67,5 +67,6 @@ __all__ = [
     "ParseError",
     "PlanShapeMismatch",
     "RenderTooLarge",
+    "SearchTooLarge",
     "ShapeError",
 ]

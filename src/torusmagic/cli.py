@@ -5,7 +5,7 @@ audit, search, decompose, render.  Data goes to stdout (or --out),
 diagnostics to stderr.  Exit codes are machine-scriptable:
 
   0  success (generate/search found; verify supermagic; audit clean)
-  1  usage, IO, or parse errors, or a grid too large to render
+  1  usage, IO, or parse errors, or a grid too large to render or search
   2  well-formed input with a failing verdict (generate: shape not
      covered by a construction; verify: not supermagic; audit: dirty)
   3  search stopped by its node or time budget
@@ -31,7 +31,7 @@ from .construct import (
 from .diagonals import decompose
 from .grid import TorusMagicError, dims as make_dims
 from .render import MAX_RENDER_EDGES, RenderSpec, render
-from .search import SearchConfig, SearchOutcome, search
+from .search import MAX_SEARCH_EDGES, SearchConfig, SearchOutcome, search
 from .serialize import ParseError, decode, encode
 from .verify import audit_corners, forced_constant, verify
 
@@ -184,7 +184,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", required=True, choices=[ODD_ODD, EVEN_EVEN])
     p.set_defaults(func=_cmd_audit)
 
-    p = sub.add_parser("search", help="exact backtracking search")
+    p = sub.add_parser("search", help=f"exact backtracking search (at most "
+                                         f"{MAX_SEARCH_EDGES:,} edges)")
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
     p.add_argument("--seed", type=int, default=None,

@@ -10,12 +10,25 @@ each vertex (west-H plus south-V, and north-V plus east-H).
 Diagonal highlighting colors every edge by the diagonal it belongs to;
 membership is intrinsic (start columns only rotate the numbering along a
 diagonal), so the coloring needs no plan.
+
+A figure is a header, three n-by-m grids of elements (SVG: H edges, V
+edges, vertices; DOT: vertices, H edges, V edges) and a footer.  Each
+element is a template whose fields are literals, per-row strings (i, y),
+per-column strings (j, x) or per-cell values (a label, a weight, a corner
+sum, a colour looked up by diagonal index).  `_weave` writes a template
+over its grid a band of rows at a time: every field goes into a list of
+pieces with one slice assignment, `parts[t::k] = ...`, and one
+`"".join` makes the band's text.  Only one band's pieces and cell
+strings are alive at a time.  The SVG line of a wrap edge's second stub
+is the one piece formatted per edge, as there are only n + m of them.
 """
 
 from __future__ import annotations
 
 import colorsys
+import re
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -27,7 +40,9 @@ _FORMATS = ("dot", "svg")
 _ANNOTATE = ("labels", "weights", "corners")
 
 # Largest grid render draws, in edges.  An SVG takes about 336 bytes per
-# edge, so the cap keeps a figure under about 170 MB of text.
+# edge, so the cap keeps a figure under about 170 MB of text.  Rendering
+# holds the band strings and the figure joined from them, about twice the
+# figure's size, plus one band's pieces.
 MAX_RENDER_EDGES = 500_000
 
 
@@ -67,22 +82,12 @@ def _diagonal_colors(dims: GridDims) -> tuple[np.ndarray, np.ndarray]:
     return (cols - rows) % dims.d, (cols - rows - 1) % dims.d
 
 
-def _edge_colors(dims: GridDims) -> tuple[list[list[str]], list[list[str]]]:
-    """Per-edge diagonal colour as (H, V) lists of rows, 0-based (i, j)."""
-    palette = _palette(dims.d)
-    h_idx, v_idx = _diagonal_colors(dims)
-    return ([[palette[c] for c in row] for row in h_idx.tolist()],
-            [[palette[c] for c in row] for row in v_idx.tolist()])
-
-
-def _corner_sums(lab: Labeling) -> tuple[list[list[int]], list[list[int]]]:
-    """The two corner sums hosted at every vertex, as (HV, VH) lists of rows.
+def _corner_sums(lab: Labeling) -> tuple[np.ndarray, np.ndarray]:
+    """The two corner sums hosted at every vertex, as (HV, VH) matrices.
 
     HV at (i,j) is H(i,j-1) + V(i,j); VH is V(i-1,j) + H(i,j).
     """
-    hv = np.roll(lab.h, 1, axis=1) + lab.v
-    vh = np.roll(lab.v, 1, axis=0) + lab.h
-    return hv.tolist(), vh.tolist()
+    return np.roll(lab.h, 1, axis=1) + lab.v, np.roll(lab.v, 1, axis=0) + lab.h
 
 
 def render(lab: Labeling, spec: RenderSpec | None = None) -> str:
@@ -101,47 +106,172 @@ def render(lab: Labeling, spec: RenderSpec | None = None) -> str:
     return _render_svg(lab, spec)
 
 
+# --- weaving ---------------------------------------------------------------
+
+_LITERAL, _PER_ROW, _PER_COL, _PER_CELL = range(4)
+
+_FIELD = re.compile(r"\{(\w+)\}")
+
+# Elements per band: a band's pieces and cell strings take a few hundred kB.
+_BAND_CELLS = 4096
+
+
+def _row(values) -> tuple[int, list[str]]:
+    return _PER_ROW, list(map(str, values))
+
+
+def _col(values) -> tuple[int, list[str]]:
+    return _PER_COL, list(map(str, values))
+
+
+def _cell(matrix: np.ndarray, lookup=str) -> tuple[int, tuple]:
+    """A per-cell field: lookup(matrix[i, j]) at cell (i, j)."""
+    return _PER_CELL, (matrix, lookup)
+
+
+def _merge(a: tuple[int, object], b: tuple[int, object]) -> tuple[int, object]:
+    """One slot with the text of slot a followed by slot b (neither a cell)."""
+    (ka, va), (kb, vb) = a, b
+    if ka == kb == _LITERAL:
+        return _LITERAL, va + vb
+    if ka == _LITERAL:
+        return kb, [va + v for v in vb]
+    if kb == _LITERAL:
+        return ka, [v + vb for v in va]
+    return ka, [x + y for x, y in zip(va, vb)]
+
+
+def _slots(template: str, fields: dict) -> list[tuple[int, object]]:
+    """The template as (kind, value) slots, a cell slot holding its field's name.
+
+    A run of literals and row strings is one row slot, and likewise for
+    columns, so that the band needs as few pieces as it can.
+    """
+    slots: list[tuple[int, object]] = []
+    # split() alternates literal text and field names
+    for t, text in enumerate(_FIELD.split(template)):
+        if t % 2:
+            kind, value = fields[text]
+            slot = (kind, text if kind == _PER_CELL else value)
+        elif text:
+            slot = (_LITERAL, text)
+        else:
+            continue
+        last = slots[-1][0] if slots else _PER_CELL
+        if _PER_CELL not in (slot[0], last) and (_LITERAL in (slot[0], last) or slot[0] == last):
+            slots[-1] = _merge(slots[-1], slot)
+        else:
+            slots.append(slot)
+    return slots
+
+
+def _weave(template: str, fields: dict, n: int, m: int) -> list[str]:
+    """The template written over an n-by-m grid in row-major order, as one
+    string per band of rows.
+
+    `fields` maps each field name in the template to a literal
+    `(_LITERAL, str)`, one string per row or per column (`_row`, `_col`), or
+    a cell field (`_cell`).
+    """
+    slots = _slots(template, fields)
+    k = len(slots)
+    band = max(1, _BAND_CELLS // m)
+    bands: list[str] = []
+    parts: list[str] = []
+    for r0 in range(0, n, band):
+        r1 = min(n, r0 + band)
+        count = (r1 - r0) * m
+        if len(parts) != k * count:
+            # literal and column slots are the same in every band of this height
+            parts = [""] * (k * count)
+            for t, (kind, value) in enumerate(slots):
+                if kind == _LITERAL:
+                    parts[t::k] = repeat(value, count)
+                elif kind == _PER_COL:
+                    parts[t::k] = value * (r1 - r0)
+        cells: dict[str, list[str]] = {}
+        for t, (kind, value) in enumerate(slots):
+            if kind == _PER_ROW:
+                parts[t::k] = chain.from_iterable(map(repeat, value[r0:r1], repeat(m)))
+            elif kind == _PER_CELL:
+                if value not in cells:
+                    matrix, lookup = fields[value][1]
+                    cells[value] = list(map(lookup, matrix[r0:r1].ravel().tolist()))
+                parts[t::k] = cells[value]
+        bands.append("".join(parts))
+    return bands
+
+
+def _annotations(lab: Labeling, spec: RenderSpec) -> dict:
+    """The cell fields the vertex notes read: w, or hv and vh."""
+    if spec.annotate == "weights":
+        return {"w": _cell(weight_matrix(lab))}
+    if spec.annotate == "corners":
+        hv, vh = _corner_sums(lab)
+        return {"hv": _cell(hv), "vh": _cell(vh)}
+    return {}
+
+
+# --- DOT -------------------------------------------------------------------
+
+_DOT_NOTES = {
+    "labels": "",
+    "weights": ', label="x_{i}_{j}\\n{w}"',
+    "corners": ', label="x_{i}_{j}\\nHV={hv}\\nVH={vh}"',
+}
+_DOT_EDGE = '  x_{i}_{j} -- x_{i2}_{j2} [label="{label}"{color}];\n'
+
+
 def _render_dot(lab: Labeling, spec: RenderSpec) -> str:
     d = lab.dims
     n, m = d.n, d.m
-    rows, cols = range(1, n + 1), range(1, m + 1)
-    out = [f"graph torus_{n}x{m} {{",
-           "  layout=neato;",
-           "  node [shape=circle, fontsize=10];",
-           "  edge [fontsize=9];"]
-    if spec.annotate == "weights":
-        weights = weight_matrix(lab).tolist()
-    elif spec.annotate == "corners":
-        hv, vh = _corner_sums(lab)
-    for i in rows:
-        if spec.annotate == "weights":
-            notes = [f', label="x_{i}_{j}\\n{w}"' for j, w in zip(cols, weights[i - 1])]
-        elif spec.annotate == "corners":
-            notes = [f', label="x_{i}_{j}\\nHV={a}\\nVH={b}"'
-                     for j, a, b in zip(cols, hv[i - 1], vh[i - 1])]
-        else:
-            notes = [""] * m
-        out.append("\n".join(f'  x_{i}_{j} [pos="{j},{n - i}!"{note}];'
-                              for j, note in zip(cols, notes)))
+    grid = {"i": _row(range(1, n + 1)), "j": _col(range(1, m + 1))}
     if spec.highlight_diagonals:
-        h_colors, v_colors = ([[f', color="{c}"' for c in row] for row in colors]
-                              for colors in _edge_colors(d))
+        colors = [f', color="{c}"' for c in _palette(d.d)]
+        h_color, v_color = (_cell(idx, colors.__getitem__) for idx in _diagonal_colors(d))
     else:
-        h_colors = v_colors = [[""] * m] * n
-    for i, labels, colors in zip(rows, lab.h.tolist(), h_colors):
-        out.append("\n".join(f'  x_{i}_{j} -- x_{i}_{j % m + 1} [label="{label}"{color}];'
-                              for j, label, color in zip(cols, labels, colors)))
-    for i, labels, colors in zip(rows, lab.v.tolist(), v_colors):
-        out.append("\n".join(f'  x_{i}_{j} -- x_{i % n + 1}_{j} [label="{label}"{color}];'
-                              for j, label, color in zip(cols, labels, colors)))
-    out.append("}\n")
-    return "\n".join(out)
+        h_color = v_color = (_LITERAL, "")
+    vertex = '  x_{i}_{j} [pos="{j},{y}!"' + _DOT_NOTES[spec.annotate] + '];\n'
+    vertices = _weave(vertex, {**grid, "y": _row(range(n - 1, -1, -1)),
+                               **_annotations(lab, spec)}, n, m)
+    h_edges = _weave(_DOT_EDGE, {**grid, "i2": grid["i"], "j2": _col([*range(2, m + 1), 1]),
+                                 "label": _cell(lab.h), "color": h_color}, n, m)
+    v_edges = _weave(_DOT_EDGE, {**grid, "i2": _row([*range(2, n + 1), 1]), "j2": grid["j"],
+                                 "label": _cell(lab.v), "color": v_color}, n, m)
+    header = (f"graph torus_{n}x{m} {{\n"
+              "  layout=neato;\n"
+              "  node [shape=circle, fontsize=10];\n"
+              "  edge [fontsize=9];\n")
+    return "".join([header, *vertices, *h_edges, *v_edges, "}\n"])
 
+
+# --- SVG -------------------------------------------------------------------
 
 _CELL = 80
 _MARGIN = 56
 _STUB = 26
 _R = 13
+
+_SVG_EDGE = ('<g class="edge" data-edge="{o}({i},{j})">\n'
+             '<line x1="{x}" y1="{y}" x2="{x2}" y2="{y2}" stroke="{c}" stroke-width="2"/>\n'
+             '{stub}<text x="{tx}" y="{ty}" font-size="11" fill="{c}">{label}</text>\n</g>\n')
+_SVG_VERTEX = ('<g class="vertex" data-vertex="x_{i}_{j}">\n'
+               '<circle cx="{x}" cy="{y}" r="{r}" fill="#f5f5f5" stroke="#222222"/>\n'
+               '<text x="{x}" y="{y_name}" font-size="9" text-anchor="middle">{i},{j}</text>')
+_SVG_NOTES = {
+    "labels": "",
+    "weights": ('\n<text x="{x}" y="{y_w}" font-size="10" '
+                'text-anchor="middle" fill="#a23b00">{w}</text>'),
+    "corners": ('\n<text x="{x}" y="{y_hv}" font-size="8" '
+                'text-anchor="middle" fill="#1f4d8f">HV={hv}</text>'
+                '\n<text x="{x}" y="{y_vh}" font-size="8" '
+                'text-anchor="middle" fill="#7a1f8f">VH={vh}</text>'),
+}
+
+
+def _line(x1: int, y1: int, x2: int, y2: int, color: str) -> str:
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="{color}" stroke-width="2"/>\n')
 
 
 def _render_svg(lab: Labeling, spec: RenderSpec) -> str:
@@ -152,75 +282,47 @@ def _render_svg(lab: Labeling, spec: RenderSpec) -> str:
     # vertex (i,j) sits at (xs[j-1], ys[i-1])
     xs = [_MARGIN + c * _CELL for c in range(m)]
     ys = [_MARGIN + r * _CELL for r in range(n)]
-    rows, cols = range(1, n + 1), range(1, m + 1)
+    grid = {"i": _row(range(1, n + 1)), "j": _col(range(1, m + 1)),
+            "x": _col(xs), "y": _row(ys)}
     if spec.highlight_diagonals:
-        h_colors, v_colors = _edge_colors(d)
+        palette = _palette(d.d)
+        h_idx, v_idx = _diagonal_colors(d)
+        h_color, v_color = _cell(h_idx, palette.__getitem__), _cell(v_idx, palette.__getitem__)
+        h_wrap = [palette[c] for c in h_idx[:, -1].tolist()]
+        v_wrap = [palette[c] for c in v_idx[-1].tolist()]
     else:
-        h_colors = v_colors = [["#444444"] * m] * n
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
+        h_color = v_color = (_LITERAL, "#444444")
+        h_wrap, v_wrap = ["#444444"] * n, ["#444444"] * m
 
-    def line(x1: int, y1: int, x2: int, y2: int, color: str) -> str:
-        return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-                f'stroke="{color}" stroke-width="2"/>\n')
+    def stubs(wrap: tuple, lines: list[str]) -> tuple[int, tuple]:
+        # the second stub of each wrap edge, and nothing at the other cells
+        index = np.zeros((n, m), np.intp)
+        index[wrap] = np.arange(1, len(lines) + 1)
+        return _cell(index, ["", *lines].__getitem__)
 
-    def edge(name: str, lines: str, lx: int, ly: int, color: str, label: int) -> str:
-        return (f'<g class="edge" data-edge="{name}">\n{lines}'
-                f'<text x="{lx}" y="{ly}" font-size="11" fill="{color}">{label}</text>\n</g>')
-
-    # Interior edges, nearly all of the text, are formatted inline.  An edge
-    # that leaves the grid is drawn as a stub at each end, labelled at the first.
-    for i, y, labels, colors in zip(rows, ys, lab.h.tolist(), h_colors):
-        row = [f'<g class="edge" data-edge="H({i},{j})">\n'
-               f'<line x1="{x}" y1="{y}" x2="{x + _CELL}" y2="{y}" '
-               f'stroke="{c}" stroke-width="2"/>\n'
-               f'<text x="{x + _CELL // 2}" y="{y - 6}" font-size="11" fill="{c}">{label}</text>'
-               f'\n</g>'
-               for j, x, label, c in zip(cols, xs, labels[:-1], colors)]
-        x, c = xs[-1], colors[-1]
-        row.append(edge(f"H({i},{m})",
-                        line(x, y, x + _STUB, y, c) + line(_MARGIN - _STUB, y, _MARGIN, y, c),
-                        x + _STUB, y - 6, c, labels[-1]))
-        out.append("\n".join(row))
-    for i, y, labels, colors in zip(rows, ys, lab.v.tolist(), v_colors):
-        if i < n:
-            row = [f'<g class="edge" data-edge="V({i},{j})">\n'
-                   f'<line x1="{x}" y1="{y}" x2="{x}" y2="{y + _CELL}" '
-                   f'stroke="{c}" stroke-width="2"/>\n'
-                   f'<text x="{x + 7}" y="{y + _CELL // 2 + 4}" font-size="11" fill="{c}">'
-                   f'{label}</text>\n</g>'
-                   for j, x, label, c in zip(cols, xs, labels, colors)]
-        else:
-            row = [edge(f"V({i},{j})",
-                        line(x, y, x, y + _STUB, c) + line(x, _MARGIN - _STUB, x, _MARGIN, c),
-                        x + 7, y + _STUB, c, label)
-                   for j, x, label, c in zip(cols, xs, labels, colors)]
-        out.append("\n".join(row))
-    if spec.annotate == "weights":
-        weights = weight_matrix(lab).tolist()
-    elif spec.annotate == "corners":
-        hv, vh = _corner_sums(lab)
-    for i, y in zip(rows, ys):
-        if spec.annotate == "weights":
-            notes = [f'\n<text x="{x}" y="{y + _R + 12}" font-size="10" '
-                     f'text-anchor="middle" fill="#a23b00">{w}</text>'
-                     for x, w in zip(xs, weights[i - 1])]
-        elif spec.annotate == "corners":
-            notes = [f'\n<text x="{x}" y="{y + _R + 11}" font-size="8" '
-                     f'text-anchor="middle" fill="#1f4d8f">HV={a}</text>'
-                     f'\n<text x="{x}" y="{y + _R + 20}" font-size="8" '
-                     f'text-anchor="middle" fill="#7a1f8f">VH={b}</text>'
-                     for x, a, b in zip(xs, hv[i - 1], vh[i - 1])]
-        else:
-            notes = [""] * m
-        out.append("\n".join(
-            f'<g class="vertex" data-vertex="x_{i}_{j}">\n'
-            f'<circle cx="{x}" cy="{y}" r="{_R}" fill="#f5f5f5" stroke="#222222"/>\n'
-            f'<text x="{x}" y="{y + 3}" font-size="9" text-anchor="middle">{i},{j}</text>'
-            f'{note}\n</g>'
-            for j, x, note in zip(cols, xs, notes)))
-    out.append("</svg>\n")
-    return "\n".join(out)
+    # An edge that leaves the grid is drawn as a stub at each end, labelled at the first.
+    h_edges = _weave(_SVG_EDGE, {
+        **grid, "o": (_LITERAL, "H"), "c": h_color, "label": _cell(lab.h),
+        "x2": _col([x + _CELL for x in xs[:-1]] + [xs[-1] + _STUB]), "y2": grid["y"],
+        "tx": _col([x + _CELL // 2 for x in xs[:-1]] + [xs[-1] + _STUB]),
+        "ty": _row([y - 6 for y in ys]),
+        "stub": stubs((slice(None), -1),
+                      [_line(_MARGIN - _STUB, y, _MARGIN, y, c) for y, c in zip(ys, h_wrap)]),
+    }, n, m)
+    v_edges = _weave(_SVG_EDGE, {
+        **grid, "o": (_LITERAL, "V"), "c": v_color, "label": _cell(lab.v),
+        "x2": grid["x"], "y2": _row([y + _CELL for y in ys[:-1]] + [ys[-1] + _STUB]),
+        "tx": _col([x + 7 for x in xs]),
+        "ty": _row([y + _CELL // 2 + 4 for y in ys[:-1]] + [ys[-1] + _STUB]),
+        "stub": stubs((-1,),
+                      [_line(x, _MARGIN - _STUB, x, _MARGIN, c) for x, c in zip(xs, v_wrap)]),
+    }, n, m)
+    vertices = _weave(_SVG_VERTEX + _SVG_NOTES[spec.annotate] + "\n</g>\n", {
+        **grid, "r": (_LITERAL, str(_R)), "y_name": _row([y + 3 for y in ys]),
+        "y_w": _row([y + _R + 12 for y in ys]), "y_hv": _row([y + _R + 11 for y in ys]),
+        "y_vh": _row([y + _R + 20 for y in ys]), **_annotations(lab, spec),
+    }, n, m)
+    header = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+              f'viewBox="0 0 {width} {height}" font-family="sans-serif">\n'
+              f'<rect width="{width}" height="{height}" fill="white"/>\n')
+    return "".join([header, *h_edges, *v_edges, *vertices, "</svg>\n"])

@@ -50,6 +50,15 @@ BUDGET_EXCEEDED = "budget-exceeded"
 _ORDERS = ("ascending", "descending", "random")
 _RESTARTS = ("none", "luby")
 
+# Largest grid search takes on, in edges.  PartialLabeling builds about
+# 420 bytes of Python state per edge before the first node, so the cap
+# keeps that under about 85 MB; exact search is hopeless long before.
+MAX_SEARCH_EDGES = 200_000
+
+
+class SearchTooLarge(TorusMagicError):
+    """The grid has more edges than MAX_SEARCH_EDGES."""
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -112,10 +121,14 @@ class PartialLabeling:
     and largest free labels are low set bits of one or the other, and the
     free pairs with a given sum are one shift and one AND.  Per vertex it
     keeps `need` (the constant minus the partial sum) and `vcnt` (the
-    number of unlabeled edges).
+    number of unlabeled edges).  A grid of more than MAX_SEARCH_EDGES
+    edges raises SearchTooLarge before any of it is built.
     """
 
     def __init__(self, dims: GridDims, assignments: Mapping[EdgeRef, int] | None = None):
+        if dims.q > MAX_SEARCH_EDGES:
+            raise SearchTooLarge(f"C_{dims.n} x C_{dims.m} has {dims.q} edges; search takes at "
+                                 f"most {MAX_SEARCH_EDGES}")
         self.dims = dims
         self.constant = forced_constant(dims)
         n, m, q = dims.n, dims.m, dims.q

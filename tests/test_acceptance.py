@@ -229,7 +229,7 @@ def test_criterion_8_propagation_soundness(acceptance_report):
     assert ok
 
 
-def test_criterion_9_serialization(acceptance_report):
+def test_criterion_9_serialization(acceptance_report, tmp_path):
     rng = random.Random(9)
     roundtrip_ok = True
     for _ in range(100):
@@ -251,10 +251,10 @@ def test_criterion_9_serialization(acceptance_report):
         doc["vertical"][0][0] = -5
         decode(json.dumps(doc))
 
-    def exit_code_of(text, tmp="/tmp/torusmagic_acceptance_malformed.json"):
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        return cli_main(["verify", tmp])
+    def exit_code_of(text):
+        path = tmp_path / "malformed.json"
+        path.write_text(text, encoding="utf-8")
+        return cli_main(["verify", str(path)])
 
     errors_exit_1 = (exit_code_of('{"n": 3, "m": 3}') == 1
                      and exit_code_of("H 1 1 0\n") == 1

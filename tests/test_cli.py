@@ -173,6 +173,13 @@ def test_render_too_large_exits_one(tmp_path, capsys):
     assert not dst.exists()
 
 
+def test_search_too_large_exits_one(capsys):
+    code, out, err = run(capsys, "search", "2000", "2000")
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == "error: C_2000 x C_2000 has 8000000 edges; search takes at most 200000\n"
+
+
 def test_verify_nonpositive_label_exits_one(tmp_path, capsys):
     doc = json.loads(encode(construct(3, 3)))
     doc["horizontal"][2][1] = 0

@@ -11,6 +11,7 @@ reference raised a bare OverflowError.
 Finally, none of these paths may build an EdgeRef or a VertexRef.
 """
 
+import importlib
 import json
 import random
 
@@ -42,6 +43,38 @@ def shuffled(n, m, seed=0):
 def test_render_matches_reference(n, m, fmt, annotate, highlight):
     spec = RenderSpec(format=fmt, annotate=annotate, highlight_diagonals=highlight)
     for lab in (construct(n, m), shuffled(n, m)):
+        assert render(lab, spec).encode() == ref.render(lab, spec).encode()
+
+
+SPECS = [RenderSpec(format=fmt, annotate=annotate, highlight_diagonals=highlight)
+         for fmt in ("svg", "dot") for annotate in ("labels", "weights", "corners")
+         for highlight in (False, True)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 14), st.integers(3, 14), st.integers(0, 2**32 - 1))
+def test_render_matches_reference_on_random_labelings(n, m, seed):
+    # covers n > m, n < m, and n or m = 3, where a third of a column or row is wrap edges
+    lab = shuffled(n, m, seed)
+    for spec in SPECS:
+        assert render(lab, spec).encode() == ref.render(lab, spec).encode()
+
+
+@pytest.mark.parametrize("fmt,annotate", [("svg", "weights"), ("dot", "corners")])
+def test_render_matches_reference_across_bands(fmt, annotate):
+    render_module = importlib.import_module("torusmagic.render")
+    n, m = 131, 63  # bands of 65, 65 and 1 rows
+    assert 2 * render_module._BAND_CELLS < n * m < 3 * render_module._BAND_CELLS
+    lab = shuffled(n, m, seed=5)
+    spec = RenderSpec(format=fmt, annotate=annotate, highlight_diagonals=True)
+    assert render(lab, spec).encode() == ref.render(lab, spec).encode()
+
+
+def test_render_matches_reference_in_short_bands(monkeypatch):
+    render_module = importlib.import_module("torusmagic.render")
+    monkeypatch.setattr(render_module, "_BAND_CELLS", 200)  # 3 rows a band, then 2
+    lab = shuffled(41, 63, seed=7)
+    for spec in SPECS:
         assert render(lab, spec).encode() == ref.render(lab, spec).encode()
 
 

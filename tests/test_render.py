@@ -1,5 +1,6 @@
 import importlib
 import re
+import tracemalloc
 import xml.dom.minidom
 
 import numpy as np
@@ -113,7 +114,8 @@ def test_render_refuses_a_grid_over_the_edge_cap(monkeypatch):
     def no_text(*args, **kwargs):
         raise AssertionError("figure text was built")
 
-    for name in ("_render_svg", "_render_dot", "_edge_colors", "_corner_sums", "weight_matrix"):
+    for name in ("_render_svg", "_render_dot", "_weave", "_diagonal_colors", "_corner_sums",
+                 "weight_matrix"):
         monkeypatch.setattr(render_module, name, no_text)
     for fmt in ("svg", "dot"):
         with pytest.raises(RenderTooLarge, match="C_600 x C_600 has 720000 edges"):
@@ -128,3 +130,18 @@ def test_render_edge_cap_is_inclusive(monkeypatch):
     monkeypatch.setattr(render_module, "MAX_RENDER_EDGES", 17)
     with pytest.raises(RenderTooLarge):
         render(lab)
+
+
+def test_render_memory_stays_near_twice_the_figure():
+    # The band strings and the figure joined from them are about twice the
+    # figure; a figure-wide list of pieces or of label strings adds more.
+    # tracemalloc sees Python allocations only, not allocator fragmentation.
+    lab = construct(99, 153)
+    spec = RenderSpec(format="svg", annotate="weights", highlight_diagonals=True)
+    tracemalloc.start()
+    try:
+        svg = render(lab, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.3 * len(svg)

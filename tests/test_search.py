@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import pytest
@@ -9,8 +10,10 @@ from torusmagic.search import (
     BUDGET_EXCEEDED,
     EXHAUSTED,
     FOUND,
+    MAX_SEARCH_EDGES,
     PartialLabeling,
     SearchConfig,
+    SearchTooLarge,
     _luby,
     enumerate_completions,
     search,
@@ -45,6 +48,36 @@ def test_time_budget_holds_on_a_large_grid():
     out = search(100, 100, SearchConfig(time_budget=0.05))
     assert out.status == BUDGET_EXCEEDED
     assert out.stats.elapsed < 0.5
+
+
+def test_search_refuses_a_grid_over_the_edge_cap(monkeypatch):
+    search_module = importlib.import_module("torusmagic.search")
+    big = dims(2000, 2000)  # 8,000,000 edges
+    assert big.q > MAX_SEARCH_EDGES >= dims(100, 100).q
+
+    def no_state(*args, **kwargs):
+        raise AssertionError("search state was built")
+
+    # the first thing PartialLabeling builds after the check
+    monkeypatch.setattr(search_module, "forced_constant", no_state)
+    message = "C_2000 x C_2000 has 8000000 edges; search takes at most 200000"
+    with pytest.raises(SearchTooLarge, match=message):
+        search(2000, 2000)
+    with pytest.raises(SearchTooLarge, match=message):
+        enumerate_completions(big, {H(1, 1): 1})
+    with pytest.raises(SearchTooLarge, match=message):
+        PartialLabeling(big)
+
+
+def test_search_edge_cap_is_inclusive(monkeypatch):
+    search_module = importlib.import_module("torusmagic.search")
+    monkeypatch.setattr(search_module, "MAX_SEARCH_EDGES", 18)
+    assert search(3, 3).status == FOUND
+    monkeypatch.setattr(search_module, "MAX_SEARCH_EDGES", 17)
+    with pytest.raises(SearchTooLarge):
+        search(3, 3)
+    with pytest.raises(SearchTooLarge):
+        enumerate_completions(dims(3, 3), {H(1, 1): 1})
 
 
 def test_search_deterministic_given_seed():
