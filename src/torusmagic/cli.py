@@ -30,9 +30,9 @@ from .construct import (
 )
 from .diagonals import decompose
 from .grid import TorusMagicError, dims as make_dims
-from .render import MAX_RENDER_EDGES, RenderSpec, render
+from .render import MAX_RENDER_EDGES, RenderSpec, check_render_size, render
 from .search import MAX_SEARCH_EDGES, SearchConfig, SearchOutcome, search
-from .serialize import ParseError, decode, encode
+from .serialize import ParseError, decode, encode, header_dims
 from .verify import audit_corners, forced_constant, verify
 
 EXIT_OK = 0
@@ -155,7 +155,11 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    lab = _load_labeling(args.file)
+    text = _read_text(args.file)
+    shape = header_dims(text)
+    if shape is not None:
+        check_render_size(shape)  # before the whole document is decoded
+    lab = decode(text)
     spec = RenderSpec(format=args.format, annotate=args.annotate,
                       highlight_diagonals=args.highlight_diagonals)
     _write_data(render(lab, spec), args.out)

@@ -90,6 +90,13 @@ def _corner_sums(lab: Labeling) -> tuple[np.ndarray, np.ndarray]:
     return np.roll(lab.h, 1, axis=1) + lab.v, np.roll(lab.v, 1, axis=0) + lab.h
 
 
+def check_render_size(d: GridDims) -> None:
+    """Raise RenderTooLarge if the grid has more than MAX_RENDER_EDGES edges."""
+    if d.q > MAX_RENDER_EDGES:
+        raise RenderTooLarge(f"C_{d.n} x C_{d.m} has {d.q} edges; render draws at most "
+                             f"{MAX_RENDER_EDGES}")
+
+
 def render(lab: Labeling, spec: RenderSpec | None = None) -> str:
     """Figure text for a total labeling, per the render spec.
 
@@ -97,10 +104,7 @@ def render(lab: Labeling, spec: RenderSpec | None = None) -> str:
     before any text is built.
     """
     spec = spec or RenderSpec()
-    d = lab.dims
-    if d.q > MAX_RENDER_EDGES:
-        raise RenderTooLarge(f"C_{d.n} x C_{d.m} has {d.q} edges; render draws at most "
-                             f"{MAX_RENDER_EDGES}")
+    check_render_size(lab.dims)
     if spec.format == "dot":
         return _render_dot(lab, spec)
     return _render_svg(lab, spec)

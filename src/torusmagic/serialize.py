@@ -14,6 +14,27 @@ line, '#' comments allowed) is accepted on input for hand-authored
 files; dimensions are inferred from the largest indices and the lines
 must cover every edge exactly once.
 
+decode takes a canonical route for text in exactly the layout encode
+writes: the "n" and "m" header lines, two matrix blocks, and either no
+metadata or metadata that is one JSON object.  A block is taken only if
+it holds nothing but ASCII digits, ", [ ] \\n" and spaces, equals the
+n x m separator skeleton once its digits are deleted (its length is
+checked against the skeleton's before any skeleton is built), and every
+field is a digit run of 1 to 19 digits with no leading zero.  Each band
+of about 4,096 fields is then converted by one np.fromstring call, and
+every value must lie in 1..2**63-1.  These checks alone decide, as
+np.fromstring does not refuse every bad field alike across numpy
+versions.  Every other JSON text goes through json.loads, with the same
+results and errors as before.  A 400 x 400 document decodes in about
+20 ms this way, against about 55 ms through json.loads (medians on 2
+shared vCPUs, Python 3.11, numpy 2.4).
+
+An edge list of plain "H|V i j label" lines, single-spaced, with fields
+of at most 18 digits and every edge exactly once, is likewise parsed in
+one np.fromstring call (400 x 400: about 0.08 s, against 0.5 to 0.8 s
+line by line); any other edge list, and every error, goes through the
+per-line decoder.
+
 Decoding never validates the supermagic property - verification is an
 explicit, separate step.
 """
@@ -21,11 +42,12 @@ explicit, separate step.
 from __future__ import annotations
 
 import json
+import re
 from typing import Mapping
 
 import numpy as np
 
-from .grid import TorusMagicError, dims as make_dims
+from .grid import GridDims, TorusMagicError, dims as make_dims
 from .labeling import Labeling
 
 
@@ -39,6 +61,8 @@ class ShapeError(TorusMagicError):
 
 
 _LABEL_LIMIT = 2**63  # labels are stored as int64
+_LABEL_DIGITS = 19  # every label below 2**63 has at most 19 digits
+_DIGITS = b"0123456789"
 
 
 def _matrix_rows(matrix: np.ndarray) -> str:
@@ -107,7 +131,177 @@ def _decode_json(text: str) -> Labeling:
     return Labeling(d, matrix("horizontal"), matrix("vertical"))
 
 
+# The layout encode writes, around its two matrix blocks.  A header digit
+# run of at most 9 digits keeps n*m and the skeleton arithmetic small.
+_HEADER = re.compile(r'\{\n  "n": ([1-9][0-9]{0,8}),\n  "m": ([1-9][0-9]{0,8}),\n  "horizontal": ')
+_CLOSE = "\n  ]"
+_VERTICAL = _CLOSE + ',\n  "vertical": '
+_METADATA = _CLOSE + ',\n  "metadata": '
+_END = "\n}\n"
+# Fields of a matrix block checked and converted at a time.  A band's
+# temporaries stay below glibc malloc's default mmap threshold (128 KiB):
+# freeing larger ones raises the threshold, and a large render that follows
+# in the same process then leaves more of its memory resident.
+_BAND_CELLS = 4_096
+
+
+def _read_header(text: str) -> tuple[GridDims, int] | None:
+    head = _HEADER.match(text)
+    if head is None:
+        return None
+    try:
+        return make_dims(int(head[1]), int(head[2])), head.end()
+    except TorusMagicError:
+        return None
+
+
+def header_dims(text: str) -> GridDims | None:
+    """The grid a document in encode's layout declares, read from its
+    header lines without parsing the rest; None for any other text."""
+    head = _read_header(text)
+    return None if head is None else head[0]
+
+
+def _digit_runs(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end offsets of the runs of ASCII digits in a byte array
+    whose first and last bytes are not digits."""
+    digit = (chars - np.uint8(48)) < 10
+    bounds = np.flatnonzero(digit[1:] != digit[:-1])  # start, end, start, end, ... less one
+    bounds += 1
+    return bounds[0::2], bounds[1::2]
+
+
+def _canonical_matrix(text: str, n: int, m: int) -> np.ndarray | None:
+    """The n x m labels of one matrix block exactly as encode writes it, or
+    None.  Bytes, sizes and ranges decide; numpy only converts digits.
+
+    The rows are checked and converted a band of about _BAND_CELLS fields
+    at a time, so that no temporary is larger than one band's text.
+    """
+    cells = n * m
+    # "[\n    " + n rows of "[" + (m-1) ", " + "]" joined by ",\n    " + "\n  ]"
+    if len(text) < 2 * cells + 6 * n + 4 + cells:
+        return None  # too short for a digit per field: build no skeleton longer than the text
+    if not (text.isascii() and text.startswith("[\n    [") and text.endswith("]\n  ]")):
+        return None
+    rows = text[7:-5].split("],\n    [")
+    if len(rows) != n:
+        return None
+    out = np.empty((n, m), dtype=np.uint64)
+    step = max(1, _BAND_CELLS // m)
+    row = b", " * (m - 1)
+    for top in range(0, n, step):
+        height = min(step, n - top)
+        # newlines end the band's rows, so that numpy reads ",\n" as one separator
+        band = ("\n" + ",\n".join(rows[top:top + step]) + "\n").encode("ascii")
+        if band.translate(None, _DIGITS) != b"\n" + b",\n".join([row] * height) + b"\n":
+            return None
+        chars = np.frombuffer(band, dtype=np.uint8)
+        starts, ends = _digit_runs(chars)
+        # one digit run per field; a leading "0" is either the label 0 or a leading zero
+        if (starts.size != height * m or (ends - starts).max() > _LABEL_DIGITS
+                or (chars[starts] == ord("0")).any()):
+            return None
+        # runs of at most 19 digits fit uint64 exactly
+        values = np.fromstring(band, dtype=np.uint64, sep=",")
+        if values.size != height * m or values.max() >= np.uint64(_LABEL_LIMIT):
+            return None
+        out[top:top + height] = values.reshape(height, m)
+    return out.view(np.int64)
+
+
+def _decode_canonical(text: str) -> Labeling | None:
+    """The labeling of a document in exactly encode's layout, or None.
+
+    Accepted text is the header, two matrix blocks that pass the checks of
+    _canonical_matrix, and either no metadata or one JSON object: then
+    json.loads would give the same four fields, and _decode_json the same
+    labeling.  Anything else is left to _decode_json and its errors.
+    """
+    head = _read_header(text)
+    if head is None:
+        return None
+    d, h_start = head
+    h_close = text.find(_VERTICAL, h_start)
+    if h_close < 0:
+        return None
+    v_start = h_close + len(_VERTICAL)
+    # a matrix block that passes holds no quote, so the first match is its end
+    v_close = text.find(_METADATA, v_start)
+    if v_close >= 0 and text.endswith(_END):
+        meta_start = v_close + len(_METADATA)
+    elif v_close < 0 and text.endswith(_CLOSE + _END):
+        v_close, meta_start = len(text) - len(_CLOSE + _END), None
+    else:
+        return None
+    h = _canonical_matrix(text[h_start:h_close + len(_CLOSE)], d.n, d.m)
+    v = None if h is None else _canonical_matrix(text[v_start:v_close + len(_CLOSE)], d.n, d.m)
+    if v is None:
+        return None
+    if meta_start is not None:
+        try:
+            metadata = json.loads(text[meta_start:-len(_END)])
+        except (ValueError, RecursionError):
+            return None
+        # one object: no top-level key can follow it and override n, m or a matrix
+        if not isinstance(metadata, dict):
+            return None
+    return Labeling(d, h, v)
+
+
+_EDGE_LINE = b"H   \n"  # an edge line with its digits deleted, V read as H
+_V_AS_H = bytes.maketrans(b"V", b"H")
+_EDGE_DIGITS = 18  # index and label fields of at most 18 digits fit int64
+_LETTERS_TO_SPACES = bytes.maketrans(b"HV\n", b"   ")
+
+
+def _edge_list_bulk(text: str) -> Labeling | None:
+    """The labeling of an edge list of plain "H|V i j label" lines that
+    covers its grid exactly once, parsed in one numpy call; None for any
+    other text, which the per-line decoder then reads or rejects."""
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    skeleton = raw.translate(_V_AS_H, _DIGITS)
+    lines = len(skeleton) // len(_EDGE_LINE)
+    # no comments, blank lines, tabs or doubled spaces
+    if lines == 0 or skeleton != _EDGE_LINE * lines:
+        return None
+    chars = np.frombuffer(raw, dtype=np.uint8)
+    letters = np.flatnonzero(chars > ord("9"))
+    if (letters[0] != 0 or (chars[letters[1:] - 1] != ord("\n")).any()
+            or (chars[letters + 1] != ord(" ")).any()):
+        return None  # a letter not at a line start, or not followed by a space
+    starts, ends = _digit_runs(chars)
+    if starts.size != 3 * lines or (ends - starts).max() > _EDGE_DIGITS:
+        return None  # some field is empty or too long
+    values = np.fromstring(raw.translate(_LETTERS_TO_SPACES), dtype=np.int64, sep=" ")
+    if values.size != 3 * lines:
+        return None
+    rows, cols, labels = values.reshape(lines, 3).T
+    if rows.min() < 1 or cols.min() < 1 or labels.min() < 1:
+        return None
+    n, m = int(rows.max()), int(cols.max())
+    if lines != 2 * n * m:
+        return None
+    try:
+        d = make_dims(n, m)
+    except TorusMagicError:
+        return None
+    cells = (chars[letters] == ord("V")) * (n * m) + (rows - 1) * m + (cols - 1)
+    if (np.bincount(cells, minlength=d.q) != 1).any():
+        return None  # a duplicate, so some edge is missing too
+    flat = np.empty(d.q, dtype=np.int64)
+    flat[cells] = labels
+    return Labeling(d, flat[:n * m].reshape(n, m), flat[n * m:].reshape(n, m))
+
+
 def _decode_edge_list(text: str) -> Labeling:
+    lab = _edge_list_bulk(text)
+    if lab is not None:
+        return lab
     entries: dict[tuple[str, int, int], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -147,6 +341,9 @@ def _decode_edge_list(text: str) -> Labeling:
 
 def decode(text: str) -> Labeling:
     """Parse a labeling document (JSON or edge-list, auto-detected)."""
+    lab = _decode_canonical(text)
+    if lab is not None:
+        return lab
     stripped = text.lstrip()
     if not stripped:
         raise ParseError("empty document")

@@ -1,3 +1,4 @@
+import importlib
 import json
 import re
 
@@ -163,13 +164,19 @@ def test_render_svg_to_file(tmp_path, capsys):
     assert dst.read_text().startswith("<svg")
 
 
-def test_render_too_large_exits_one(tmp_path, capsys):
+def test_render_too_large_exits_one(tmp_path, capsys, monkeypatch):
     src = tmp_path / "big.json"
     src.write_text(encode(construct(600, 600)))
     dst = tmp_path / "fig.svg"
+
+    def no_decode(text):
+        raise AssertionError("the over-cap document was decoded")
+
+    # the size is read from the document's header, before any decoding
+    monkeypatch.setattr(importlib.import_module("torusmagic.cli"), "decode", no_decode)
     code, out, err = run(capsys, "render", str(src), "--format", "svg", "--out", str(dst))
     assert code == EXIT_ERROR
-    assert "720000 edges" in err
+    assert err == "error: C_600 x C_600 has 720000 edges; render draws at most 500000\n"
     assert not dst.exists()
 
 

@@ -8,12 +8,17 @@ malformed matrices.  Two differences are intended: a non-positive label
 raises ParseError where the reference raised a bare ValueError, and a
 label past the int64 range raises ParseError naming the cell where the
 reference raised a bare OverflowError.
+decode's canonical route, which reads documents in exactly encode's
+layout with byte checks and one numpy parse per band of rows, must agree
+with the json.loads decoder on every input, canonical or not.
 Finally, none of these paths may build an EdgeRef or a VertexRef.
 """
 
 import importlib
 import json
 import random
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +29,9 @@ from torusmagic.construct import construct
 from torusmagic.grid import EdgeRef, VertexRef, dims
 from torusmagic.labeling import Labeling
 from torusmagic.render import RenderSpec, render
-from torusmagic.serialize import ParseError, decode, encode
+from torusmagic.cli import main
+from torusmagic.serialize import (ParseError, ShapeError, _decode_canonical, _decode_json, decode,
+                                  encode)
 
 SHAPES = [(3, 3), (4, 6), (9, 15), (12, 8), (15, 9)]
 
@@ -192,3 +199,267 @@ def test_io_builds_no_edge_or_vertex_objects(monkeypatch):
             for highlight in (False, True):
                 render(lab, RenderSpec(format=fmt, annotate=annotate, highlight_diagonals=highlight))
     assert calls == []
+
+
+# --- the canonical route against json.loads ---------------------------------
+
+
+def layout(n, m, h_rows, v_rows, metadata=None):
+    """encode's layout over rows of token strings, so any token can be planted."""
+    def block(rows):
+        return "[\n    " + ",\n    ".join("[" + ", ".join(row) + "]" for row in rows) + "\n  ]"
+
+    parts = [f'  "n": {n}', f'  "m": {m}', f'  "horizontal": {block(h_rows)}',
+             f'  "vertical": {block(v_rows)}']
+    if metadata is not None:
+        parts.append(f'  "metadata": {metadata}')
+    return "{\n" + ",\n".join(parts) + "\n}\n"
+
+
+def routes_agree(text):
+    """decode and _decode_json give the same labeling or the same error,
+    with every warning raised as an error; returns decode's outcome."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        new = outcome(decode, text)
+        assert new == outcome(_decode_json, text)
+    return new
+
+
+def token_rows(matrix):
+    return [[str(value) for value in row] for row in matrix.tolist()]
+
+
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=6),
+                        st.lists(st.integers(), max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 12), st.integers(3, 12), st.integers(0, 2**32 - 1), st.booleans(),
+       st.none() | st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=4))
+def test_canonical_route_matches_json_on_random_labelings(n, m, seed, wide, metadata):
+    if wide:  # labels of up to 19 digits, the largest int64 included
+        rng = np.random.default_rng(seed)
+        h, v = rng.integers(1, 2**63, size=(2, n, m), dtype=np.int64)
+        h[0, 0] = 2**63 - 1
+        lab = Labeling(dims(n, m), h, v)
+    else:
+        lab = shuffled(n, m, seed)
+    text = encode(lab, metadata=metadata)
+    assert routes_agree(text) == ("ok", lab)
+    assert _decode_canonical(text) == lab  # taken, not left to json.loads
+
+
+BASES = [(3, 3, None), (4, 6, None), (9, 3, '{"constant": 110, "generator": "construct"}')]
+CELLS = [("horizontal", 0, 0), ("horizontal", -1, -1), ("vertical", 1, 2), ("vertical", -1, 0)]
+# a token planted in one field; only the largest int64 still takes the canonical route
+BAD_TOKENS = ["07", "00", "0", "-5", "+5", "2.0", "1e3", "true", "null", "", " ", "\u0663",
+              "\uff15", "1_0", "0x1f", str(2**63), "9" * 19, "1" * 20, "4" * 70, "[3]", '"7"']
+
+
+def mutated_from(lab, edit, metadata=None):
+    rows = {"horizontal": token_rows(lab.h), "vertical": token_rows(lab.v)}
+    edit(rows)
+    return layout(lab.dims.n, lab.dims.m, rows["horizontal"], rows["vertical"], metadata)
+
+
+def mutated(n, m, metadata, edit):
+    return mutated_from(shuffled(n, m, seed=n * m), edit, metadata)
+
+
+@pytest.mark.parametrize("n,m,metadata", BASES)
+@pytest.mark.parametrize("key,i,j", CELLS)
+@pytest.mark.parametrize("token", BAD_TOKENS + [str(2**63 - 1)])
+def test_canonical_route_on_a_planted_token(n, m, metadata, key, i, j, token):
+    def plant(rows):
+        rows[key][i][j] = token
+
+    text = mutated(n, m, metadata, plant)
+    result = routes_agree(text)
+    if token == str(2**63 - 1):
+        assert result[0] == "ok" and _decode_canonical(text) == result[1]
+    else:
+        assert result[0] != "ok" and _decode_canonical(text) is None
+
+
+SHAPE_EDITS = {
+    "extra field": lambda rows: rows["horizontal"][1].append("5"),
+    "missing field": lambda rows: rows["vertical"][-1].pop(),
+    "extra row": lambda rows: rows["vertical"].append(list(rows["vertical"][0])),
+    "missing row": lambda rows: rows["horizontal"].pop(0),
+    "all rows short": lambda rows: [row.pop() for row in rows["horizontal"]],
+    "empty matrix": lambda rows: rows["vertical"].clear(),
+    "field moved to the next row": lambda rows: rows["horizontal"][1].append(
+        rows["horizontal"][2].pop(0)),
+    "field moved to the row before": lambda rows: rows["vertical"][-2].append(
+        rows["vertical"][-1].pop(0)),
+}
+
+
+@pytest.mark.parametrize("n,m,metadata", BASES)
+@pytest.mark.parametrize("edit", sorted(SHAPE_EDITS))
+def test_canonical_route_on_a_wrong_shape(n, m, metadata, edit):
+    text = mutated(n, m, metadata, SHAPE_EDITS[edit])
+    assert routes_agree(text)[0] is ShapeError
+    assert _decode_canonical(text) is None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(BASES), st.data())
+def test_canonical_route_on_an_edited_byte(base, data):
+    # one byte of a matrix block replaced, deleted or doubled; a digit for a
+    # digit keeps the document canonical, everything else must leave the route
+    n, m, metadata = base
+    text = mutated(n, m, metadata, lambda rows: None)
+    lo = text.index('"horizontal": ') + len('"horizontal": ')
+    hi = text.rindex("]") + 1
+    at = data.draw(st.integers(lo, hi - 1))
+    new = data.draw(st.sampled_from(["", text[at] * 2, *"0123456789", " ", ",", "[", "]", "\n",
+                                     "\t", "-", "+", ".", "e", "\r", "\u0663", '"', "}", "{"]))
+    edited = text[:at] + new + text[at + 1:]
+    result = routes_agree(edited)
+    if _decode_canonical(edited) is not None:
+        assert result[0] == "ok"
+
+
+def wrapping_fromstring(string, dtype, sep):
+    """np.fromstring as a parser that wraps an overflowing field modulo
+    2**64 instead of refusing it, as numpy 1.x may do."""
+    fields = string.replace(sep.encode(), b" ").split()
+    return np.array([int(field) % 2**64 for field in fields], dtype=np.uint64).astype(dtype)
+
+
+@pytest.mark.parametrize("token", [str(2**64 + 5), str(2**64 * 10 + 5), str(2**65 + 2**63 + 5)])
+def test_canonical_route_does_not_rely_on_numpy_refusing_overflow(token, monkeypatch):
+    text = mutated(3, 3, None, lambda rows: rows["vertical"][1].__setitem__(2, token))
+    monkeypatch.setattr(np, "fromstring", wrapping_fromstring)
+    assert _decode_canonical(text) is None
+    with pytest.raises(ParseError, match=rf"^vertical\[2\]\[3\]: labels must be below 2\*\*63, "
+                                         rf"got {token}$"):
+        decode(text)
+
+
+def test_edge_list_does_not_rely_on_numpy_refusing_overflow(monkeypatch):
+    lab = construct(3, 3)
+    lines = [f"{o} {i + 1} {j + 1} {mat[i, j]}" for o, mat in (("H", lab.h), ("V", lab.v))
+             for i in range(3) for j in range(3)]
+    lines[-1] = f"V 3 3 {2**64 + int(lab.v[2, 2])}"  # wraps to the right label
+    monkeypatch.setattr(np, "fromstring", wrapping_fromstring)
+    with pytest.raises(ParseError, match=r"^line 18: labels must be below 2\*\*63"):
+        decode("\n".join(lines))
+
+
+def around(text, old, new):
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+def base_text(metadata='{"generator": "construct"}'):
+    lab = shuffled(4, 6, seed=3)
+    return layout(4, 6, token_rows(lab.h), token_rows(lab.v), metadata)
+
+
+SURROUNDINGS = {
+    "n repeated after the metadata": around(base_text(), "}\n}\n", '},\n  "n": 5\n}\n'),
+    "horizontal repeated after the metadata": around(
+        base_text(), "}\n}\n", '},\n  "horizontal": ' + json.dumps(token_rows(np.ones((4, 6), int)))
+        .replace('"', "") + "\n}\n"),
+    "vertical repeated without metadata": around(
+        base_text(None), "\n  ]\n}\n", "\n  ],\n  \"vertical\": [[1, 1, 1, 1, 1, 1]]\n}\n"),
+    "n repeated inside the metadata's text": around(base_text(), '"construct"}',
+                                                    '"construct"}, "n": 3'),
+    "metadata a list": base_text("[1, 2]"),
+    "metadata a number": base_text("5"),
+    "metadata a string": base_text('"construct"'),
+    "metadata null": base_text("null"),
+    "metadata empty": base_text("{}"),
+    "metadata not JSON": base_text("{generator: construct}"),
+    "metadata unclosed": base_text('{"a": [1, 2}'),
+    "metadata with a 5000-digit integer": base_text('{"a": ' + "7" * 5000 + "}"),
+    "metadata not ASCII": base_text('{"g\u00e9n\u00e9rateur": "\u2713"}'),
+    "leading space": " " + base_text(),
+    "leading newline": "\n" + base_text(),
+    "no final newline": base_text()[:-1],
+    "two final newlines": base_text() + "\n",
+    "trailing space": base_text() + " ",
+    "CRLF line ends": base_text().replace("\n", "\r\n"),
+    "doubled space in a row": around(base_text(), ", ", ",  "),
+    "space before a row's end": around(base_text(), "],\n", " ],\n"),
+    "space before a line end": around(base_text(), ",\n    [", ", \n    ["),
+    "five-space indent": around(base_text(), "\n    [", "\n     ["),
+    "tab indent": around(base_text(), "\n    [", "\n\t["),
+    "space before the metadata key": around(base_text(), '  "metadata"', '   "metadata"'),
+    "header space": around(base_text(), '"n": 4', '"n":  4'),
+    "header leading zero": around(base_text(), '"n": 4', '"n": 04'),
+    "header n of 2": around(base_text(), '"n": 4', '"n": 2'),
+    "header n of 0": around(base_text(), '"n": 4', '"n": 0'),
+    "header n of 10 digits": around(base_text(), '"n": 4', '"n": 4000000000'),
+    "header n a float": around(base_text(), '"n": 4', '"n": 4.0'),
+    "header m before n": around(around(base_text(), '"n": 4', '"@": 4'), '"m": 6', '"n": 4'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SURROUNDINGS))
+def test_canonical_route_on_edited_surroundings(name):
+    text = SURROUNDINGS[name]
+    routes_agree(text)
+    if name not in ("metadata empty", "metadata not ASCII"):
+        assert _decode_canonical(text) is None
+
+
+@pytest.mark.parametrize("band_cells", [1, 4, 6, 13, 10_000])
+def test_canonical_route_across_bands(band_cells, monkeypatch):
+    # bands of 1, 1, 1, 2 and 9 rows of 6 fields; a bad field in any band refuses the route
+    monkeypatch.setattr(importlib.import_module("torusmagic.serialize"), "_BAND_CELLS", band_cells)
+    lab = shuffled(9, 6, seed=5)
+    text = encode(lab)
+    assert routes_agree(text) == ("ok", lab) and _decode_canonical(text) == lab
+    for key in ("horizontal", "vertical"):
+        for i in range(9):
+            for token in ("0", "", "1" * 20, "+5"):
+                def plant(rows):
+                    rows[key][i][i % 6] = token
+
+                planted = mutated_from(lab, plant)
+                assert routes_agree(planted)[0] is ParseError
+                assert _decode_canonical(planted) is None
+    for edit in ("field moved to the next row", "extra row", "missing row"):
+        reshaped = mutated_from(lab, SHAPE_EDITS[edit])
+        assert routes_agree(reshaped)[0] is ShapeError and _decode_canonical(reshaped) is None
+
+
+def test_canonical_route_on_a_grid_of_several_bands():
+    lab = shuffled(60, 100, seed=7)  # 40 rows to a band of 4,096 fields
+    text = encode(lab, metadata={"generator": "shuffled"})
+    assert routes_agree(text) == ("ok", lab) and _decode_canonical(text) == lab
+    bad = mutated_from(lab, lambda rows: rows["vertical"][55].__setitem__(99, "0"))
+    assert routes_agree(bad)[0] is ParseError and _decode_canonical(bad) is None
+
+
+def test_generated_documents_take_the_canonical_route(tmp_path, monkeypatch):
+    serialize_module = importlib.import_module("torusmagic.serialize")
+
+    def no_json(text):
+        raise AssertionError("a generated document was left to json.loads")
+
+    for n, m in [(3, 3), (4, 6), (9, 15)]:
+        path = tmp_path / f"{n}x{m}.json"
+        assert main(["generate", str(n), str(m), "--out", str(path)]) == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(serialize_module, "_decode_json", no_json)
+            assert decode(path.read_text()) == construct(n, m)
+
+
+@pytest.mark.parametrize("n,m", [(100_000, 100_000), (3, 100_000_000)])
+def test_a_huge_header_over_a_small_body_builds_no_skeleton(n, m):
+    # the skeleton of a row of 100,000,000 fields alone would take 200 MB
+    text = encode(construct(3, 3))
+    text = around(around(text, '"n": 3', f'"n": {n}'), '"m": 3', f'"m": {m}')
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError, match=rf"^horizontal: expected {n} rows x {m} columns$"):
+            decode(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

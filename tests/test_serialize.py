@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from torusmagic.construct import construct
 from torusmagic.grid import all_edges, dims
 from torusmagic.labeling import Labeling
-from torusmagic.serialize import ParseError, ShapeError, decode, encode
+from torusmagic.serialize import ParseError, ShapeError, _edge_list_bulk, decode, encode
 
 
 def random_labeling(rng, n, m):
@@ -137,3 +138,86 @@ def test_decode_autodetects_format():
     as_json = encode(lab)
     as_edges = "\n".join(f"{e.orient} {e.i} {e.j} {lab.label(e)}" for e in all_edges(lab.dims))
     assert decode(as_json) == decode(as_edges) == lab
+
+
+def edge_lines(lab):
+    return [f"{o} {i + 1} {j + 1} {mat[i, j]}" for o, mat in (("H", lab.h), ("V", lab.v))
+            for i in range(lab.dims.n) for j in range(lab.dims.m)]
+
+
+def outcome(text):
+    try:
+        return "ok", decode(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def line_by_line(text, monkeypatch):
+    """decode's outcome with the bulk edge-list parse switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(importlib.import_module("torusmagic.serialize"), "_edge_list_bulk",
+                      lambda text: None)
+        return outcome(text)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(3, 12), st.integers(3, 12), st.booleans())
+def test_edge_list_in_any_order_is_parsed_in_bulk(rng, n, m, final_newline):
+    lab = random_labeling(rng, n, m)
+    lines = edge_lines(lab)
+    rng.shuffle(lines)
+    text = "\n".join(lines) + ("\n" if final_newline else "")
+    assert _edge_list_bulk(text) == lab
+    assert decode(text) == lab
+
+
+# 3x4 has no construction; labels 1..24 in row-major order put 24 on V(3,4), the last line
+PLAIN = edge_lines(Labeling(dims(3, 4), np.arange(1, 13).reshape(3, 4),
+                            np.arange(13, 25).reshape(3, 4)))
+EDGE_LISTS = {
+    # parsed in bulk
+    "plain": PLAIN,
+    "leading zeros": [line.replace(" 1 ", " 001 ") for line in PLAIN],
+    "largest bulk label": PLAIN[:-1] + ["V 3 4 " + "9" * 18],
+    # left to the per-line decoder, which accepts them
+    "comment line": ["# hand-written"] + PLAIN,
+    "trailing comment": [PLAIN[0] + " # first"] + PLAIN[1:],
+    "blank line": PLAIN[:5] + [""] + PLAIN[5:],
+    "tabs": [line.replace(" ", "\t") for line in PLAIN],
+    "doubled spaces": [line.replace(" ", "  ") for line in PLAIN],
+    "indented": ["  " + line for line in PLAIN],
+    "CRLF": [line + "\r" for line in PLAIN],
+    "plus sign": PLAIN[:-1] + ["V 3 4 +24"],
+    "underscore": PLAIN[:-1] + ["V 3 4 2_4"],
+    "largest int64": PLAIN[:-1] + [f"V 3 4 {2**63 - 1}"],
+    "arabic-indic digit": PLAIN[:-1] + ["V 3 4 \u0663"],
+    # rejected by the per-line decoder
+    "label 0": PLAIN[:-1] + ["V 3 4 0"],
+    "negative label": PLAIN[:-1] + ["V 3 4 -4"],
+    "label 2**63": PLAIN[:-1] + [f"V 3 4 {2**63}"],
+    "row 0": PLAIN[:-1] + ["V 0 4 24"],
+    "row 0 of H": ["H 0 1 1"] + PLAIN[1:],
+    "column 0": ["H 1 0 1"] + PLAIN[1:],
+    "duplicate": PLAIN + [PLAIN[0]],
+    "duplicate in place of an edge": PLAIN[:-1] + [PLAIN[0]],
+    "missing edge": PLAIN[:-1],
+    "3 fields": PLAIN[:-1] + ["V 3 4"],
+    "5 fields": PLAIN[:-1] + ["V 3 4 24 1"],
+    "letter joined to its row": PLAIN[:-1] + ["V3 4 24"],
+    # each of the first two lines has a field in the wrong place, but their
+    # numbers in sequence are those of "H 1 1 1" and "H 1 2 2"
+    "digit after a letter": ["H1 1 1 1", "H 2 2 "] + PLAIN[2:],
+    "digit before a letter": ["1H 1 1 1", "H 2 2 "] + PLAIN[2:],
+    "lowercase letter": PLAIN[:-1] + ["v 3 4 24"],
+    "two letters": PLAIN[:-1] + ["HV 3 4 24"],
+    "2 x 4 grid": [line for line in PLAIN if " 3 " not in line[:4]],
+    "only comments": ["# nothing"],
+}
+BULK = {"plain", "leading zeros", "largest bulk label"}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_LISTS))
+def test_edge_list_bulk_matches_line_decoder(name, monkeypatch):
+    text = "\n".join(EDGE_LISTS[name]) + "\n"
+    assert outcome(text) == line_by_line(text, monkeypatch)
+    assert (_edge_list_bulk(text) is not None) == (name in BULK)
