@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .construct import (
@@ -51,11 +52,21 @@ def _read_text(path: str) -> str:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+# Characters written at a time: a slice's encoded copy stays small.
+_WRITE_CHARS = 1 << 16
+
+
 def _write_data(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+    """Write text to stdout (out None or "-") or to the file out, as UTF-8.
+
+    The text goes out in slices of _WRITE_CHARS characters through one
+    open file, so no encoded copy of the whole text is made: a figure can
+    run to tens of megabytes.
+    """
+    with (nullcontext(sys.stdout) if out is None or out == "-"
+          else open(out, "w", encoding="utf-8")) as stream:
+        for start in range(0, len(text), _WRITE_CHARS):
+            stream.write(text[start:start + _WRITE_CHARS])
 
 
 def _load_labeling(path: str):

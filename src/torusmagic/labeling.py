@@ -35,6 +35,11 @@ class Labeling:
             raise DomainMismatch(
                 f"matrices must be {shape}, got {self.h.shape} and {self.v.shape}"
             )
+        # bools, floats and objects would encode as text decode refuses
+        if self.h.dtype.kind not in "iu" or self.v.dtype.kind not in "iu":
+            raise DomainMismatch(
+                f"labels must have an integer dtype, got {self.h.dtype} and {self.v.dtype}"
+            )
         if (self.h < 1).any() or (self.v < 1).any():
             raise DomainMismatch("labels must be positive integers")
 

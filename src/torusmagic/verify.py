@@ -75,10 +75,22 @@ def forced_constant(dims: GridDims) -> int:
     return 4 * dims.n * dims.m + 2
 
 
+# Four labels up to this sum exactly in int64.
+_INT64_SAFE_LABEL = (2**63 - 1) // 4
+
+
 def weight_matrix(lab: Labeling) -> np.ndarray:
     """All vertex weights at once: entry (i-1, j-1) is w(x_{ij}), the sum
-    of H(i,j), H(i,j-1), V(i,j) and V(i-1,j)."""
+    of H(i,j), H(i,j-1), V(i,j) and V(i-1,j).
+
+    The weights are exact: int64 when every label is at most
+    _INT64_SAFE_LABEL, otherwise Python ints in an object array.
+    """
     h, v = lab.h, lab.v
+    if max(int(h.max()), int(v.max())) <= _INT64_SAFE_LABEL:
+        h, v = h.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
+    else:
+        h, v = h.astype(object), v.astype(object)
     w = h + v
     w[:, 1:] += h[:, :-1]
     w[:, 0] += h[:, -1]
@@ -102,12 +114,13 @@ def verify(lab: Labeling) -> VerificationReport:
         raise DomainMismatch("labels must be positive integers")
 
     high = flat.max()
-    counts = np.bincount(flat if high <= d.q else flat[flat <= d.q], minlength=d.q + 1)
-    offending = np.flatnonzero(counts[1:] != 1) + 1
+    small = flat if high <= d.q else flat[flat <= d.q]
+    # bincount counts intp; numpy 1.x refuses a uint64 array
+    counts = np.bincount(small.astype(np.intp, copy=False), minlength=d.q + 1)
+    offending = (np.flatnonzero(counts[1:] != 1) + 1).tolist()
     if high > d.q:
         # labels above q are offending whatever their count
-        offending = np.concatenate([offending, np.unique(flat[flat > d.q])])
-    offending = offending.tolist()
+        offending += np.unique(flat[flat > d.q]).tolist()
     is_bijection = not offending
 
     w = weight_matrix(lab)

@@ -2,6 +2,7 @@ import importlib
 import json
 import re
 
+import numpy as np
 import pytest
 
 from torusmagic.cli import (
@@ -12,7 +13,9 @@ from torusmagic.cli import (
     main,
 )
 from torusmagic.construct import construct
-from torusmagic.grid import H, V
+from torusmagic.grid import H, V, dims
+from torusmagic.labeling import Labeling
+from torusmagic.render import RenderSpec, render
 from torusmagic.search import SearchConfig, search
 from torusmagic.serialize import encode
 
@@ -164,6 +167,30 @@ def test_render_svg_to_file(tmp_path, capsys):
     assert dst.read_text().startswith("<svg")
 
 
+def test_figures_over_several_write_slices_match_render(tmp_path, capsys):
+    # a 9 x 15 SVG is about 75,000 characters: two slices of 65,536
+    src = tmp_path / "lab.json"
+    src.write_text(encode(construct(9, 15)))
+    flags = ["--format", "svg", "--annotate", "corners", "--highlight-diagonals"]
+    figure = render(construct(9, 15), RenderSpec("svg", "corners", True))
+    assert len(figure) > 65_536
+    dst = tmp_path / "fig.svg"
+    assert run(capsys, "render", str(src), *flags, "--out", str(dst)) == (EXIT_OK, "", "")
+    assert dst.read_bytes() == figure.encode()
+    assert run(capsys, "render", str(src), *flags) == (EXIT_OK, figure, "")
+    assert run(capsys, "render", str(src), *flags, "--out", "-") == (EXIT_OK, figure, "")
+
+
+def test_write_data_writes_utf8_across_slices(tmp_path, capsys):
+    cli = importlib.import_module("torusmagic.cli")
+    text = "x" * (cli._WRITE_CHARS - 1) + "\u00e9\u2192" + "y" * cli._WRITE_CHARS + "\n"
+    dst = tmp_path / "out.txt"
+    cli._write_data(text, str(dst))
+    assert dst.read_bytes() == text.encode("utf-8")
+    cli._write_data(text, None)
+    assert capsys.readouterr().out == text
+
+
 def test_render_too_large_exits_one(tmp_path, capsys, monkeypatch):
     src = tmp_path / "big.json"
     src.write_text(encode(construct(600, 600)))
@@ -205,6 +232,16 @@ def test_verify_label_past_int64_exits_one(tmp_path, capsys):
     code, out, err = run(capsys, "verify", str(src))
     assert code == EXIT_ERROR
     assert err == "error: horizontal[2][2]: labels must be below 2**63, got 9223372036854775808\n"
+
+
+def test_verify_prints_exact_weights_of_large_labels(tmp_path, capsys):
+    labels = np.full((3, 3), 2**62, dtype=np.int64)
+    src = tmp_path / "lab.json"
+    src.write_text(encode(Labeling(dims(3, 3), labels, labels)))
+    code, out, err = run(capsys, "verify", str(src))
+    assert code == EXIT_VERDICT
+    assert "\nuniform vertex weight: 18446744073709551616\n" in out
+    assert out.endswith("supermagic: False\n")
 
 
 def test_usage_errors_exit_one(capsys):

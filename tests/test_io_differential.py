@@ -14,6 +14,7 @@ with the json.loads decoder on every input, canonical or not.
 Finally, none of these paths may build an EdgeRef or a VertexRef.
 """
 
+import hashlib
 import importlib
 import json
 import random
@@ -463,3 +464,87 @@ def test_a_huge_header_over_a_small_body_builds_no_skeleton(n, m):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+# --- encode's banded integer formatter ---------------------------------------
+
+def mixed_width_labeling(n, m, low, high, seed, plant_max=False):
+    """Labels of every digit width from low to high, mixed within each row,
+    with 2**63 - 1 planted at one cell when plant_max is set."""
+    rng = np.random.default_rng(seed)
+    widths = rng.integers(low, high, size=(2, n, m), endpoint=True)
+    smallest = (10 ** (widths - 1)).astype(np.int64)
+    largest = np.minimum(10 ** widths.astype(object) - 1, 2**63 - 1).astype(np.int64)
+    labels = rng.integers(smallest, largest, endpoint=True, dtype=np.int64)
+    if plant_max:
+        labels[tuple(rng.integers(0, (2, n, m)))] = 2**63 - 1
+    return Labeling(dims(n, m), labels[0], labels[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 40), st.integers(3, 40), st.integers(1, 19), st.integers(1, 19),
+       st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_encode_matches_reference_on_labels_of_every_width(n, m, w1, w2, seed, plant_max,
+                                                           metadata):
+    lab = mixed_width_labeling(n, m, min(w1, w2), max(w1, w2), seed, plant_max)
+    meta = {"generator": "mixed", "seed": seed} if metadata else None
+    assert encode(lab, metadata=meta).encode() == ref.encode(lab, metadata=meta).encode()
+
+
+def test_encode_matches_reference_on_every_single_width():
+    for width in range(1, 20):
+        lab = mixed_width_labeling(7, 11, width, width, seed=width)
+        assert encode(lab).encode() == ref.encode(lab).encode()
+    extremes = np.array([[1, 9, 10, 2**32 - 1, 2**32, 2**63 - 1]] * 3, dtype=np.int64)
+    lab = Labeling(dims(3, 6), extremes, extremes[:, ::-1].copy())
+    assert encode(lab).encode() == ref.encode(lab).encode()
+
+
+@pytest.mark.parametrize("band_cells,bands", [(1, [1] * 7), (5, [1] * 7), (15, [3, 3, 1]),
+                                              (34, [6, 1]), (10_000, [7])])
+def test_encode_matches_reference_across_bands(band_cells, bands, monkeypatch):
+    # one row to a band, a last band of one row, and a single band, on 7 rows of 5
+    serialize_module = importlib.import_module("torusmagic.serialize")
+    monkeypatch.setattr(serialize_module, "_BAND_CELLS", band_cells)
+    step = max(1, band_cells // 5)
+    assert [min(step, 7 - top) for top in range(0, 7, step)] == bands
+    for lab in (mixed_width_labeling(7, 5, 1, 19, seed=band_cells), shuffled(7, 5),
+                construct(3, 3).transpose()):
+        assert encode(lab).encode() == ref.encode(lab).encode()
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.uint64])
+def test_integer_dtypes_encode_like_int64(dtype):
+    for lab in (construct(9, 15), shuffled(12, 8)):
+        typed = Labeling(lab.dims, lab.h.astype(dtype), lab.v.astype(dtype))
+        assert encode(typed, metadata={"k": 1}) == encode(lab, metadata={"k": 1})
+    if dtype is np.uint64:
+        lab = mixed_width_labeling(5, 9, 1, 19, seed=3, plant_max=True)
+        typed = Labeling(lab.dims, lab.h.astype(dtype), lab.v.astype(dtype))
+        assert encode(typed) == encode(lab)
+
+
+# sha256 of encode(construct(n, m)), written by the per-row json.dumps encoder
+ENCODE_SHA256 = {
+    (3, 3): "dc94133cda248702e4901cb2dc8e2314aeee53a3784e047b037c443e01efc7b4",
+    (12, 12): "eba2f39ef7e6a8e12b4e4cf4f05158fc58c1aa2bfc4583b36fdd708b5faef86b",
+    (9, 15): "fcf68a9744ad3a933360e7d569ce47cbfc8a57a6bea14238cf472d90e2dc9822",
+    (15, 9): "ae2a27cd9f7feaa72ccf2165dbb6dc960b462130f959c56a11788875cf5b28a3",
+    (201, 303): "163ca2792a988be67b7424d83701226269a72f63c0977392b650681592ccedc8",
+}
+
+
+@pytest.mark.parametrize("n,m", sorted(ENCODE_SHA256))
+def test_encode_of_constructions_is_pinned(n, m):
+    assert hashlib.sha256(encode(construct(n, m)).encode()).hexdigest() == ENCODE_SHA256[n, m]
+
+
+def test_encode_holds_at_most_two_and_a_half_documents():
+    lab = construct(400, 400)
+    tracemalloc.start()
+    try:
+        text = encode(lab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)

@@ -70,6 +70,21 @@ def test_rejects_nonpositive_entries():
         Labeling.from_matrices(d, h, v)
 
 
+@pytest.mark.parametrize("dtype", [bool, np.float64, np.float32, object])
+def test_rejects_non_integer_dtypes(dtype):
+    # encode would write labels that decode refuses, and verify would fail untyped
+    lab = tiny()
+    for h, v in ((lab.h.astype(dtype), lab.v), (lab.h, lab.v.astype(dtype))):
+        with pytest.raises(DomainMismatch, match="^labels must have an integer dtype"):
+            Labeling(lab.dims, h, v)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.uint64])
+def test_accepts_integer_dtypes(dtype):
+    lab = tiny()
+    assert Labeling(lab.dims, lab.h.astype(dtype), lab.v.astype(dtype)) == lab
+
+
 def test_from_edge_map_roundtrip_and_domain_check():
     lab = tiny()
     full = {e: lab.label(e) for e in all_edges(lab.dims)}

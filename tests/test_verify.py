@@ -198,3 +198,43 @@ def test_verify_report_keeps_the_weight_matrix():
     assert np.array_equal(report.weight_matrix, weight_matrix(lab))
     assert report.weights == {v: sum(lab.label(e) for e in incident_edges(v, lab.dims))
                               for v in all_vertices(lab.dims)}
+
+
+def test_weights_are_exact_past_the_int64_range():
+    d = dims(3, 3)
+    big = np.full((3, 3), 2**62, dtype=np.int64)
+    report = verify(Labeling(d, big, big))
+    assert report.constant == 2**64
+    assert not report.is_supermagic and not report.is_bijection
+    lab = Labeling(d, np.arange(1, 10).reshape(3, 3), np.arange(10, 19).reshape(3, 3))
+    h = lab.h.copy()
+    h[1, 2] = 2**63 - 1  # the largest label decode accepts, among small ones
+    lab = Labeling(d, h, lab.v)
+    assert weight_matrix(lab).tolist() == [[sum(lab.label(e) for e in incident_edges(x, d))
+                                            for x in all_vertices(d) if x.i == i]
+                                           for i in range(1, 4)]
+
+
+def test_weights_stay_int64_up_to_a_quarter_of_its_range():
+    d = dims(3, 3)
+    bound = (2**63 - 1) // 4
+    for label, dtype in ((bound, np.int64), (bound + 1, object)):
+        labels = np.full((3, 3), label, dtype=np.int64)
+        w = weight_matrix(Labeling(d, labels, labels))
+        assert w.dtype == dtype and w.tolist() == [[4 * label] * 3] * 3
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.uint64])
+def test_verify_agrees_across_integer_dtypes(dtype):
+    lab = construct(4, 6)
+    for case in (lab, lab.with_swapped(H(1, 1), V(2, 3)), Labeling(lab.dims, lab.h * 50, lab.v)):
+        typed = verify(Labeling(case.dims, case.h.astype(dtype), case.v.astype(dtype)))
+        expected = verify(case)
+        assert (typed.is_supermagic, typed.constant, typed.duplicate_or_missing) == \
+            (expected.is_supermagic, expected.constant, expected.duplicate_or_missing)
+        assert all(type(x) is int for x in typed.duplicate_or_missing)
+        assert np.array_equal(typed.weight_matrix, expected.weight_matrix)
+        assert typed.bad_vertices() == expected.bad_vertices()
+    if dtype is np.int32:  # four labels of 2**30 overflow int32, not the weights
+        labels = np.full((3, 3), 2**30, dtype=dtype)
+        assert verify(Labeling(dims(3, 3), labels, labels)).constant == 2**32
