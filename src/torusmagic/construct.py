@@ -1,8 +1,9 @@
 """Direct supermagic labelings of C_n x C_m for same-parity dimensions.
 
-Each diagonal receives labels drawn from contiguous blocks: horizontal
-edges counted upward, vertical edges downward, so that every HV-corner
-and VH-corner carries one of five partial weights
+Diagonal j of d labels its horizontal edges from the block (j-1)l+1..jl,
+counted upward, and its vertical edges from q-jl+1..q-(j-1)l, counted
+downward.  Its role picks the order within each block, so that every
+HV-corner and VH-corner carries one of five partial weights
 
     2nm, 2nm+1, 2nm+2, 2nm+l, 2nm-l+2
 
@@ -12,20 +13,23 @@ VH weight (from the successor diagonal) always sum to the magic constant
 across consecutive diagonals by the choice of start columns: diagonal 1
 starts at column d+1 (wrapped), every other diagonal j at column j.
 
-Odd/odd grids with gcd(n,m) > 1 additionally reroute the last two
-diagonals: d-1 gets its exceptional corner shifted to step l'+2, and the
-last diagonal interleaves two label blocks with stride 2 so that its
-VH-corners absorb the seam back into diagonal 1.
+Odd diagonals take the plain role (both blocks in order) and even ones
+the rotated role (the top horizontal label moved to the front); even/even
+grids need nothing else.  Odd/odd grids with gcd(n,m) > 1 additionally
+reroute the last two diagonals: d-1 is shifted so that its exceptional
+corner moves to step l'+2, and the last diagonal interleaves its blocks
+with stride 2 so that its VH-corners absorb the seam back into diagonal 1.
 
-Even/even grids need no exceptional diagonals: odd diagonals take the
-plain increasing/decreasing blocks and even diagonals the one-step
-rotation that moves the top label to the front.
+`_ROLES` is the one table of roles: each row gives the block orders and,
+stated on their own, the corner weights the role promises.  `_build`
+reads the orders, `expected_corner_table` only the weights, so the corner
+audit checks the blocks against a promise that is not derived from them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -35,10 +39,6 @@ from .labeling import Labeling
 
 ODD_ODD = "odd-odd"
 EVEN_EVEN = "even-even"
-
-
-class UnsupportedShape(TorusMagicError):
-    """Grid shape outside what the direct constructions cover."""
 
 
 class PlanShapeMismatch(TorusMagicError):
@@ -90,7 +90,7 @@ class ConstructionError(RuntimeError):
 
 
 def _role(variant: str, j: int, d: int) -> str:
-    """Which block layout diagonal j of d takes under the variant."""
+    """Which row of _ROLES diagonal j of d takes under the variant."""
     if variant == ODD_ODD and j == d:
         return "interleaved"
     if variant == ODD_ODD and j == d - 1:
@@ -98,50 +98,70 @@ def _role(variant: str, j: int, d: int) -> str:
     return "plain" if j % 2 == 1 else "rotated"
 
 
-def _plain_blocks(j: int, l: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    # Increasing horizontals, decreasing verticals: every HV-corner sums
-    # to 2nm+1, VH-corner 1 to 2nm-l+2, later VH-corners to 2nm+2.
-    k = np.arange(1, l + 1)
-    return (j - 1) * l + k, q - (j - 1) * l + 1 - k
+@dataclass(frozen=True)
+class _Corners:
+    """The partial weights one corner kind carries along a diagonal:
+    2nm + offset at every step, except at step `exceptional` (1-based,
+    from the grid) when given, which carries the kind's exceptional
+    weight: 2nm+l for HV-corners, 2nm-l+2 for VH-corners."""
+
+    offset: int
+    exceptional: Callable[[GridDims], int] | None = None
 
 
-def _rotated_blocks(j: int, l: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    # Horizontal labels shifted one step down with jl moved to the front:
-    # HV-corner 1 sums to 2nm+l (exceptional), the rest to 2nm; all
-    # VH-corners to 2nm+1.
-    k = np.arange(1, l + 1)
-    return (j - 1) * l + np.roll(k, 1), q - (j - 1) * l + 1 - k
+@dataclass(frozen=True)
+class _Role:
+    """One block layout, and the corner weights it promises.
+
+    `orders(k, dims)` maps the steps k = 1..l to two permutations of
+    1..l: the rank of h_k in the diagonal's horizontal block counted
+    upward, and of v_k in its vertical block counted downward.  `hv` and
+    `vh` state the promised weights on their own; the corner audit
+    compares measured sums against them, so they are never computed from
+    the orders."""
+
+    orders: Callable[[np.ndarray, GridDims], tuple[np.ndarray, np.ndarray]]
+    hv: _Corners
+    vh: _Corners
 
 
-def _shifted_blocks(d: int, l: int, lp: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    # Diagonal d-1 (odd/odd only): same label blocks as the rotated form
-    # but with the exceptional HV-corner moved to step l'+2 so that it
-    # faces the exceptional VH-corner of the interleaved last diagonal.
-    # With l = 2l'+1 both blocks are rotations of 1..l: h starts at l',
-    # v at l'+1 below the top of its block.
-    k = np.arange(1, l + 1)
-    return (d - 2) * l + np.roll(k, lp + 2), q - (d - 2) * l + 1 - np.roll(k, lp + 1)
+def _odd_then_even(k: np.ndarray) -> np.ndarray:
+    # 1, 3, ..., l, 2, 4, ..., l-1 for odd l: a block read with stride 2
+    return np.concatenate([k[::2], k[1::2]])
 
 
-def _interleaved_blocks(d: int, l: int, lp: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    # Last diagonal (odd/odd only): consumes the two central label blocks
-    # with stride 2.  HV-corner 1 carries 2nm+l, VH-corner l'+2 carries
-    # 2nm-l+2, everything else 2nm / 2nm+2.
-    k = np.arange(1, l + 1)
-    offset = np.where(k <= lp + 1, (d - 1) * l, (d - 2) * l)
-    h = offset + 2 * k - 2
-    h[0] = d * l
-    return h, q - offset - 2 * k + 2
-
-
-def _blocks(role: str, j: int, dims: GridDims) -> tuple[np.ndarray, np.ndarray]:
-    if role == "plain":
-        return _plain_blocks(j, dims.l, dims.q)
-    if role == "rotated":
-        return _rotated_blocks(j, dims.l, dims.q)
-    if role == "shifted":
-        return _shifted_blocks(dims.d, dims.l, dims.lp, dims.q)
-    return _interleaved_blocks(dims.d, dims.l, dims.lp, dims.q)
+_ROLES = {
+    # Both blocks in order: h_k + v_k = 2nm+1, v_{k-1} + h_k = 2nm+2, and
+    # VH-corner 1 closes the cycle with v_l + h_1 = 2nm-l+2.
+    "plain": _Role(
+        orders=lambda k, dims: (k, k),
+        hv=_Corners(offset=1),
+        vh=_Corners(offset=2, exceptional=lambda dims: 1),
+    ),
+    # The top horizontal label moved to the front: h_1 = jl meets
+    # v_1 = 2nm-(j-1)l, and every later h_k is one below its plain value.
+    "rotated": _Role(
+        orders=lambda k, dims: (np.roll(k, 1), k),
+        hv=_Corners(offset=0, exceptional=lambda dims: 1),
+        vh=_Corners(offset=1),
+    ),
+    # Diagonal d-1 (odd/odd only): the rotated layout turned l'+1 steps
+    # on, so its exceptional HV-corner faces the exceptional VH-corner of
+    # the interleaved last diagonal.
+    "shifted": _Role(
+        orders=lambda k, dims: (np.roll(k, dims.lp + 2), np.roll(k, dims.lp + 1)),
+        hv=_Corners(offset=0, exceptional=lambda dims: dims.lp + 2),
+        vh=_Corners(offset=1),
+    ),
+    # Last diagonal (odd/odd only): both blocks read with stride 2, the
+    # horizontal one starting l'+1 steps later, so that its VH-corners
+    # absorb the seam back into diagonal 1.
+    "interleaved": _Role(
+        orders=lambda k, dims: (np.roll(_odd_then_even(k), dims.lp + 1), _odd_then_even(k)),
+        hv=_Corners(offset=0, exceptional=lambda dims: 1),
+        vh=_Corners(offset=2, exceptional=lambda dims: dims.lp + 2),
+    ),
+}
 
 
 def _check_bijection(h: np.ndarray, v: np.ndarray, q: int) -> None:
@@ -162,51 +182,38 @@ def _check_bijection(h: np.ndarray, v: np.ndarray, q: int) -> None:
 
 
 def _build(variant: str, dims: GridDims) -> Labeling:
-    """Write every diagonal's label blocks (native orientation n <= m)."""
+    """Write every diagonal's label blocks (native orientation n <= m).
+
+    Diagonal j takes the labels (j-1)l+1..jl for its horizontal edges and
+    q-jl+1..q-(j-1)l for its vertical ones, in the orders of its role."""
     if dims.n > dims.m:
         return _build(variant, make_dims(dims.m, dims.n)).transpose()
     plan = plan_for(variant, dims)
     h = np.zeros((dims.n, dims.m), dtype=np.int64)
     v = np.zeros((dims.n, dims.m), dtype=np.int64)
+    k = np.arange(1, dims.l + 1)
     for diag in decompose(dims, list(plan.start_cols)):
         rows, h_cols, v_cols = diag.indices()
-        h[rows, h_cols], v[rows, v_cols] = _blocks(_role(variant, diag.index, dims.d),
-                                                   diag.index, dims)
+        h_order, v_order = _ROLES[_role(variant, diag.index, dims.d)].orders(k, dims)
+        below = (diag.index - 1) * dims.l  # labels of the blocks before j
+        h[rows, h_cols] = below + h_order
+        v[rows, v_cols] = dims.q + 1 - below - v_order
     _check_bijection(h, v, dims.q)
     return Labeling(dims, h, v)
 
 
-def construct_odd_odd(dims: GridDims) -> Labeling:
-    """Supermagic labeling for n, m odd with gcd(n,m) > 1.
+def construct(n: int, m: int) -> Labeling | Unsupported:
+    """Dispatch to the covering construction, or explain why none applies.
 
     For n > m the transposed instance is built and flipped back."""
-    if dims.n % 2 == 0 or dims.m % 2 == 0:
-        raise UnsupportedShape(f"odd/odd construction needs odd n, m, got {dims.n}x{dims.m}")
-    if dims.d == 1:
-        raise UnsupportedShape(
-            f"odd/odd construction needs gcd(n,m) > 1, got coprime {dims.n}x{dims.m}"
-        )
-    return _build(ODD_ODD, dims)
-
-
-def construct_even_even(dims: GridDims) -> Labeling:
-    """Supermagic labeling for n, m even (so d is even and no diagonal
-    needs the shifted or interleaved treatment)."""
-    if dims.n % 2 == 1 or dims.m % 2 == 1:
-        raise UnsupportedShape(f"even/even construction needs even n, m, got {dims.n}x{dims.m}")
-    return _build(EVEN_EVEN, dims)
-
-
-def construct(n: int, m: int) -> Labeling | Unsupported:
-    """Dispatch to the covering construction, or explain why none applies."""
     d = make_dims(n, m)
     if n % 2 == 1 and m % 2 == 1:
-        if math.gcd(n, m) == 1:
+        if d.d == 1:
             return Unsupported(n, m, reason="coprime odd",
                                suggestion=f"no direct construction; try: search {n} {m}")
-        return construct_odd_odd(d)
+        return _build(ODD_ODD, d)
     if n % 2 == 0 and m % 2 == 0:
-        return construct_even_even(d)
+        return _build(EVEN_EVEN, d)
     return Unsupported(n, m, reason="mixed parity",
                        suggestion=f"no direct construction; try: search {n} {m}")
 
@@ -247,27 +254,13 @@ def expected_corner_table(plan: ConstructionPlan, dims: GridDims) -> ExpectedCor
     """
     if plan != plan_for(plan.variant, dims):
         raise PlanShapeMismatch(f"plan {plan} is not the canonical plan for {dims.n}x{dims.m}")
-    base, l, d = dims.q, dims.l, dims.d  # base = 2nm
-    hv = np.empty((d, l), dtype=np.int64)
-    vh = np.empty((d, l), dtype=np.int64)
-    for j in range(1, d + 1):
-        hv_j, vh_j = hv[j - 1], vh[j - 1]
-        role = _role(plan.variant, j, d)
-        if role == "plain":
-            hv_j[:] = base + 1
-            vh_j[:] = base + 2
-            vh_j[0] = base - l + 2
-        elif role == "rotated":
-            hv_j[:] = base
-            hv_j[0] = base + l
-            vh_j[:] = base + 1
-        elif role == "shifted":
-            hv_j[:] = base
-            hv_j[dims.lp + 1] = base + l
-            vh_j[:] = base + 1
-        else:  # interleaved
-            hv_j[:] = base
-            hv_j[0] = base + l
-            vh_j[:] = base + 2
-            vh_j[dims.lp + 1] = base - l + 2
+    base, l = dims.q, dims.l  # base = 2nm
+    hv = np.empty((dims.d, l), dtype=np.int64)
+    vh = np.empty((dims.d, l), dtype=np.int64)
+    for j in range(1, dims.d + 1):
+        role = _ROLES[_role(plan.variant, j, dims.d)]
+        for weights, corners, exceptional in ((hv, role.hv, base + l), (vh, role.vh, base - l + 2)):
+            weights[j - 1] = base + corners.offset
+            if corners.exceptional is not None:
+                weights[j - 1, corners.exceptional(dims) - 1] = exceptional
     return ExpectedCornerTable(dims=dims, plan=plan, hv=hv, vh=vh)

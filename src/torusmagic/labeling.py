@@ -81,12 +81,6 @@ class Labeling:
                 and np.array_equal(self.v, other.v))
 
     @classmethod
-    def from_matrices(cls, dims: GridDims, horizontal, vertical) -> "Labeling":
-        h = np.asarray(horizontal, dtype=np.int64)
-        v = np.asarray(vertical, dtype=np.int64)
-        return cls(dims, h, v)
-
-    @classmethod
     def from_edge_map(cls, dims: GridDims, mapping: Mapping[EdgeRef, int]) -> "Labeling":
         """Build from an explicit edge -> label map; the domain must be exactly
         the q edges of the grid."""

@@ -34,7 +34,7 @@ import numpy as np
 
 from .grid import GridDims, TorusMagicError
 from .labeling import Labeling
-from .verify import weight_matrix
+from .verify import corner_sums, weight_matrix
 
 _FORMATS = ("dot", "svg")
 _ANNOTATE = ("labels", "weights", "corners")
@@ -81,14 +81,6 @@ def _diagonal_colors(dims: GridDims) -> tuple[np.ndarray, np.ndarray]:
     rows = np.arange(dims.n)[:, None]
     cols = np.arange(dims.m)[None, :]
     return (cols - rows) % dims.d, (cols - rows - 1) % dims.d
-
-
-def _corner_sums(lab: Labeling) -> tuple[np.ndarray, np.ndarray]:
-    """The two corner sums hosted at every vertex, as (HV, VH) matrices.
-
-    HV at (i,j) is H(i,j-1) + V(i,j); VH is V(i-1,j) + H(i,j).
-    """
-    return np.roll(lab.h, 1, axis=1) + lab.v, np.roll(lab.v, 1, axis=0) + lab.h
 
 
 def check_render_size(d: GridDims) -> None:
@@ -212,7 +204,7 @@ def _annotations(lab: Labeling, spec: RenderSpec) -> dict:
     if spec.annotate == "weights":
         return {"w": _cell(weight_matrix(lab))}
     if spec.annotate == "corners":
-        hv, vh = _corner_sums(lab)
+        hv, vh = corner_sums(lab)
         return {"hv": _cell(hv), "vh": _cell(vh)}
     return {}
 

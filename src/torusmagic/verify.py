@@ -6,9 +6,13 @@ Double counting forces that constant: the labels sum to q(q+1)/2, each
 label is counted at both endpoints, and there are nm vertices, so
 c = q(q+1)/nm = 4nm+2.
 
-The corner audit checks the finer decomposition the constructions
-guarantee: every vertex weight splits into the HV partial weight from
-its diagonal plus the VH partial weight from the successor diagonal.
+Every vertex weight is the sum of the two corner sums the vertex hosts:
+the HV sum H(i,j-1) + V(i,j) and the VH sum V(i-1,j) + H(i,j).
+`corner_sums` computes both matrices exactly, and `weight_matrix` adds
+them.  The corner audit checks the finer decomposition the constructions
+guarantee: it reads each diagonal's HV and VH sums out of those matrices
+and compares them with the weights the construction's role table
+promises, which are stated apart from its label blocks.
 """
 
 from __future__ import annotations
@@ -79,24 +83,41 @@ def forced_constant(dims: GridDims) -> int:
 _INT64_SAFE_LABEL = (2**63 - 1) // 4
 
 
+def _exact_labels(lab: Labeling) -> tuple[np.ndarray, np.ndarray]:
+    """h and v in a dtype that sums four labels exactly: int64 when every
+    label is at most _INT64_SAFE_LABEL (an int64 labeling is not copied),
+    otherwise Python ints in object arrays."""
+    h, v = lab.h, lab.v
+    if max(int(h.max()), int(v.max())) <= _INT64_SAFE_LABEL:
+        return h.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
+    return h.astype(object), v.astype(object)
+
+
+def corner_sums(lab: Labeling) -> tuple[np.ndarray, np.ndarray]:
+    """The two corner sums hosted at every vertex, as (HV, VH) matrices:
+    entry (i-1, j-1) of HV is H(i,j-1) + V(i,j), and of VH is
+    V(i-1,j) + H(i,j).  Exact, in the dtype of _exact_labels."""
+    h, v = _exact_labels(lab)
+    hv = v.copy()
+    hv[:, 1:] += h[:, :-1]
+    hv[:, 0] += h[:, -1]
+    vh = h.copy()
+    vh[1:] += v[:-1]
+    vh[0] += v[-1]
+    return hv, vh
+
+
 def weight_matrix(lab: Labeling) -> np.ndarray:
     """All vertex weights at once: entry (i-1, j-1) is w(x_{ij}), the sum
-    of H(i,j), H(i,j-1), V(i,j) and V(i-1,j).
+    of H(i,j), H(i,j-1), V(i,j) and V(i-1,j): the HV plus the VH corner
+    sum hosted at x_{ij}.
 
     The weights are exact: int64 when every label is at most
     _INT64_SAFE_LABEL, otherwise Python ints in an object array.
     """
-    h, v = lab.h, lab.v
-    if max(int(h.max()), int(v.max())) <= _INT64_SAFE_LABEL:
-        h, v = h.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
-    else:
-        h, v = h.astype(object), v.astype(object)
-    w = h + v
-    w[:, 1:] += h[:, :-1]
-    w[:, 0] += h[:, -1]
-    w[1:] += v[:-1]
-    w[0] += v[-1]
-    return w
+    hv, vh = corner_sums(lab)
+    hv += vh
+    return hv
 
 
 def verify(lab: Labeling) -> VerificationReport:
@@ -155,15 +176,13 @@ def audit_corners(lab: Labeling, plan: ConstructionPlan) -> CornerAuditReport:
         lab = lab.transpose()
         plan = plan_for(plan.variant, lab.dims)
     table: ExpectedCornerTable = expected_corner_table(plan, lab.dims)
-    h_seq, v_seq = [], []
-    for diag in decompose(lab.dims, list(plan.start_cols)):
-        rows, h_cols, v_cols = diag.indices()
-        h_seq.append(lab.h[rows, h_cols])
-        v_seq.append(lab.v[rows, v_cols])
-    h_seq, v_seq = np.array(h_seq), np.array(v_seq)
-    # HV corner k pairs h_k with v_k; VH corner k pairs v_{k-1} with h_k,
-    # wrapping to v_l at k = 1.  Axis 2 is the kind: HV, then VH.
-    actual = np.stack([h_seq + v_seq, np.roll(v_seq, 1, axis=1) + h_seq], axis=2)
+    hv, vh = corner_sums(lab)
+    # row j-1 of each index matrix is diagonal j: HV corner k sits at
+    # (rows, v_cols), VH corner k at (rows, h_cols).  Axis 2 is the kind:
+    # HV, then VH.
+    diagonals = [diag.indices() for diag in decompose(lab.dims, list(plan.start_cols))]
+    rows, h_cols, v_cols = (np.array(a) for a in zip(*diagonals))
+    actual = np.stack([hv[rows, v_cols], vh[rows, h_cols]], axis=2)
     expected = np.stack([table.hv, table.vh], axis=2)
     report = CornerAuditReport()
     for j, k, kind in zip(*(a.tolist() for a in np.nonzero(actual != expected))):

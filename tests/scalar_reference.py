@@ -21,7 +21,9 @@ this module's scalar `verify`.
 Only the module-level imports differ: the shared value types (EdgeRef,
 VertexRef, CornerPos, GridDims, Labeling, ConstructionPlan, plan_for,
 RenderSpec, ParseError, ShapeError, and the search's config, outcome
-and restart helpers) come from the package.
+and restart helpers) come from the package.  `UnsupportedShape`, which
+the package no longer has, is defined here, and `_corner_sums` adds
+Python ints, so that it stays exact for labels of 2**62 and more.
 """
 
 from __future__ import annotations
@@ -43,13 +45,13 @@ from torusmagic.construct import (
     ConstructionPlan,
     PlanShapeMismatch,
     Unsupported,
-    UnsupportedShape,
     plan_for,
 )
 from torusmagic.diagonals import CornerPos, InvalidStartColumn
 from torusmagic.grid import (
     EdgeRef,
     GridDims,
+    TorusMagicError,
     VertexRef,
     all_edges,
     all_vertices,
@@ -129,6 +131,10 @@ def decompose(dims: GridDims, starts: list[int] | None = None) -> list[Diagonal]
 
 
 # --- construct -------------------------------------------------------------
+
+class UnsupportedShape(TorusMagicError):
+    """Grid shape outside what the direct constructions cover."""
+
 
 def _plain_blocks(j: int, l: int, q: int) -> tuple[list[int], list[int]]:
     h = [(j - 1) * l + k for k in range(1, l + 1)]
@@ -456,8 +462,8 @@ def _edge_colors(dims: GridDims) -> dict[str, list[list[str]]]:
 def _corner_sums(lab: Labeling, i: int, j: int) -> tuple[int, int]:
     # HV corner at (i,j): H(i,j-1) + V(i,j); VH corner: V(i-1,j) + H(i,j)
     d = lab.dims
-    hv = int(lab.h[i - 1, wrap(j - 1, d.m) - 1] + lab.v[i - 1, j - 1])
-    vh = int(lab.v[wrap(i - 1, d.n) - 1, j - 1] + lab.h[i - 1, j - 1])
+    hv = int(lab.h[i - 1, wrap(j - 1, d.m) - 1]) + int(lab.v[i - 1, j - 1])
+    vh = int(lab.v[wrap(i - 1, d.n) - 1, j - 1]) + int(lab.h[i - 1, j - 1])
     return hv, vh
 
 

@@ -19,8 +19,6 @@ from torusmagic.construct import (
     EVEN_EVEN,
     ODD_ODD,
     construct,
-    construct_even_even,
-    construct_odd_odd,
     plan_for,
 )
 from torusmagic.diagonals import decompose, diagonal_of_edge
@@ -43,7 +41,7 @@ def test_criterion_1_odd_odd_sweep(acceptance_report):
     failures = []
     for n, m in pairs:
         t0 = time.perf_counter()
-        report = verify(construct_odd_odd(dims(n, m)))
+        report = verify(construct(n, m))
         elapsed = time.perf_counter() - t0
         slowest = max(slowest, elapsed)
         if not (report.is_supermagic
@@ -64,7 +62,7 @@ def test_criterion_2_even_even_sweep(acceptance_report):
     failures = []
     for n, m in pairs:
         t0 = time.perf_counter()
-        report = verify(construct_even_even(dims(n, m)))
+        report = verify(construct(n, m))
         elapsed = time.perf_counter() - t0
         slowest = max(slowest, elapsed)
         if not (report.is_supermagic and report.constant == 4 * n * m + 2
@@ -77,7 +75,7 @@ def test_criterion_2_even_even_sweep(acceptance_report):
 
 
 def test_criterion_3_golden_instance(acceptance_report):
-    lab = construct_odd_odd(dims(3, 3))
+    lab = construct(3, 3)
     doc = json.loads(encode(lab))
     weights = verify(lab).weights
     ok = (doc["horizontal"] == GOLDEN_H
@@ -153,11 +151,11 @@ def test_criterion_6_forced_constant(acceptance_report):
     rejected = True
     for n, m in [(3, 3), (4, 6), (5, 5)]:
         lab = construct(n, m)
-        shifted = Labeling.from_matrices(lab.dims, lab.h + 1, lab.v + 1)
+        shifted = Labeling(lab.dims, lab.h + 1, lab.v + 1)
         report = verify(shifted)
         if report.constant != forced_constant(lab.dims) + 4 or report.is_supermagic:
             rejected = False
-        doubled = Labeling.from_matrices(lab.dims, lab.h * 2, lab.v * 2)
+        doubled = Labeling(lab.dims, lab.h * 2, lab.v * 2)
         if verify(doubled).is_supermagic:
             rejected = False
     ok = formula_ok and rejected

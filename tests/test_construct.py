@@ -9,10 +9,7 @@ from torusmagic.construct import (
     ConstructionPlan,
     PlanShapeMismatch,
     Unsupported,
-    UnsupportedShape,
     construct,
-    construct_even_even,
-    construct_odd_odd,
     expected_corner_table,
     plan_for,
 )
@@ -32,19 +29,19 @@ def diag_labels(lab: Labeling, j: int):
 
 
 def test_golden_3_3_matrices():
-    lab = construct_odd_odd(dims(3, 3))
+    lab = construct(3, 3)
     assert lab.h.tolist() == GOLDEN_H
     assert lab.v.tolist() == GOLDEN_V
 
 
 def test_golden_3_3_diagonal_sequences():
-    lab = construct_odd_odd(dims(3, 3))
+    lab = construct(3, 3)
     assert diag_labels(lab, 1) == ((1, 2, 3), (18, 17, 16))
     assert diag_labels(lab, 3) == ((9, 8, 7), (12, 10, 11))
 
 
 def test_4_4_diagonal_sequences():
-    lab = construct_even_even(dims(4, 4))
+    lab = construct(4, 4)
     assert diag_labels(lab, 1) == ((1, 2, 3, 4), (32, 31, 30, 29))
     assert diag_labels(lab, 2) == ((8, 5, 6, 7), (28, 27, 26, 25))
     assert diag_labels(lab, 3) == ((9, 10, 11, 12), (24, 23, 22, 21))
@@ -52,15 +49,19 @@ def test_4_4_diagonal_sequences():
 
 
 def test_odd_odd_rejects_wrong_shapes():
-    with pytest.raises(UnsupportedShape):
-        construct_odd_odd(dims(3, 5))  # coprime
-    with pytest.raises(UnsupportedShape):
-        construct_odd_odd(dims(4, 4))  # even
+    coprime = construct(3, 5)
+    assert isinstance(coprime, Unsupported) and coprime.reason == "coprime odd"
+    with pytest.raises(PlanShapeMismatch):
+        plan_for(ODD_ODD, dims(3, 5))
+    with pytest.raises(PlanShapeMismatch):
+        plan_for(ODD_ODD, dims(4, 4))
 
 
 def test_even_even_rejects_odd():
-    with pytest.raises(UnsupportedShape):
-        construct_even_even(dims(3, 4))
+    mixed = construct(3, 4)
+    assert isinstance(mixed, Unsupported) and mixed.reason == "mixed parity"
+    with pytest.raises(PlanShapeMismatch):
+        plan_for(EVEN_EVEN, dims(3, 4))
 
 
 def test_dispatch():
@@ -116,7 +117,7 @@ def test_expected_corner_table_3_3():
 
 def test_expected_corner_table_matches_actual_labels():
     d = dims(3, 3)
-    lab = construct_odd_odd(d)
+    lab = construct(3, 3)
     plan = plan_for(ODD_ODD, d)
     table = expected_corner_table(plan, d)
     diag2, diag3 = decompose(d, list(plan.start_cols))[1:]
@@ -158,7 +159,7 @@ def test_corner_seam_sums_to_constant():
 
 @pytest.mark.parametrize("n,m", [(3, 3), (3, 9), (5, 5), (9, 15), (5, 15)])
 def test_odd_odd_instances_verify(n, m):
-    lab = construct_odd_odd(dims(n, m))
+    lab = construct(n, m)
     report = verify(lab)
     assert report.is_supermagic
     assert report.constant == forced_constant(lab.dims) == 4 * n * m + 2
@@ -166,7 +167,7 @@ def test_odd_odd_instances_verify(n, m):
 
 @pytest.mark.parametrize("n,m", [(4, 4), (4, 6), (6, 8), (4, 12), (10, 14)])
 def test_even_even_instances_verify(n, m):
-    lab = construct_even_even(dims(n, m))
+    lab = construct(n, m)
     report = verify(lab)
     assert report.is_supermagic
     assert report.constant == 4 * n * m + 2

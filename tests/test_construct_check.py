@@ -1,6 +1,10 @@
 """The construction's own bijection check: a defect in a label block must
-raise ConstructionError, with or without `python -O`."""
+raise ConstructionError, with or without `python -O`.  A block that is
+still a bijection but breaks the corner weights must pass that check and
+be caught by verify and the corner audit instead, whose promised weights
+are not derived from the blocks."""
 
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -10,7 +14,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusmagic.construct import ConstructionError, _check_bijection, construct
+from torusmagic.construct import (
+    EVEN_EVEN,
+    ODD_ODD,
+    ConstructionError,
+    _check_bijection,
+    construct,
+    expected_corner_table,
+    plan_for,
+)
+from torusmagic.grid import dims
+from torusmagic.verify import audit_corners, verify
 
 # the package's `construct` function shadows the submodule as an attribute
 construct_module = importlib.import_module("torusmagic.construct")
@@ -25,13 +39,17 @@ assert False, "asserts must be stripped under -O"
 """
 
 DUPLICATE_BLOCK = """
-def duplicated_plain(j, l, q):
-    h, v = plain(j, l, q)
+import dataclasses
+
+plain = c._ROLES["plain"]
+
+def duplicated_plain(k, dims):
+    h, v = plain.orders(k, dims)
+    h = h.copy()
     h[1] = h[0]
     return h, v
 
-plain = c._plain_blocks
-c._plain_blocks = duplicated_plain
+c._ROLES["plain"] = dataclasses.replace(plain, orders=duplicated_plain)
 try:
     c.construct(5, 15)
 except c.ConstructionError as exc:
@@ -41,20 +59,21 @@ else:
 """
 
 
-def _duplicate_first_label(blocks):
-    def patched(*args):
-        h, v = blocks(*args)
+def _duplicate_first_label(row):
+    def orders(k, dims):
+        h, v = row.orders(k, dims)
         h = h.copy()
         h[1] = h[0]
         return h, v
 
-    return patched
+    return dataclasses.replace(row, orders=orders)
 
 
-@pytest.mark.parametrize("n,m,role", [(5, 15, "_plain_blocks"), (4, 6, "_rotated_blocks"),
-                                      (9, 15, "_shifted_blocks"), (3, 9, "_interleaved_blocks")])
+@pytest.mark.parametrize("n,m,role", [(5, 15, "plain"), (4, 6, "rotated"),
+                                      (9, 15, "shifted"), (3, 9, "interleaved")])
 def test_duplicate_label_in_a_role_block_raises(monkeypatch, n, m, role):
-    monkeypatch.setattr(construct_module, role, _duplicate_first_label(getattr(construct_module, role)))
+    monkeypatch.setitem(construct_module._ROLES, role,
+                        _duplicate_first_label(construct_module._ROLES[role]))
     with pytest.raises(ConstructionError, match="not used exactly once"):
         construct(n, m)
 
@@ -78,3 +97,35 @@ def test_check_survives_python_O():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("ConstructionError: labels not used exactly once")
+
+
+def _turned_horizontals(row):
+    # the horizontal block one step further round: still a bijection
+    def orders(k, dims):
+        h, v = row.orders(k, dims)
+        return np.roll(h, 1), v
+
+    return dataclasses.replace(row, orders=orders)
+
+
+# every role in both orientations of an odd/odd grid, and the even/even roles
+TURNED = [(role, n, m) for role in ("plain", "rotated", "shifted", "interleaved")
+          for n, m in ((9, 27), (27, 9))] + [("plain", 8, 12), ("rotated", 12, 8)]
+
+
+@pytest.mark.parametrize("role,n,m", TURNED)
+def test_corner_weights_are_not_derived_from_the_blocks(monkeypatch, role, n, m):
+    variant = ODD_ODD if n % 2 else EVEN_EVEN
+    native = dims(min(n, m), max(n, m))
+    role_diagonals = {j for j in range(1, native.d + 1)
+                      if construct_module._role(variant, j, native.d) == role}
+    promised = expected_corner_table(plan_for(variant, native), native)
+    monkeypatch.setitem(construct_module._ROLES, role,
+                        _turned_horizontals(construct_module._ROLES[role]))
+    lab = construct(n, m)
+    _check_bijection(lab.h, lab.v, lab.dims.q)
+    assert not verify(lab).is_supermagic
+    table = expected_corner_table(plan_for(variant, native), native)
+    assert np.array_equal(table.hv, promised.hv) and np.array_equal(table.vh, promised.vh)
+    report = audit_corners(lab, plan_for(variant, lab.dims))
+    assert {pos.diag for pos, _, _ in report.mismatches} == role_diagonals

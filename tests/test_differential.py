@@ -100,8 +100,7 @@ def test_random_permutations(shape, rng):
     labels = list(range(1, 2 * n * m + 1))
     rng.shuffle(labels)
     flat = np.array(labels, dtype=np.int64)
-    lab = Labeling.from_matrices(dims(n, m), flat[: n * m].reshape(n, m),
-                                 flat[n * m:].reshape(n, m))
+    lab = Labeling(dims(n, m), flat[: n * m].reshape(n, m), flat[n * m:].reshape(n, m))
     assert_same_verdict(lab)
     assert_same_audit(lab)
 

@@ -9,7 +9,7 @@ def tiny():
     d = dims(3, 3)
     h = np.arange(1, 10).reshape(3, 3)
     v = np.arange(10, 19).reshape(3, 3)
-    return Labeling.from_matrices(d, h, v)
+    return Labeling(d, h, v)
 
 
 def test_label_lookup():
@@ -37,7 +37,7 @@ def test_transpose_maps_h_to_v():
     d = dims(3, 5)
     h = np.arange(1, 16).reshape(3, 5)
     v = np.arange(16, 31).reshape(3, 5)
-    lab = Labeling.from_matrices(d, h, v)
+    lab = Labeling(d, h, v)
     t = lab.transpose()
     assert (t.dims.n, t.dims.m) == (5, 3)
     for e in all_edges(lab.dims):
@@ -55,10 +55,10 @@ def test_with_swapped():
     assert swapped.with_swapped(H(1, 1), V(3, 3)) == lab
 
 
-def test_from_matrices_validates_shape():
+def test_constructor_validates_shape():
     d = dims(3, 3)
     with pytest.raises(DomainMismatch):
-        Labeling.from_matrices(d, np.ones((2, 3), dtype=int), np.ones((3, 3), dtype=int))
+        Labeling(d, np.ones((2, 3), dtype=int), np.ones((3, 3), dtype=int))
 
 
 def test_rejects_nonpositive_entries():
@@ -67,7 +67,7 @@ def test_rejects_nonpositive_entries():
     v = np.ones((3, 3), dtype=int)
     v[1, 1] = 0
     with pytest.raises(DomainMismatch):
-        Labeling.from_matrices(d, h, v)
+        Labeling(d, h, v)
 
 
 @pytest.mark.parametrize("dtype", [bool, np.float64, np.float32, object])

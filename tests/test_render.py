@@ -8,7 +8,8 @@ import pytest
 
 from torusmagic.construct import construct
 from torusmagic.diagonals import diagonal_of_edge
-from torusmagic.grid import all_edges
+from torusmagic.grid import all_edges, dims
+from torusmagic.labeling import Labeling
 from torusmagic.render import RenderSpec, RenderTooLarge, render
 from torusmagic.verify import weight_matrix
 
@@ -81,6 +82,16 @@ def test_svg_corner_annotation_sums():
     assert set(hv) <= {17, 18, 19, 20, 21}
 
 
+def test_corner_notes_are_exact_past_the_int64_range():
+    # each corner of nine labels of 2**62 sums to 2**63, one past int64
+    big = np.full((3, 3), 2**62, dtype=np.int64)
+    lab = Labeling(dims(3, 3), big, big)
+    dot = render(lab, RenderSpec(format="dot", annotate="corners"))
+    assert dot.count("HV=9223372036854775808\\nVH=9223372036854775808") == 9
+    svg = render(lab, RenderSpec(format="svg", annotate="corners"))
+    assert len(re.findall(r">(?:HV|VH)=9223372036854775808<", svg)) == 18
+
+
 def test_render_default_spec_is_dot():
     out = render(construct(3, 3))
     assert out.startswith("graph torus_3x3 {")
@@ -114,7 +125,7 @@ def test_render_refuses_a_grid_over_the_edge_cap(monkeypatch):
     def no_text(*args, **kwargs):
         raise AssertionError("figure text was built")
 
-    for name in ("_render_svg", "_render_dot", "_weave", "_diagonal_colors", "_corner_sums",
+    for name in ("_render_svg", "_render_dot", "_weave", "_diagonal_colors", "corner_sums",
                  "weight_matrix"):
         monkeypatch.setattr(render_module, name, no_text)
     for fmt in ("svg", "dot"):

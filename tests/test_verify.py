@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scalar_reference as ref
 from torusmagic.construct import (
     EVEN_EVEN,
     ODD_ODD,
@@ -14,6 +15,7 @@ from torusmagic.grid import H, V, VertexRef, all_edges, all_vertices, dims, inci
 from torusmagic.labeling import DomainMismatch, Labeling
 from torusmagic.verify import (
     audit_corners,
+    corner_sums,
     forced_constant,
     verify,
     weight_matrix,
@@ -37,7 +39,7 @@ def test_vertex_weight_examples():
 
 def test_vertex_weight_all_ones():
     d = dims(3, 3)
-    ones = Labeling.from_matrices(d, np.ones((3, 3), int), np.ones((3, 3), int))
+    ones = Labeling(d, np.ones((3, 3), int), np.ones((3, 3), int))
     assert weight_matrix(ones).tolist() == [[4] * 3] * 3
 
 
@@ -93,7 +95,7 @@ def test_verify_rejects_duplicates_and_gaps():
     lab = golden()
     h = lab.h.copy()
     h[0, 0] = h[0, 1]  # duplicate 4, drop 1
-    report = verify(Labeling.from_matrices(lab.dims, h, lab.v))
+    report = verify(Labeling(lab.dims, h, lab.v))
     assert not report.is_bijection
     assert 4 in report.duplicate_or_missing
     assert 1 in report.duplicate_or_missing
@@ -104,7 +106,7 @@ def test_verify_rejects_out_of_range():
     lab = golden()
     v = lab.v.copy()
     v[2, 2] = 99
-    report = verify(Labeling.from_matrices(lab.dims, lab.h, v))
+    report = verify(Labeling(lab.dims, lab.h, v))
     assert not report.is_bijection
     assert 99 in report.duplicate_or_missing
 
@@ -113,7 +115,7 @@ def test_verify_rejects_uniform_but_shifted_labels():
     # adversarial: shift all labels by +1; weights stay uniform (c+4)
     # but the label set is 2..q+1, not 1..q
     lab = golden()
-    shifted = Labeling.from_matrices(lab.dims, lab.h + 1, lab.v + 1)
+    shifted = Labeling(lab.dims, lab.h + 1, lab.v + 1)
     report = verify(shifted)
     assert report.constant == 42  # uniform
     assert not report.is_bijection
@@ -125,7 +127,7 @@ def test_verify_constant_must_match_forced_value():
     # uniform weight at the wrong constant is rejected even with the
     # bijection check out of the picture: all-ones is uniform at 4
     d = dims(3, 3)
-    ones = Labeling.from_matrices(d, np.ones((3, 3), int), np.ones((3, 3), int))
+    ones = Labeling(d, np.ones((3, 3), int), np.ones((3, 3), int))
     report = verify(ones)
     assert report.constant == 4
     assert not report.is_supermagic
@@ -164,7 +166,7 @@ def test_audit_locates_a_swap():
 def test_verify_shape_guard():
     lab = golden()
     with pytest.raises(DomainMismatch):
-        Labeling.from_matrices(dims(3, 4), lab.h, lab.v)
+        Labeling(dims(3, 4), lab.h, lab.v)
 
 
 @pytest.mark.parametrize("n,m,variant", [(15, 9, ODD_ODD), (9, 3, ODD_ODD), (12, 8, EVEN_EVEN)])
@@ -238,3 +240,39 @@ def test_verify_agrees_across_integer_dtypes(dtype):
     if dtype is np.int32:  # four labels of 2**30 overflow int32, not the weights
         labels = np.full((3, 3), 2**30, dtype=dtype)
         assert verify(Labeling(dims(3, 3), labels, labels)).constant == 2**32
+
+
+def test_corner_sums_are_exact_past_the_int64_range():
+    # every corner of nine labels of 2**62 sums to 2**63, one past int64
+    d = dims(3, 3)
+    big = np.full((3, 3), 2**62, dtype=np.int64)
+    lab = Labeling(d, big, big)
+    hv, vh = corner_sums(lab)
+    assert hv.tolist() == vh.tolist() == [[2**63] * 3] * 3
+    report = audit_corners(lab, plan_for(ODD_ODD, d))
+    assert len(report.mismatches) == 2 * 9
+    assert all(type(actual) is int and actual == 2**63 for _, _, actual in report.mismatches)
+
+
+@st.composite
+def wide_labelings(draw):
+    """Labelings of several integer dtypes, with labels from 1 up to the
+    dtype's largest value, small and large ones mixed."""
+    n, m = draw(st.integers(3, 8)), draw(st.integers(3, 8))
+    dtype = draw(st.sampled_from([np.int64, np.uint64, np.int32, np.uint16]))
+    top = int(np.iinfo(dtype).max)
+    label = st.one_of(st.integers(1, 2 * n * m), st.integers(1, top), st.just(top))
+    cells = np.array(draw(st.lists(label, min_size=2 * n * m, max_size=2 * n * m)), dtype=dtype)
+    return Labeling(dims(n, m), cells[: n * m].reshape(n, m), cells[n * m:].reshape(n, m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_labelings())
+def test_corner_sums_match_the_scalar_reference(lab):
+    d = lab.dims
+    hv, vh = corner_sums(lab)
+    expected = [[ref._corner_sums(lab, i, j) for j in range(1, d.m + 1)] for i in range(1, d.n + 1)]
+    assert [list(zip(a, b)) for a, b in zip(hv.tolist(), vh.tolist())] == expected
+    w = weight_matrix(lab)
+    assert np.array_equal(w, hv + vh)
+    assert w.tolist() == [[a + b for a, b in row] for row in expected]
