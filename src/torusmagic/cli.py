@@ -159,8 +159,12 @@ def _cmd_decompose(args) -> int:
     d = make_dims(args.n, args.m)
     print(f"C_{d.n} x C_{d.m}: {d.d} diagonals of length {2 * d.l} "
           f"({d.q} edges total)")
+    # one line at a time from the index arrays, as EdgeRef would print
+    # them: no EdgeRef is built, so memory stays at one line
     for diag in decompose(d):
-        edges = " ".join(str(e) for e in diag.edges)
+        rows, h_cols, v_cols = (a + 1 for a in diag.indices())
+        edges = " ".join(f"H({i},{hj}) V({i},{vj})" for i, hj, vj
+                         in zip(rows.tolist(), h_cols.tolist(), v_cols.tolist()))
         print(f"D{diag.index} start_col={diag.start_col}: {edges}")
     return EXIT_OK
 

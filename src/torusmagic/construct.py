@@ -24,6 +24,10 @@ with stride 2 so that its VH-corners absorb the seam back into diagonal 1.
 stated on their own, the corner weights the role promises.  `_build`
 reads the orders, `expected_corner_table` only the weights, so the corner
 audit checks the blocks against a promise that is not derived from them.
+`_role_rows` assigns the roles as slices of the diagonals, so both apply
+each role once, to all of its diagonals: `_build` scatters a role's
+blocks through the (d, l) cell matrices of `diagonal_cells`, and the
+construction costs a fixed number of numpy operations whatever d is.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .diagonals import CornerPos, decompose
+from .diagonals import CornerPos, decompose, diagonal_cells
 from .grid import GridDims, TorusMagicError, dims as make_dims, wrap
 from .labeling import Labeling
 
@@ -89,13 +93,14 @@ class ConstructionError(RuntimeError):
     the construction itself, never a property of the input."""
 
 
-def _role(variant: str, j: int, d: int) -> str:
-    """Which row of _ROLES diagonal j of d takes under the variant."""
-    if variant == ODD_ODD and j == d:
-        return "interleaved"
-    if variant == ODD_ODD and j == d - 1:
-        return "shifted"
-    return "plain" if j % 2 == 1 else "rotated"
+def _role_rows(variant: str, d: int) -> dict[str, slice]:
+    """The diagonals that take each row of _ROLES under the variant, as
+    slices of the 0-based rows j-1 of the d diagonals: odd j plain, even j
+    rotated, except that odd/odd grids make d-1 shifted and d interleaved."""
+    if variant == ODD_ODD:
+        return {"plain": slice(0, d - 2, 2), "rotated": slice(1, d - 2, 2),
+                "shifted": slice(d - 2, d - 1), "interleaved": slice(d - 1, d)}
+    return {"plain": slice(0, d, 2), "rotated": slice(1, d, 2)}
 
 
 @dataclass(frozen=True)
@@ -185,19 +190,22 @@ def _build(variant: str, dims: GridDims) -> Labeling:
     """Write every diagonal's label blocks (native orientation n <= m).
 
     Diagonal j takes the labels (j-1)l+1..jl for its horizontal edges and
-    q-jl+1..q-(j-1)l for its vertical ones, in the orders of its role."""
+    q-jl+1..q-(j-1)l for its vertical ones, in the orders of its role.
+    Each role's blocks are scattered into the raveled matrices once, for
+    all the diagonals of that role."""
     if dims.n > dims.m:
         return _build(variant, make_dims(dims.m, dims.n)).transpose()
     plan = plan_for(variant, dims)
-    h = np.zeros((dims.n, dims.m), dtype=np.int64)
-    v = np.zeros((dims.n, dims.m), dtype=np.int64)
+    h_cells, v_cells = diagonal_cells(decompose(dims, list(plan.start_cols)))
+    h = np.zeros(dims.n * dims.m, dtype=np.int64)
+    v = np.zeros(dims.n * dims.m, dtype=np.int64)
     k = np.arange(1, dims.l + 1)
-    for diag in decompose(dims, list(plan.start_cols)):
-        rows, h_cols, v_cols = diag.indices()
-        h_order, v_order = _ROLES[_role(variant, diag.index, dims.d)].orders(k, dims)
-        below = (diag.index - 1) * dims.l  # labels of the blocks before j
-        h[rows, h_cols] = below + h_order
-        v[rows, v_cols] = dims.q + 1 - below - v_order
+    below = np.arange(dims.d)[:, None] * dims.l  # labels of the blocks before j
+    for name, rows in _role_rows(variant, dims.d).items():
+        h_order, v_order = _ROLES[name].orders(k, dims)
+        h[h_cells[rows]] = below[rows] + h_order
+        v[v_cells[rows]] = dims.q + 1 - below[rows] - v_order
+    h, v = h.reshape(dims.n, dims.m), v.reshape(dims.n, dims.m)
     _check_bijection(h, v, dims.q)
     return Labeling(dims, h, v)
 
@@ -257,10 +265,10 @@ def expected_corner_table(plan: ConstructionPlan, dims: GridDims) -> ExpectedCor
     base, l = dims.q, dims.l  # base = 2nm
     hv = np.empty((dims.d, l), dtype=np.int64)
     vh = np.empty((dims.d, l), dtype=np.int64)
-    for j in range(1, dims.d + 1):
-        role = _ROLES[_role(plan.variant, j, dims.d)]
+    for name, rows in _role_rows(plan.variant, dims.d).items():
+        role = _ROLES[name]
         for weights, corners, exceptional in ((hv, role.hv, base + l), (vh, role.vh, base - l + 2)):
-            weights[j - 1] = base + corners.offset
+            weights[rows] = base + corners.offset
             if corners.exceptional is not None:
-                weights[j - 1, corners.exceptional(dims) - 1] = exceptional
+                weights[rows, corners.exceptional(dims) - 1] = exceptional
     return ExpectedCornerTable(dims=dims, plan=plan, hv=hv, vh=vh)

@@ -12,14 +12,25 @@ pair (h_k, v_k) is the k-th HV-corner and (v_{k-1}, h_k) the k-th
 VH-corner, with the first VH-corner pairing v_l with h_1 at the start
 vertex.  Every vertex of the grid is the HV-corner of exactly one
 diagonal and the VH-corner of the next one.
+
+Step k of every diagonal lies in row k (mod n), and its columns s+k-1
+and s+k (mod m), taken over k = 1..l, are windows of the one periodic
+sequence 1, 2, .., m, 1, ..  `_steps` gathers those windows for any set
+of start columns at once.  It is the module's one formula for where h_k
+and v_k sit: `Diagonal.indices` reads it for one diagonal, and
+`diagonal_cells` for a whole decomposition as two (d, l) matrices of
+flat cells i*m + j, so the construction and the corner audit address
+every diagonal in a fixed number of numpy operations.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import EdgeRef, GridDims, TorusMagicError, wrap
 
@@ -74,9 +85,8 @@ class Diagonal:
         written with one fancy-indexing operation.  HV corner k sits at
         vertex (rows, v_cols) and VH corner k at (rows, h_cols).
         """
-        k = np.arange(self.dims.l)
-        h_cols = (k + (self.start_col - 1)) % self.dims.m
-        return k % self.dims.n, h_cols, (h_cols + 1) % self.dims.m
+        rows, (h_cols, v_cols) = _steps(self.dims, np.array([self.start_col - 1, self.start_col]))
+        return rows, h_cols, v_cols
 
     @cached_property
     def edges(self) -> tuple[EdgeRef, ...]:
@@ -84,6 +94,29 @@ class Diagonal:
         return tuple(EdgeRef(orient, i + 1, j + 1)
                      for i, hj, vj in zip(rows, h_cols, v_cols)
                      for orient, j in (("H", hj), ("V", vj)))
+
+
+def _steps(dims: GridDims, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the steps k = 1..l of a diagonal sit, for each 0-based first
+    column: the rows k-1 mod n as a length-l vector, and a (len(first), l)
+    matrix whose row r holds the columns first[r] + k-1 mod m.
+
+    Each row of columns is a window of the periodic sequence 0, 1, ..,
+    m-1, 0, .., gathered at once, so no entry of the matrix is reduced
+    mod m.  h_k starts at column s-1 and v_k at column s (0-based)."""
+    period = np.arange(int(first.max()) + dims.l) % dims.m
+    return np.arange(dims.l) % dims.n, sliding_window_view(period, dims.l)[first]
+
+
+def diagonal_cells(diagonals: Sequence[Diagonal]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat cells i*m + j of every h_k and v_k, as two (len(diagonals), l)
+    arrays: entry (r, k-1) locates h_k (v_k) of diagonals[r] in the raveled
+    h (v) matrix, where Diagonal.indices puts it for one diagonal."""
+    dims = diagonals[0].dims
+    first = np.array([diag.start_col for diag in diagonals]) - 1
+    rows, cells = _steps(dims, np.concatenate([first, first + 1]))
+    cells += rows * dims.m
+    return cells[:len(first)], cells[len(first):]
 
 
 def diagonal(j: int, start_col: int, dims: GridDims) -> Diagonal:

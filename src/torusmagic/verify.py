@@ -10,9 +10,11 @@ Every vertex weight is the sum of the two corner sums the vertex hosts:
 the HV sum H(i,j-1) + V(i,j) and the VH sum V(i-1,j) + H(i,j).
 `corner_sums` computes both matrices exactly, and `weight_matrix` adds
 them.  The corner audit checks the finer decomposition the constructions
-guarantee: it reads each diagonal's HV and VH sums out of those matrices
+guarantee: it gathers every diagonal's HV and VH sums out of those
+matrices at once, through the (d, l) cell matrices of `diagonal_cells`,
 and compares them with the weights the construction's role table
-promises, which are stated apart from its label blocks.
+promises, which are stated apart from its label blocks.  Corner positions
+are built only when some sum differs.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .construct import ConstructionPlan, ExpectedCornerTable, expected_corner_table, plan_for
 from .construct import PlanShapeMismatch  # re-exported: raised by audit_corners
-from .diagonals import CornerPos, decompose
+from .diagonals import CornerPos, decompose, diagonal_cells
 from .grid import GridDims, VertexRef
 from .labeling import DomainMismatch, Labeling
 
@@ -177,14 +179,16 @@ def audit_corners(lab: Labeling, plan: ConstructionPlan) -> CornerAuditReport:
         plan = plan_for(plan.variant, lab.dims)
     table: ExpectedCornerTable = expected_corner_table(plan, lab.dims)
     hv, vh = corner_sums(lab)
-    # row j-1 of each index matrix is diagonal j: HV corner k sits at
-    # (rows, v_cols), VH corner k at (rows, h_cols).  Axis 2 is the kind:
-    # HV, then VH.
-    diagonals = [diag.indices() for diag in decompose(lab.dims, list(plan.start_cols))]
-    rows, h_cols, v_cols = (np.array(a) for a in zip(*diagonals))
-    actual = np.stack([hv[rows, v_cols], vh[rows, h_cols]], axis=2)
-    expected = np.stack([table.hv, table.vh], axis=2)
+    # row j-1 of each cell matrix is diagonal j: HV corner k sits at the
+    # vertex of v_k, VH corner k at the vertex of h_k
+    h_cells, v_cells = diagonal_cells(decompose(lab.dims, list(plan.start_cols)))
+    hv, vh = hv.ravel()[v_cells], vh.ravel()[h_cells]
     report = CornerAuditReport()
+    if np.array_equal(hv, table.hv) and np.array_equal(vh, table.vh):
+        return report
+    # axis 2 is the kind: HV, then VH
+    actual = np.stack([hv, vh], axis=2)
+    expected = np.stack([table.hv, table.vh], axis=2)
     for j, k, kind in zip(*(a.tolist() for a in np.nonzero(actual != expected))):
         report.mismatches.append((CornerPos(j + 1, k + 1, ("HV", "VH")[kind]),
                                   int(expected[j, k, kind]), int(actual[j, k, kind])))

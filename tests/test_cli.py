@@ -1,6 +1,9 @@
 import importlib
 import json
+import os
 import re
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from torusmagic.cli import (
     main,
 )
 from torusmagic.construct import construct
+from torusmagic.diagonals import decompose
 from torusmagic.grid import H, V, dims
 from torusmagic.labeling import Labeling
 from torusmagic.render import RenderSpec, render
@@ -144,6 +148,32 @@ def test_decompose_output(capsys):
     assert "1 diagonals of length 24" in out
     assert "D1 start_col=1:" in out
     assert "H(1,1) V(1,2)" in out
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (3, 4), (4, 6), (6, 9), (9, 15), (15, 9), (7, 5)])
+def test_decompose_prints_the_edges_as_edgerefs_do(capsys, n, m):
+    code, out, err = run(capsys, "decompose", str(n), str(m))
+    assert code == EXIT_OK
+    d = dims(n, m)
+    lines = [f"C_{n} x C_{m}: {d.d} diagonals of length {2 * d.l} ({d.q} edges total)"]
+    lines += [f"D{diag.index} start_col={diag.start_col}: " + " ".join(map(str, diag.edges))
+              for diag in decompose(d)]
+    assert out == "\n".join(lines) + "\n"
+
+
+def test_decompose_holds_one_line_at_a_time(monkeypatch):
+    # 200 x 200 prints 0.8 MB in 200 lines of 4 kB: holding every line
+    # would break the bound, and holding an EdgeRef per edge peaked at 8.6 MB
+    with open(os.devnull, "w", encoding="utf-8") as null:
+        monkeypatch.setattr(sys, "stdout", null)
+        tracemalloc.start()
+        try:
+            code = main(["decompose", "200", "200"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < 500_000
 
 
 def test_render_from_stdin(tmp_path, capsys, monkeypatch):

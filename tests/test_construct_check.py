@@ -117,8 +117,8 @@ TURNED = [(role, n, m) for role in ("plain", "rotated", "shifted", "interleaved"
 def test_corner_weights_are_not_derived_from_the_blocks(monkeypatch, role, n, m):
     variant = ODD_ODD if n % 2 else EVEN_EVEN
     native = dims(min(n, m), max(n, m))
-    role_diagonals = {j for j in range(1, native.d + 1)
-                      if construct_module._role(variant, j, native.d) == role}
+    rows = construct_module._role_rows(variant, native.d)[role]
+    role_diagonals = set(range(1, native.d + 1)[rows])
     promised = expected_corner_table(plan_for(variant, native), native)
     monkeypatch.setitem(construct_module._ROLES, role,
                         _turned_horizontals(construct_module._ROLES[role]))

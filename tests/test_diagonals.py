@@ -1,9 +1,12 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusmagic.diagonals import InvalidStartColumn, decompose, diagonal, diagonal_of_edge
+from torusmagic.construct import EVEN_EVEN, ODD_ODD, plan_for
+from torusmagic.diagonals import (InvalidStartColumn, decompose, diagonal, diagonal_cells,
+                                  diagonal_of_edge)
 from torusmagic.grid import H, V, VertexRef, all_edges, all_vertices, dims, incident_edges
 
 sizes = st.integers(min_value=3, max_value=24)
@@ -146,3 +149,46 @@ def test_corner_pair_is_the_vertex_weight_split():
 def test_decompose_rejects_wrong_start_count():
     with pytest.raises(InvalidStartColumn):
         decompose(dims(3, 3), [1, 2])
+
+
+# diagonal_cells batches the closed form that Diagonal.indices reads for
+# one diagonal: row r of each cell matrix must be diagonals[r]'s indices
+# as flat cells i*m + j, and those indices must be k-1 mod n and
+# s+k-2, s+k-1 mod m for k = 1..l.
+
+def assert_cells_are_the_indices(diagonals):
+    d = diagonals[0].dims
+    h_cells, v_cells = diagonal_cells(diagonals)
+    assert h_cells.shape == v_cells.shape == (len(diagonals), d.l)
+    k = np.arange(d.l)
+    for diag, h_row, v_row in zip(diagonals, h_cells, v_cells):
+        rows, h_cols, v_cols = diag.indices()
+        assert np.array_equal(rows, k % d.n)
+        assert np.array_equal(h_cols, (k + diag.start_col - 1) % d.m)
+        assert np.array_equal(v_cols, (k + diag.start_col) % d.m)
+        assert np.array_equal(h_row, rows * d.m + h_cols)
+        assert np.array_equal(v_row, rows * d.m + v_cols)
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_batched_cells_are_the_indices_of_every_diagonal(n):
+    for m in range(3, 41):
+        d = dims(n, m)
+        assert_cells_are_the_indices(decompose(d))
+        # the last legal start column of each diagonal, which is m for
+        # diagonal d: v_1 then wraps to column 1
+        assert_cells_are_the_indices(decompose(d, [j + (m - j) // d.d * d.d
+                                                   for j in range(1, d.d + 1)]))
+
+
+@pytest.mark.parametrize("n,m,variant", [(400, 400, EVEN_EVEN), (201, 303, ODD_ODD),
+                                         (303, 201, ODD_ODD)])
+def test_batched_cells_at_benchmark_scale(n, m, variant):
+    d = dims(n, m)
+    assert_cells_are_the_indices(decompose(d, list(plan_for(variant, d).start_cols)))
+
+
+def test_batched_cells_partition_the_grid():
+    h_cells, v_cells = diagonal_cells(decompose(dims(12, 18)))
+    assert np.array_equal(np.sort(h_cells, axis=None), np.arange(12 * 18))
+    assert np.array_equal(np.sort(v_cells, axis=None), np.arange(12 * 18))

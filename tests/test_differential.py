@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import scalar_reference as ref
 from torusmagic.construct import EVEN_EVEN, ODD_ODD, construct, expected_corner_table, plan_for
+from torusmagic.diagonals import decompose
 from torusmagic.grid import dims
 from torusmagic.labeling import Labeling
 from torusmagic.verify import audit_corners, verify
@@ -26,6 +27,14 @@ SMALL = [(n, m) for n, m in CONSTRUCTIBLE if n * m <= 120]
 
 def variant_of(lab):
     return ODD_ODD if lab.dims.n % 2 else EVEN_EVEN
+
+
+def native_of(lab):
+    return lab if lab.dims.n <= lab.dims.m else lab.transpose()
+
+
+def oriented_like(native, lab):
+    return native if lab.dims.n <= lab.dims.m else native.transpose()
 
 
 def assert_same_verdict(lab):
@@ -40,7 +49,7 @@ def assert_same_verdict(lab):
 
 def assert_same_audit(lab):
     variant = variant_of(lab)
-    native = lab if lab.dims.n <= lab.dims.m else lab.transpose()
+    native = native_of(lab)
     expected = ref.audit_corners(native, plan_for(variant, native.dims)).mismatches
     assert audit_corners(lab, plan_for(variant, lab.dims)).mismatches == expected
 
@@ -117,6 +126,26 @@ def test_duplicate_and_out_of_range_labels(data):
     assert_same_audit(broken)
 
 
+@pytest.mark.parametrize("n,m", [(9, 15), (15, 9), (4, 6), (12, 8)])
+@pytest.mark.parametrize("kind", ["HV", "VH"])
+def test_swapping_a_corner_pair_leaves_that_kind_clean(n, m, kind):
+    # swapping the two labels of one corner keeps its sum, and every other
+    # sum of its kind, so only corners of the other kind can mismatch
+    lab = construct(n, m)
+    native = native_of(lab)
+    plan = plan_for(variant_of(native), native.dims)
+    rows, h_cols, v_cols = decompose(native.dims, list(plan.start_cols))[0].indices()
+    k = 2  # HV corner k pairs h_k with v_k; VH corner k pairs v_{k-1} with h_k
+    cells = [("h", rows[k], h_cols[k]),
+             ("v", rows[k], v_cols[k]) if kind == "HV" else ("v", rows[k - 1], v_cols[k - 1])]
+    swapped = relabel(native, [(cells[0], label_at(native, cells[1])),
+                               (cells[1], label_at(native, cells[0]))])
+    swapped = oriented_like(swapped, lab)
+    mismatches = audit_corners(swapped, plan_for(variant_of(lab), lab.dims)).mismatches
+    assert mismatches and kind not in {pos.kind for pos, _, _ in mismatches}
+    assert_same_audit(swapped)
+
+
 def test_tied_weights_pick_the_same_expected_value():
     # two weights equally common: bad_vertices must blame the same half
     lab = construct(4, 4)
@@ -124,3 +153,56 @@ def test_tied_weights_pick_the_same_expected_value():
     h[:2] += 1
     tied = Labeling(lab.dims, h, lab.v.copy())
     assert_same_verdict(tied)
+
+
+# Benchmark scale: 400 diagonals of length 400, and the n > m transpose of
+# 201 x 303, whose 3 diagonals have length 20,301.  The scalar reference
+# takes seconds per call here.
+LARGE = [(400, 400), (303, 201)]
+
+
+@pytest.fixture(scope="module", params=LARGE, ids=lambda shape: "%dx%d" % shape)
+def large(request):
+    n, m = request.param
+    return construct(n, m), ref.construct(n, m)
+
+
+@pytest.mark.slow
+def test_large_construction_is_bit_exact(large):
+    lab, old = large
+    assert lab.h.dtype == old.h.dtype and lab.v.dtype == old.v.dtype
+    assert np.array_equal(lab.h, old.h) and np.array_equal(lab.v, old.v)
+
+
+@pytest.mark.slow
+def test_large_corner_table_matches(large):
+    native = native_of(large[0])
+    plan = plan_for(variant_of(native), native.dims)
+    assert expected_corner_table(plan, native.dims).entries == \
+        ref.expected_corner_table(plan, native.dims).entries
+
+
+@pytest.mark.slow
+def test_large_label_swap_is_located_like_the_reference(large):
+    lab = large[0]
+    a, b = ("h", 0, 0), ("v", lab.dims.n // 2, lab.dims.m // 3)
+    swapped = relabel(lab, [(a, label_at(lab, b)), (b, label_at(lab, a))])
+    assert audit_corners(swapped, plan_for(variant_of(lab), lab.dims)).mismatches
+    assert_same_audit(swapped)
+
+
+@pytest.mark.slow
+def test_large_turned_block_is_located_like_the_reference(large):
+    # diagonal d-1's horizontal labels moved one step round the diagonal:
+    # still a bijection, but every corner of that diagonal may be off
+    lab = large[0]
+    native = native_of(lab)
+    plan = plan_for(variant_of(native), native.dims)
+    j = native.dims.d - 1
+    rows, h_cols, _ = decompose(native.dims, list(plan.start_cols))[j - 1].indices()
+    h = native.h.copy()
+    h[rows, h_cols] = np.roll(h[rows, h_cols], 1)
+    turned = oriented_like(Labeling(native.dims, h, native.v.copy()), lab)
+    mismatches = audit_corners(turned, plan_for(variant_of(lab), lab.dims)).mismatches
+    assert {pos.diag for pos, _, _ in mismatches} == {j}
+    assert_same_audit(turned)
