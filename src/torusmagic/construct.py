@@ -238,11 +238,6 @@ class ExpectedCornerTable:
     hv: np.ndarray = field(repr=False, compare=False)
     vh: np.ndarray = field(repr=False, compare=False)
 
-    def __getitem__(self, c: CornerPos) -> int:
-        if not (1 <= c.diag <= self.dims.d and 1 <= c.k <= self.dims.l):
-            raise KeyError(c)
-        return int((self.hv if c.kind == "HV" else self.vh)[c.diag - 1, c.k - 1])
-
     @property
     def entries(self) -> dict[CornerPos, int]:
         """Every corner's expected weight, keyed by position."""

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -59,8 +58,8 @@ class CornerPos:
 class Diagonal:
     """One diagonal cycle: 2l edges alternating h_1, v_1, ..., h_l, v_l.
 
-    The cycle is held as its closed form (index, start column, grid); the
-    EdgeRef tuple is built only when asked for."""
+    Diagonal j rotated to begin at row 1, column start_col (s = j mod d),
+    held as that closed form."""
 
     index: int
     start_col: int
@@ -88,13 +87,6 @@ class Diagonal:
         rows, (h_cols, v_cols) = _steps(self.dims, np.array([self.start_col - 1, self.start_col]))
         return rows, h_cols, v_cols
 
-    @cached_property
-    def edges(self) -> tuple[EdgeRef, ...]:
-        rows, h_cols, v_cols = (a.tolist() for a in self.indices())
-        return tuple(EdgeRef(orient, i + 1, j + 1)
-                     for i, hj, vj in zip(rows, h_cols, v_cols)
-                     for orient, j in (("H", hj), ("V", vj)))
-
 
 def _steps(dims: GridDims, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where the steps k = 1..l of a diagonal sit, for each 0-based first
@@ -119,18 +111,13 @@ def diagonal_cells(diagonals: Sequence[Diagonal]) -> tuple[np.ndarray, np.ndarra
     return cells[:len(first)], cells[len(first):]
 
 
-def diagonal(j: int, start_col: int, dims: GridDims) -> Diagonal:
-    """Diagonal j rotated to begin at row 1, column start_col (s = j mod d)."""
-    return Diagonal(index=j, start_col=start_col, dims=dims)
-
-
 def decompose(dims: GridDims, starts: list[int] | None = None) -> list[Diagonal]:
     """All d diagonals; starts[j-1] overrides the default start column j."""
     if starts is None:
         starts = list(range(1, dims.d + 1))
     if len(starts) != dims.d:
         raise InvalidStartColumn(f"need {dims.d} start columns, got {len(starts)}")
-    return [diagonal(j, starts[j - 1], dims) for j in range(1, dims.d + 1)]
+    return [Diagonal(j, starts[j - 1], dims) for j in range(1, dims.d + 1)]
 
 
 def _crt_step(a: int, b: int, dims: GridDims) -> int:

@@ -42,6 +42,10 @@ class Labeling:
             )
         if (self.h < 1).any() or (self.v < 1).any():
             raise DomainMismatch("labels must be positive integers")
+        # decode refuses labels of 2**63 and more, which only uint64 holds
+        for matrix in (self.h, self.v):
+            if matrix.dtype == np.uint64 and matrix.max() >= np.uint64(2**63):
+                raise DomainMismatch(f"labels must be below 2**63, got {int(matrix.max())}")
 
     def label(self, e: EdgeRef) -> int:
         matrix = self.h if e.orient == "H" else self.v

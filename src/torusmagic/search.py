@@ -32,6 +32,8 @@ also f(V(1,1))=1.
 
 from __future__ import annotations
 
+import numbers
+import operator
 import time
 from itertools import compress
 from dataclasses import dataclass, field
@@ -47,7 +49,7 @@ FOUND = "found"
 EXHAUSTED = "exhausted"
 BUDGET_EXCEEDED = "budget-exceeded"
 
-_ORDERS = ("ascending", "descending", "random")
+_ORDERS = ("ascending", "random")
 _RESTARTS = ("none", "luby")
 
 # Largest grid search takes on, in edges.  PartialLabeling builds about
@@ -71,8 +73,13 @@ class SearchConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        for budget in (self.node_budget, self.time_budget):
+            if isinstance(budget, bool) or not isinstance(budget, numbers.Real):
+                raise TorusMagicError(f"budgets must be numbers, got {budget!r}")
         if not (self.node_budget > 0 and self.time_budget > 0):  # NaN fails too
             raise TorusMagicError("budgets must be positive")
+        if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(self.seed, int)):
+            raise TorusMagicError(f"seed must be an integer or None, got {self.seed!r}")
         if self.value_order not in _ORDERS:
             raise TorusMagicError(f"value_order must be one of {_ORDERS}")
         if self.restart_policy not in _RESTARTS:
@@ -181,6 +188,9 @@ class PartialLabeling:
         return 1 <= value <= self.dims.q and bool(self.pool >> value & 1)
 
     def assign(self, e: EdgeRef, value: int) -> None:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TorusMagicError(f"label of {e} must be an integer, got {value!r}")
+        value = operator.index(value)  # a numpy integer to an int
         idx = self.edge_index(e)
         if self.label[idx]:
             raise TorusMagicError(f"{e} already labeled")
@@ -209,13 +219,14 @@ _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadline: float,
-         order: str, rng=None, find_all: bool = False) -> tuple[str, list[Labeling]]:
+         rng=None, find_all: bool = False) -> tuple[str, list[Labeling]]:
     """One depth-first run over a PartialLabeling: (status, solutions).
 
     The tree is walked with an explicit stack of frames, one per decision
     level: (edge, its endpoints, candidate iterator, trail mark, pool and
     mirrored pool at the mark).  Resuming a frame undoes the trail to its
-    mark and restores both pools from it.
+    mark and restores both pools from it.  Candidates are tried in
+    ascending order, or shuffled by rng when one is given.
     """
     prunes = stats.prunes
     q, c = state.dims.q, state.constant
@@ -223,7 +234,7 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
     label, need, vcnt, trail = state.label, state.need, state.vcnt, state.trail
     ends, vert_edges, rank = state.edge_verts, state.vert_edges, state.rank
     pool, rpool = state.pool, state.rpool
-    shuffle = rng.shuffle if order == "random" else None
+    shuffle = None if rng is None else rng.shuffle
     nodes, propagations, max_depth = stats.nodes, stats.propagations, stats.max_depth
     stack: list[tuple] = []
     solutions: list[Labeling] = []
@@ -339,8 +350,6 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
                                        digits.encode().translate(_DIGIT_BITS)))
                 if shuffle is not None:
                     shuffle(values)
-                elif order == "descending":
-                    values.reverse()
             stack.append((e, a, b, iter(values), len(trail), pool, rpool))
         else:
             if len(stack) > max_depth:
@@ -442,7 +451,7 @@ def _run_branch(dims: GridDims, base: Mapping[EdgeRef, int], cfg: SearchConfig,
                 stats: SearchStats, deadline: float, branch: int) -> tuple[str, Labeling | None]:
     if cfg.restart_policy == "none":
         status, solutions = _run(PartialLabeling(dims, base), stats, node_limit=cfg.node_budget,
-                                 deadline=deadline, order=cfg.value_order, rng=_rng(cfg, branch))
+                                 deadline=deadline, rng=_rng(cfg, branch))
         return status, solutions[0] if solutions else None
 
     run = 0
@@ -452,8 +461,7 @@ def _run_branch(dims: GridDims, base: Mapping[EdgeRef, int], cfg: SearchConfig,
         run += 1
         window = min(stats.nodes + _LUBY_UNIT * _luby(run), cfg.node_budget)
         status, solutions = _run(PartialLabeling(dims, base), stats, node_limit=window,
-                                 deadline=deadline, order=cfg.value_order,
-                                 rng=_rng(cfg, branch, run))
+                                 deadline=deadline, rng=_rng(cfg, branch, run))
         if status == FOUND:
             return status, solutions[0]
         if status == EXHAUSTED:
@@ -498,6 +506,6 @@ def enumerate_completions(dims: GridDims, assignments: Mapping[EdgeRef, int],
     start = time.perf_counter()
     status, solutions = _run(PartialLabeling(dims, assignments), stats,
                              node_limit=cfg.node_budget, deadline=start + cfg.time_budget,
-                             order=cfg.value_order, rng=_rng(cfg, 0), find_all=True)
+                             rng=_rng(cfg, 0), find_all=True)
     stats.elapsed = time.perf_counter() - start
     return solutions, SearchOutcome(status=status, labeling=None, stats=stats)

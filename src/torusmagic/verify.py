@@ -20,7 +20,6 @@ are built only when some sum differs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -45,13 +44,6 @@ class VerificationReport:
     weight_matrix: np.ndarray = field(repr=False)
     constant: int | None
     is_supermagic: bool
-
-    @cached_property
-    def weights(self) -> dict[VertexRef, int]:
-        """Vertex weights by vertex, built from weight_matrix on first use."""
-        return {VertexRef(i + 1, j + 1): w
-                for i, row in enumerate(self.weight_matrix.tolist())
-                for j, w in enumerate(row)}
 
     def bad_vertices(self) -> list[VertexRef]:
         """Vertices whose weight differs from the most common weight (all

@@ -9,7 +9,6 @@ import json
 import math
 import random
 import time
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,8 +20,8 @@ from torusmagic.construct import (
     construct,
     plan_for,
 )
-from torusmagic.diagonals import decompose, diagonal_of_edge
-from torusmagic.grid import all_edges, dims, incident_edges, all_vertices
+from torusmagic.diagonals import decompose, diagonal_cells, diagonal_of_edge
+from torusmagic.grid import EdgeRef, all_edges, dims, incident_edges, all_vertices
 from torusmagic.labeling import Labeling
 from torusmagic.search import SearchConfig, enumerate_completions, search
 from torusmagic.serialize import ParseError, ShapeError, decode, encode
@@ -77,10 +76,10 @@ def test_criterion_2_even_even_sweep(acceptance_report):
 def test_criterion_3_golden_instance(acceptance_report):
     lab = construct(3, 3)
     doc = json.loads(encode(lab))
-    weights = verify(lab).weights
+    weights = verify(lab).weight_matrix
     ok = (doc["horizontal"] == GOLDEN_H
           and doc["vertical"] == GOLDEN_V
-          and set(weights.values()) == {38})
+          and set(weights.ravel().tolist()) == {38})
     acceptance_report(3, ok, "golden 3x3 matrices bit-exact, all weights 38")
     assert ok
 
@@ -117,19 +116,17 @@ def test_criterion_5_decomposition_fuzz(acceptance_report):
         n, m = rng.randint(3, 60), rng.randint(3, 60)
         d = dims(n, m)
         diagonals = decompose(d)
-        counts = Counter()
-        for diag in diagonals:
-            counts.update(diag.edges)
+        # every H and every V edge once, as the cells i*m + j of the grid
+        h_cells, v_cells = diagonal_cells(diagonals)
         partition_ok = (len(diagonals) == math.gcd(n, m)
-                        and all(len(diag.edges) == 2 * math.lcm(n, m) for diag in diagonals)
-                        and len(counts) == 2 * n * m
-                        and set(counts.values()) == {1}
-                        and set(counts) == set(all_edges(d)))
+                        and h_cells.shape == v_cells.shape == (len(diagonals), math.lcm(n, m))
+                        and np.array_equal(np.sort(h_cells, axis=None), np.arange(n * m))
+                        and np.array_equal(np.sort(v_cells, axis=None), np.arange(n * m)))
         inversion_ok = all(
-            diagonal_of_edge(h, d) == (diag.index, k, "H")
-            and diagonal_of_edge(v, d) == (diag.index, k, "V")
+            diagonal_of_edge(EdgeRef("H", i + 1, hj + 1), d) == (diag.index, k, "H")
+            and diagonal_of_edge(EdgeRef("V", i + 1, vj + 1), d) == (diag.index, k, "V")
             for diag in diagonals
-            for k, (h, v) in enumerate(zip(diag.edges[0::2], diag.edges[1::2]), start=1)
+            for k, (i, hj, vj) in enumerate(zip(*(a.tolist() for a in diag.indices())), start=1)
         )
         if not (partition_ok and inversion_ok):
             bad += 1

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from torusmagic.cli import (
     EXIT_BUDGET,
     EXIT_ERROR,
@@ -16,7 +17,6 @@ from torusmagic.cli import (
     main,
 )
 from torusmagic.construct import construct
-from torusmagic.diagonals import decompose
 from torusmagic.grid import H, V, dims
 from torusmagic.labeling import Labeling
 from torusmagic.render import RenderSpec, render
@@ -157,7 +157,7 @@ def test_decompose_prints_the_edges_as_edgerefs_do(capsys, n, m):
     d = dims(n, m)
     lines = [f"C_{n} x C_{m}: {d.d} diagonals of length {2 * d.l} ({d.q} edges total)"]
     lines += [f"D{diag.index} start_col={diag.start_col}: " + " ".join(map(str, diag.edges))
-              for diag in decompose(d)]
+              for diag in ref.decompose(d)]
     assert out == "\n".join(lines) + "\n"
 
 
@@ -317,13 +317,19 @@ def test_verify_non_utf8_file_exits_one(tmp_path, capsys):
     assert "not UTF-8 text" in err
 
 
-def test_verify_oversized_integer_exits_one(tmp_path, capsys):
-    # json refuses integers of more than 4,300 digits with a bare ValueError
+# json.loads refuses an integer of more than 4,300 digits with a bare
+# ValueError, and nesting past the recursion limit with a RecursionError
+@pytest.mark.parametrize("text", [
+    '{"n": ' + "9" * 5000 + "}",
+    '{"n": 3, "m": 3, "horizontal": ' + "[" * 100_000 + "]" * 100_000 + ', "vertical": []}',
+], ids=["oversized integer", "deep nesting"])
+def test_verify_json_that_json_loads_refuses_exits_one(tmp_path, capsys, text):
     src = tmp_path / "lab.json"
-    src.write_text('{"n": ' + "9" * 5000 + "}")
+    src.write_text(text)
     code, out, err = run(capsys, "verify", str(src))
     assert code == EXIT_ERROR
     assert err.startswith("error: not valid JSON:")
+    assert "Traceback" not in err
 
 
 def test_internal_value_error_is_not_a_usage_error(tmp_path, capsys, monkeypatch):

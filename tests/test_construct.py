@@ -13,7 +13,7 @@ from torusmagic.construct import (
     expected_corner_table,
     plan_for,
 )
-from torusmagic.diagonals import CornerPos, decompose
+from torusmagic.diagonals import decompose
 from torusmagic.grid import dims
 from torusmagic.labeling import Labeling
 from torusmagic.verify import forced_constant, verify
@@ -106,11 +106,10 @@ def test_plan_shape_mismatch():
 def test_expected_corner_table_3_3():
     d = dims(3, 3)
     table = expected_corner_table(plan_for(ODD_ODD, d), d)
-    # five possible partial weights around 2nm = 18
-    assert table[CornerPos(2, 3, "HV")] == 21  # 2nm+l, shifted diagonal
-    assert table[CornerPos(3, 3, "VH")] == 17  # 2nm-l+2, interleaved diagonal
-    for k in (1, 2, 3):
-        assert table[CornerPos(1, k, "HV")] == 19  # 2nm+1, plain diagonal
+    # five possible partial weights around 2nm = 18; row j-1 is diagonal j
+    assert table.hv[1, 2] == 21  # HV k=3: 2nm+l, shifted diagonal
+    assert table.vh[2, 2] == 17  # VH k=3: 2nm-l+2, interleaved diagonal
+    assert table.hv[0].tolist() == [19, 19, 19]  # 2nm+1, plain diagonal
     values = set(table.entries.values())
     assert values <= {18, 19, 20, 21, 17}
 
@@ -123,10 +122,10 @@ def test_expected_corner_table_matches_actual_labels():
     diag2, diag3 = decompose(d, list(plan.start_cols))[1:]
     rows, h_cols, v_cols = diag2.indices()
     h, v = lab.h[rows, h_cols], lab.v[rows, v_cols]
-    assert h[2] + v[2] == table[CornerPos(2, 3, "HV")] == 21  # h_3 + v_3 = 6 + 15
+    assert h[2] + v[2] == table.hv[1, 2] == 21  # h_3 + v_3 = 6 + 15
     rows, h_cols, v_cols = diag3.indices()
     h, v = lab.h[rows, h_cols], lab.v[rows, v_cols]
-    assert v[1] + h[2] == table[CornerPos(3, 3, "VH")] == 17  # v_2 + h_3 = 10 + 7
+    assert v[1] + h[2] == table.vh[2, 2] == 17  # v_2 + h_3 = 10 + 7
 
 
 def test_expected_corner_table_rejects_noncanonical_plan():
@@ -152,8 +151,8 @@ def test_corner_seam_sums_to_constant():
         vh_at = np.zeros((n, m), dtype=np.int64)
         for diag in decompose(d, list(plan.start_cols)):
             rows, h_cols, v_cols = diag.indices()
-            hv_at[rows, v_cols] = [table[CornerPos(diag.index, k, "HV")] for k in range(1, d.l + 1)]
-            vh_at[rows, h_cols] = [table[CornerPos(diag.index, k, "VH")] for k in range(1, d.l + 1)]
+            hv_at[rows, v_cols] = table.hv[diag.index - 1]
+            vh_at[rows, h_cols] = table.vh[diag.index - 1]
         assert (hv_at + vh_at == forced_constant(d)).all()
 
 

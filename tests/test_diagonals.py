@@ -5,33 +5,36 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusmagic.construct import EVEN_EVEN, ODD_ODD, plan_for
-from torusmagic.diagonals import (InvalidStartColumn, decompose, diagonal, diagonal_cells,
+from torusmagic.diagonals import (Diagonal, InvalidStartColumn, decompose, diagonal_cells,
                                   diagonal_of_edge)
-from torusmagic.grid import H, V, VertexRef, all_edges, all_vertices, dims, incident_edges
+from torusmagic.grid import H, V, VertexRef, all_vertices, dims, incident_edges
 
 sizes = st.integers(min_value=3, max_value=24)
 
 
 def test_trace_3_3_first_diagonal():
-    diag = diagonal(1, 1, dims(3, 3))
-    assert diag.edges[0::2] == (H(1, 1), H(2, 2), H(3, 3))
-    assert diag.edges[1::2] == (V(1, 2), V(2, 3), V(3, 1))
+    # h_k = H(1,1), H(2,2), H(3,3) and v_k = V(1,2), V(2,3), V(3,1), 0-based
+    rows, h_cols, v_cols = Diagonal(1, 1, dims(3, 3)).indices()
+    assert rows.tolist() == [0, 1, 2]
+    assert h_cols.tolist() == [0, 1, 2]
+    assert v_cols.tolist() == [1, 2, 0]
 
 
 def test_paper_start_column_for_first_diagonal_3_9():
     # d = 3, so column 4 is a legal start for diagonal 1 (4 = 1 mod 3)
-    diag = diagonal(1, 4, dims(3, 9))
+    diag = Diagonal(1, 4, dims(3, 9))
     assert diag.start_col == 4
-    assert diag.edges[:2] == (H(1, 4), V(1, 5))
+    rows, h_cols, v_cols = diag.indices()
+    assert (rows[0], h_cols[0], v_cols[0]) == (0, 3, 4)  # H(1,4), V(1,5)
 
 
 def test_invalid_start_column():
     with pytest.raises(InvalidStartColumn):
-        diagonal(1, 2, dims(3, 3))  # 2 != 1 mod 3
+        Diagonal(1, 2, dims(3, 3))  # 2 != 1 mod 3
     with pytest.raises(InvalidStartColumn):
-        diagonal(4, 1, dims(3, 3))  # only 3 diagonals
+        Diagonal(4, 1, dims(3, 3))  # only 3 diagonals
     with pytest.raises(InvalidStartColumn):
-        diagonal(1, 10, dims(3, 9))  # column out of 1..9
+        Diagonal(1, 10, dims(3, 9))  # column out of 1..9
 
 
 def test_decompose_counts():
@@ -49,13 +52,11 @@ def test_decompose_partitions_all_edges(n, m):
     d = dims(n, m)
     diagonals = decompose(d)
     assert len(diagonals) == d.d
-    counts = Counter()
-    for diag in diagonals:
-        assert len(diag.edges) == 2 * d.l
-        counts.update(diag.edges)
-    assert len(counts) == d.q
-    assert set(counts.values()) == {1}
-    assert set(counts) == set(all_edges(d))
+    h_cells, v_cells = diagonal_cells(diagonals)
+    assert h_cells.shape == v_cells.shape == (d.d, d.l)
+    # every H edge once and every V edge once: cells i*m + j of the grid
+    assert np.array_equal(np.sort(h_cells, axis=None), np.arange(n * m))
+    assert np.array_equal(np.sort(v_cells, axis=None), np.arange(n * m))
 
 
 @given(sizes, sizes)
@@ -63,13 +64,13 @@ def test_decompose_partitions_all_edges(n, m):
 def test_diagonal_is_a_closed_alternating_cycle(n, m):
     d = dims(n, m)
     for diag in decompose(d):
-        edges = diag.edges
-        for k in range(0, len(edges), 2):
-            h, v, nxt = edges[k], edges[k + 1], edges[(k + 2) % len(edges)]
-            assert h.orient == "H" and v.orient == "V"
+        rows, h_cols, v_cols = (a.tolist() for a in diag.indices())
+        hs = [H(i + 1, j + 1) for i, j in zip(rows, h_cols)]
+        vs = [V(i + 1, j + 1) for i, j in zip(rows, v_cols)]
+        for k in range(d.l):
             # h_k ends where v_k starts; v_k ends where h_{k+1} starts
-            assert h.endpoints(d)[1] == v.endpoints(d)[0]
-            assert v.endpoints(d)[1] == nxt.endpoints(d)[0]
+            assert hs[k].endpoints(d)[1] == vs[k].endpoints(d)[0]
+            assert vs[k].endpoints(d)[1] == hs[(k + 1) % d.l].endpoints(d)[0]
 
 
 def test_diagonal_of_edge_examples():
@@ -84,9 +85,10 @@ def test_diagonal_of_edge_examples():
 def test_diagonal_of_edge_inverts_positional_lookup(n, m):
     d = dims(n, m)
     for diag in decompose(d):
-        for k, (h, v) in enumerate(zip(diag.edges[0::2], diag.edges[1::2]), start=1):
-            assert diagonal_of_edge(h, d) == (diag.index, k, "H")
-            assert diagonal_of_edge(v, d) == (diag.index, k, "V")
+        rows, h_cols, v_cols = (a.tolist() for a in diag.indices())
+        for k, (i, hj, vj) in enumerate(zip(rows, h_cols, v_cols), start=1):
+            assert diagonal_of_edge(H(i + 1, hj + 1), d) == (diag.index, k, "H")
+            assert diagonal_of_edge(V(i + 1, vj + 1), d) == (diag.index, k, "V")
 
 
 # Corner k of a diagonal: HV pairs (h_k, v_k) and sits at (rows, v_cols) of
@@ -96,7 +98,8 @@ def test_corner_edges_share_their_vertex():
     d = dims(3, 9)
     for diag in decompose(d):
         rows, h_cols, v_cols = (a.tolist() for a in diag.indices())
-        hs, vs = diag.edges[0::2], diag.edges[1::2]
+        hs = [H(i + 1, j + 1) for i, j in zip(rows, h_cols)]
+        vs = [V(i + 1, j + 1) for i, j in zip(rows, v_cols)]
         for k in range(d.l):
             for (a, b), col in (((hs[k], vs[k]), v_cols[k]), ((vs[k - 1], hs[k]), h_cols[k])):
                 shared = set(a.endpoints(d)) & set(b.endpoints(d))
@@ -104,15 +107,14 @@ def test_corner_edges_share_their_vertex():
 
 
 def test_vh_corner_one_pairs_last_vertical_with_first_horizontal():
-    diag = diagonal(1, 1, dims(3, 3))
-    assert (diag.edges[-1], diag.edges[0]) == (V(3, 1), H(1, 1))
-    rows, h_cols, _ = diag.indices()
-    assert (rows[0], h_cols[0]) == (0, 0)  # vertex (1,1)
+    rows, h_cols, v_cols = Diagonal(1, 1, dims(3, 3)).indices()
+    assert (rows[-1], v_cols[-1]) == (2, 0)  # v_l = V(3,1)
+    assert (rows[0], h_cols[0]) == (0, 0)  # h_1 = H(1,1), at vertex (1,1)
 
 
 def test_corner_vertex_examples():
     # HV corner k sits at (k, s+k); k=2, s=1 lands on (2,3), k=1 on (1,2)
-    rows, _, v_cols = diagonal(1, 1, dims(3, 3)).indices()
+    rows, _, v_cols = Diagonal(1, 1, dims(3, 3)).indices()
     assert (rows[1] + 1, v_cols[1] + 1) == (2, 3)
     assert (rows[0] + 1, v_cols[0] + 1) == (1, 2)
 
@@ -138,7 +140,8 @@ def test_corner_pair_is_the_vertex_weight_split():
     hv_at, vh_at = {}, {}
     for diag in decompose(d):
         rows, h_cols, v_cols = (a.tolist() for a in diag.indices())
-        hs, vs = diag.edges[0::2], diag.edges[1::2]
+        hs = [H(i + 1, j + 1) for i, j in zip(rows, h_cols)]
+        vs = [V(i + 1, j + 1) for i, j in zip(rows, v_cols)]
         for k in range(d.l):
             hv_at[VertexRef(rows[k] + 1, v_cols[k] + 1)] = {hs[k], vs[k]}
             vh_at[VertexRef(rows[k] + 1, h_cols[k] + 1)] = {vs[k - 1], hs[k]}

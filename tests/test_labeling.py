@@ -3,6 +3,7 @@ import pytest
 
 from torusmagic.grid import H, V, all_edges, dims
 from torusmagic.labeling import DomainMismatch, Labeling
+from torusmagic.serialize import decode, encode
 
 
 def tiny():
@@ -97,3 +98,17 @@ def test_from_edge_map_roundtrip_and_domain_check():
     extra[H(9, 9)] = 1
     with pytest.raises(DomainMismatch):
         Labeling.from_edge_map(lab.dims, extra)
+
+
+def test_uint64_labels_stay_below_2_63():
+    # decode refuses labels of 2**63 and more, so every Labeling round-trips
+    h = np.arange(1, 10, dtype=np.uint64).reshape(3, 3)
+    v = h + np.uint64(9)
+    v[2, 2] = 2**63 - 1
+    back = decode(encode(Labeling(dims(3, 3), h, v)))
+    assert back.h.tolist() == h.tolist() and back.v.tolist() == v.tolist()
+    v[2, 2] = 2**63
+    with pytest.raises(DomainMismatch, match=r"below 2\*\*63"):
+        Labeling(dims(3, 3), h, v)
+    with pytest.raises(DomainMismatch, match=r"below 2\*\*63"):
+        Labeling(dims(3, 3), v, h)

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 
+import numpy as np
 import pytest
 
 from torusmagic.construct import construct
@@ -90,12 +91,6 @@ def test_search_deterministic_given_seed():
     assert a.labeling == b.labeling
 
 
-def test_search_descending_also_works():
-    out = search(3, 3, SearchConfig(value_order="descending"))
-    assert out.status == FOUND
-    assert verify(out.labeling).is_supermagic
-
-
 def test_config_validation():
     with pytest.raises(TorusMagicError):
         SearchConfig(node_budget=0)
@@ -111,6 +106,32 @@ def test_config_validation():
         SearchConfig(restart_policy="luby", value_order="ascending")
     with pytest.raises(TorusMagicError):
         SearchConfig(restart_policy="often")
+
+
+BAD_SEARCH_INPUTS = {
+    "float seed": lambda: search(3, 3, SearchConfig(value_order="random", seed=1.5)),
+    "bool seed": lambda: SearchConfig(value_order="random", seed=True),
+    "string time budget": lambda: SearchConfig(time_budget="5"),
+    "bool node budget": lambda: SearchConfig(node_budget=True),
+    "descending order": lambda: SearchConfig(value_order="descending"),
+    "float pin": lambda: enumerate_completions(dims(3, 3), {H(1, 1): 1.0}),
+    "bool pin": lambda: enumerate_completions(dims(3, 3), {H(1, 1): True}),
+    "string pin": lambda: PartialLabeling(dims(3, 3), {H(1, 1): "1"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SEARCH_INPUTS))
+def test_bad_search_inputs_raise_typed_errors(name):
+    with pytest.raises(TorusMagicError):
+        BAD_SEARCH_INPUTS[name]()
+
+
+def test_numpy_integer_pins_are_labels():
+    pins = {H(1, 1): 1, V(1, 1): 2}
+    solutions, out = enumerate_completions(dims(3, 3), pins)
+    numpy_solutions, numpy_out = enumerate_completions(
+        dims(3, 3), {e: np.int64(x) for e, x in pins.items()})
+    assert numpy_solutions == solutions and numpy_out.stats.nodes == out.stats.nodes
 
 
 def test_luby_sequence():

@@ -44,8 +44,7 @@ def assert_same_enumeration(d, assignments, cfg=None):
     return new_solutions, new
 
 
-@pytest.mark.parametrize("n,m,order", [(3, 3, "ascending"), (3, 3, "descending"),
-                                       (3, 4, "ascending")])
+@pytest.mark.parametrize("n,m,order", [(3, 3, "ascending"), (3, 4, "ascending")])
 def test_deterministic_orders(n, m, order):
     out = assert_same_search(n, m, SearchConfig(value_order=order))
     assert out.status == FOUND
@@ -118,7 +117,7 @@ def partial_assignments(draw):
     else:
         labels = draw(st.lists(st.integers(1, d.q), unique=True,
                                min_size=len(edges), max_size=len(edges)))
-    order = draw(st.sampled_from(["ascending", "descending", "random"]))
+    order = draw(st.sampled_from(["ascending", "random"]))
     seed = draw(st.integers(0, 2**32 - 1)) if order == "random" else None
     cfg = SearchConfig(node_budget=2_000, value_order=order, seed=seed)
     return d, dict(zip(edges, labels)), cfg

@@ -1,4 +1,3 @@
-import importlib
 import json
 
 import numpy as np
@@ -6,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusmagic.construct import construct
-from torusmagic.grid import all_edges, dims
+from torusmagic.grid import DimensionTooSmall, TorusMagicError, all_edges, dims
 from torusmagic.labeling import Labeling
-from torusmagic.serialize import ParseError, ShapeError, _edge_list_bulk, decode, encode
+from torusmagic.serialize import ParseError, ShapeError, decode, encode
 
 
 def random_labeling(rng, n, m):
@@ -51,6 +50,8 @@ def test_decode_rejects_malformed_json():
         decode('{"n": 3, "m": 3}')  # missing matrices
     with pytest.raises(ParseError):
         decode('{"n": "three", "m": 3, "horizontal": [], "vertical": []}')
+    with pytest.raises(ParseError, match="^not valid JSON"):  # json.loads raises RecursionError
+        decode('{"n": 3, "m": 3, "horizontal": ' + "[" * 100_000 + "]" * 100_000 + ', "vertical": []}')
 
 
 def test_decode_rejects_wrong_shape():
@@ -145,79 +146,89 @@ def edge_lines(lab):
             for i in range(lab.dims.n) for j in range(lab.dims.m)]
 
 
-def outcome(text):
-    try:
-        return "ok", decode(text)
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-def line_by_line(text, monkeypatch):
-    """decode's outcome with the bulk edge-list parse switched off."""
-    with monkeypatch.context() as patch:
-        patch.setattr(importlib.import_module("torusmagic.serialize"), "_edge_list_bulk",
-                      lambda text: None)
-        return outcome(text)
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.randoms(use_true_random=False), st.integers(3, 12), st.integers(3, 12), st.booleans())
-def test_edge_list_in_any_order_is_parsed_in_bulk(rng, n, m, final_newline):
+def test_edge_list_in_any_order_decodes(rng, n, m, final_newline):
     lab = random_labeling(rng, n, m)
     lines = edge_lines(lab)
     rng.shuffle(lines)
     text = "\n".join(lines) + ("\n" if final_newline else "")
-    assert _edge_list_bulk(text) == lab
     assert decode(text) == lab
 
 
 # 3x4 has no construction; labels 1..24 in row-major order put 24 on V(3,4), the last line
-PLAIN = edge_lines(Labeling(dims(3, 4), np.arange(1, 13).reshape(3, 4),
-                            np.arange(13, 25).reshape(3, 4)))
+PLAIN_LABELING = Labeling(dims(3, 4), np.arange(1, 13).reshape(3, 4),
+                          np.arange(13, 25).reshape(3, 4))
+PLAIN = edge_lines(PLAIN_LABELING)
+
+
+def last_labeled(value):
+    """PLAIN's labeling with V(3,4), its last line, labeled value."""
+    v = PLAIN_LABELING.v.copy()
+    v[2, 3] = value
+    return Labeling(PLAIN_LABELING.dims, PLAIN_LABELING.h, v)
+
+
+# Each edge list with the labeling it decodes to, or the error type and
+# message it raises.
 EDGE_LISTS = {
-    # parsed in bulk
-    "plain": PLAIN,
-    "leading zeros": [line.replace(" 1 ", " 001 ") for line in PLAIN],
-    "largest bulk label": PLAIN[:-1] + ["V 3 4 " + "9" * 18],
-    # left to the per-line decoder, which accepts them
-    "comment line": ["# hand-written"] + PLAIN,
-    "trailing comment": [PLAIN[0] + " # first"] + PLAIN[1:],
-    "blank line": PLAIN[:5] + [""] + PLAIN[5:],
-    "tabs": [line.replace(" ", "\t") for line in PLAIN],
-    "doubled spaces": [line.replace(" ", "  ") for line in PLAIN],
-    "indented": ["  " + line for line in PLAIN],
-    "CRLF": [line + "\r" for line in PLAIN],
-    "plus sign": PLAIN[:-1] + ["V 3 4 +24"],
-    "underscore": PLAIN[:-1] + ["V 3 4 2_4"],
-    "largest int64": PLAIN[:-1] + [f"V 3 4 {2**63 - 1}"],
-    "arabic-indic digit": PLAIN[:-1] + ["V 3 4 \u0663"],
-    # rejected by the per-line decoder
-    "label 0": PLAIN[:-1] + ["V 3 4 0"],
-    "negative label": PLAIN[:-1] + ["V 3 4 -4"],
-    "label 2**63": PLAIN[:-1] + [f"V 3 4 {2**63}"],
-    "row 0": PLAIN[:-1] + ["V 0 4 24"],
-    "row 0 of H": ["H 0 1 1"] + PLAIN[1:],
-    "column 0": ["H 1 0 1"] + PLAIN[1:],
-    "duplicate": PLAIN + [PLAIN[0]],
-    "duplicate in place of an edge": PLAIN[:-1] + [PLAIN[0]],
-    "missing edge": PLAIN[:-1],
-    "3 fields": PLAIN[:-1] + ["V 3 4"],
-    "5 fields": PLAIN[:-1] + ["V 3 4 24 1"],
-    "letter joined to its row": PLAIN[:-1] + ["V3 4 24"],
+    # accepted
+    "plain": (PLAIN, PLAIN_LABELING),
+    "leading zeros": ([line.replace(" 1 ", " 001 ") for line in PLAIN], PLAIN_LABELING),
+    "18-digit label": (PLAIN[:-1] + ["V 3 4 " + "9" * 18], last_labeled(10**18 - 1)),
+    "comment line": (["# hand-written"] + PLAIN, PLAIN_LABELING),
+    "trailing comment": ([PLAIN[0] + " # first"] + PLAIN[1:], PLAIN_LABELING),
+    "blank line": (PLAIN[:5] + [""] + PLAIN[5:], PLAIN_LABELING),
+    "tabs": ([line.replace(" ", "\t") for line in PLAIN], PLAIN_LABELING),
+    "doubled spaces": ([line.replace(" ", "  ") for line in PLAIN], PLAIN_LABELING),
+    "indented": (["  " + line for line in PLAIN], PLAIN_LABELING),
+    "CRLF": ([line + "\r" for line in PLAIN], PLAIN_LABELING),
+    "plus sign": (PLAIN[:-1] + ["V 3 4 +24"], PLAIN_LABELING),
+    "underscore": (PLAIN[:-1] + ["V 3 4 2_4"], PLAIN_LABELING),
+    "largest int64": (PLAIN[:-1] + [f"V 3 4 {2**63 - 1}"], last_labeled(2**63 - 1)),
+    "arabic-indic digit": (PLAIN[:-1] + ["V 3 4 \u0663"], last_labeled(3)),
+    # rejected
+    "label 0": (PLAIN[:-1] + ["V 3 4 0"], (ParseError, "line 24: labels must be positive, got 0")),
+    "negative label": (PLAIN[:-1] + ["V 3 4 -4"],
+                       (ParseError, "line 24: labels must be positive, got -4")),
+    "label 2**63": (PLAIN[:-1] + [f"V 3 4 {2**63}"],
+                    (ParseError, f"line 24: labels must be below 2**63, got {2**63}")),
+    "row 0": (PLAIN[:-1] + ["V 0 4 24"], (ShapeError, "edge V(0,4) out of the 3x4 grid")),
+    "row 0 of H": (["H 0 1 1"] + PLAIN[1:], (ShapeError, "edge H(0,1) out of the 3x4 grid")),
+    "column 0": (["H 1 0 1"] + PLAIN[1:], (ShapeError, "edge H(1,0) out of the 3x4 grid")),
+    "duplicate": (PLAIN + [PLAIN[0]], (ShapeError, "line 25: duplicate edge H(1,1)")),
+    "duplicate in place of an edge": (PLAIN[:-1] + [PLAIN[0]],
+                                      (ShapeError, "line 24: duplicate edge H(1,1)")),
+    "missing edge": (PLAIN[:-1], (ShapeError, "expected 24 edges for a 3x4 grid, got 23")),
+    "3 fields": (PLAIN[:-1] + ["V 3 4"], (ParseError, "line 24: expected 'H|V i j label', got 'V 3 4'")),
+    "5 fields": (PLAIN[:-1] + ["V 3 4 24 1"],
+                 (ParseError, "line 24: expected 'H|V i j label', got 'V 3 4 24 1'")),
+    "letter joined to its row": (PLAIN[:-1] + ["V3 4 24"],
+                                 (ParseError, "line 24: expected 'H|V i j label', got 'V3 4 24'")),
     # each of the first two lines has a field in the wrong place, but their
     # numbers in sequence are those of "H 1 1 1" and "H 1 2 2"
-    "digit after a letter": ["H1 1 1 1", "H 2 2 "] + PLAIN[2:],
-    "digit before a letter": ["1H 1 1 1", "H 2 2 "] + PLAIN[2:],
-    "lowercase letter": PLAIN[:-1] + ["v 3 4 24"],
-    "two letters": PLAIN[:-1] + ["HV 3 4 24"],
-    "2 x 4 grid": [line for line in PLAIN if " 3 " not in line[:4]],
-    "only comments": ["# nothing"],
+    "digit after a letter": (["H1 1 1 1", "H 2 2 "] + PLAIN[2:],
+                             (ParseError, "line 1: expected 'H|V i j label', got 'H1 1 1 1'")),
+    "digit before a letter": (["1H 1 1 1", "H 2 2 "] + PLAIN[2:],
+                              (ParseError, "line 1: expected 'H|V i j label', got '1H 1 1 1'")),
+    "lowercase letter": (PLAIN[:-1] + ["v 3 4 24"],
+                         (ParseError, "line 24: expected 'H|V i j label', got 'v 3 4 24'")),
+    "two letters": (PLAIN[:-1] + ["HV 3 4 24"],
+                    (ParseError, "line 24: expected 'H|V i j label', got 'HV 3 4 24'")),
+    "2 x 4 grid": ([line for line in PLAIN if " 3 " not in line[:4]],
+                   (DimensionTooSmall, "need n, m >= 3, got (2, 4)")),
+    "only comments": (["# nothing"], (ParseError, "empty document")),
 }
-BULK = {"plain", "leading zeros", "largest bulk label"}
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_LISTS))
-def test_edge_list_bulk_matches_line_decoder(name, monkeypatch):
-    text = "\n".join(EDGE_LISTS[name]) + "\n"
-    assert outcome(text) == line_by_line(text, monkeypatch)
-    assert (_edge_list_bulk(text) is not None) == (name in BULK)
+def test_edge_list_decodes_or_names_its_error(name):
+    lines, expected = EDGE_LISTS[name]
+    text = "\n".join(lines) + "\n"
+    if isinstance(expected, Labeling):
+        assert decode(text) == expected
+        return
+    error, message = expected
+    with pytest.raises(TorusMagicError) as caught:
+        decode(text)
+    assert (type(caught.value), str(caught.value)) == (error, message)
