@@ -124,11 +124,9 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if args.seed is not None:
-        cfg = SearchConfig(node_budget=args.node_budget, time_budget=args.time_budget,
-                           value_order="random", restart_policy="luby", seed=args.seed)
-    else:
-        cfg = SearchConfig(node_budget=args.node_budget, time_budget=args.time_budget)
+    order, restarts = ("random", "luby") if args.seed is not None else ("ascending", "none")
+    cfg = SearchConfig(node_budget=args.node_budget, time_budget=args.time_budget,
+                       value_order=order, restart_policy=restarts, seed=args.seed)
     outcome: SearchOutcome = search(args.n, args.m, cfg)
     s = outcome.stats
     rate = s.nodes / s.elapsed if s.elapsed > 0 else 0.0

@@ -18,6 +18,7 @@ Every edge has exactly one canonical name:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -57,7 +58,10 @@ class GridDims:
 
 
 def dims(n: int, m: int) -> GridDims:
-    """Build GridDims for C_n x C_m.  Requires n, m >= 3."""
+    """Build GridDims for C_n x C_m.  Requires integers n, m >= 3."""
+    for x in (n, m):
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+            raise TorusMagicError(f"n and m must be integers, got ({n!r}, {m!r})")
     if n < 3 or m < 3:
         raise DimensionTooSmall(f"need n, m >= 3, got ({n}, {m})")
     d = math.gcd(n, m)
@@ -85,6 +89,9 @@ class EdgeRef:
     def __post_init__(self) -> None:
         if self.orient not in ("H", "V"):
             raise TorusMagicError(f"orient must be 'H' or 'V', got {self.orient!r}")
+        for x in (self.i, self.j):
+            if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+                raise TorusMagicError(f"edge indices must be integers, got {x!r}")
 
     def endpoints(self, dims: GridDims) -> tuple[VertexRef, VertexRef]:
         """The two vertices of this edge, in trace order."""

@@ -30,6 +30,9 @@ class Labeling:
     v: np.ndarray
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.h, np.ndarray) and isinstance(self.v, np.ndarray)):
+            raise DomainMismatch(f"h and v must be numpy arrays, got {type(self.h).__name__} "
+                                 f"and {type(self.v).__name__}")
         shape = (self.dims.n, self.dims.m)
         if self.h.shape != shape or self.v.shape != shape:
             raise DomainMismatch(
@@ -50,8 +53,6 @@ class Labeling:
     def label(self, e: EdgeRef) -> int:
         matrix = self.h if e.orient == "H" else self.v
         return int(matrix[e.i - 1, e.j - 1])
-
-    __getitem__ = label
 
     def labels(self) -> np.ndarray:
         """All q labels as a flat array (H block then V block, row-major)."""

@@ -19,8 +19,9 @@ the complete solution set of a partial assignment.
 
 Decision edges follow the most-constrained-vertex-first rule: take an
 unlabeled edge at a vertex with the fewest unlabeled edges, breaking ties
-lexicographically by (i, j, orientation).  Value order is ascending by
-default; seeded-random order and Luby restarts are available for the
+lexicographically by (i, j, orientation); that order, like each edge's
+endpoints, is a closed form of its flat index.  Value order is ascending
+by default; seeded-random order and Luby restarts are available for the
 harder satisfiable instances.  With a fixed seed every run is fully
 deterministic (wall-clock time aside).
 
@@ -35,7 +36,7 @@ from __future__ import annotations
 import numbers
 import operator
 import time
-from itertools import compress
+from itertools import compress, count
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -123,6 +124,10 @@ class PartialLabeling:
     """Mutable partial assignment over the grid's edges.
 
     Edge slots are flat indices: the H block row-major, then the V block.
+    Slot e sits at cell c = e % nm = i*m + j (0-based), so its decision
+    rank, lexicographic by (i, j, orient), is 2c + e // nm.  Its endpoints,
+    ascending, are c and the cell east (H) or south (V) of c; vertex c's
+    edges are slots c, west-of-c, nm + c and nm + north-of-c.
     The free labels are a bitset `pool` (bit x set while label x is
     unused) with a mirrored copy `rpool` (bit 2q - x), so the smallest
     and largest free labels are low set bits of one or the other, and the
@@ -138,31 +143,15 @@ class PartialLabeling:
                                  f"most {MAX_SEARCH_EDGES}")
         self.dims = dims
         self.constant = forced_constant(dims)
-        n, m, q = dims.n, dims.m, dims.q
-        nm = n * m
+        m, q = dims.m, dims.q
+        nm = dims.n * m
         self.nm = nm
-        vert_edges = []
-        for i in range(n):
-            for j in range(m):
-                vert_edges.append((
-                    i * m + j,                 # H(i, j): east
-                    i * m + (j - 1) % m,       # H(i, j-1): west
-                    nm + i * m + j,            # V(i, j): south
-                    nm + ((i - 1) % n) * m + j,  # V(i-1, j): north
-                ))
-        edge_verts: list[list[int]] = [[] for _ in range(q)]
-        for v, edges in enumerate(vert_edges):
-            for e in edges:
-                edge_verts[e].append(v)
-        self.edge_verts = [tuple(vs) for vs in edge_verts]
-        # decision tie-break: lexicographic (i, j, orient) with H before V
-        order = sorted(range(q), key=lambda e: (e % nm // m, e % nm % m, e // nm))
-        self.rank = [0] * q
-        for pos, e in enumerate(order):
-            self.rank[e] = pos
+        self.edge_verts = ([(c, c + 1) if (c + 1) % m else (c + 1 - m, c) for c in range(nm)]
+                           + [(c, c + m) if c + m < nm else (c + m - nm, c) for c in range(nm)])
+        self.rank = [2 * (e % nm) + e // nm for e in range(q)]
         # each vertex's edges by rank: its first unlabeled one is its best
-        self.vert_edges = [tuple(sorted(edges, key=self.rank.__getitem__))
-                           for edges in vert_edges]
+        self.vert_edges = [tuple(sorted((v, v - v % m + (v - 1) % m, nm + v, nm + (v - m) % nm),
+                                        key=self.rank.__getitem__)) for v in range(nm)]
 
         self.label = [0] * q          # 0 = unassigned
         self.pool = ((1 << q) - 1) << 1   # bits 1..q
@@ -171,6 +160,8 @@ class PartialLabeling:
         self.vcnt = [4] * nm
         self.trail: list[int] = []
         if assignments:
+            if bad := [e for e in assignments if not isinstance(e, EdgeRef)]:
+                raise TorusMagicError(f"pins must be keyed by EdgeRef, got {bad[0]!r}")
             for e, value in sorted(assignments.items(), key=lambda kv: kv[0].sort_key()):
                 self.assign(e, value)
 
@@ -449,24 +440,18 @@ _LUBY_UNIT = 4096
 
 def _run_branch(dims: GridDims, base: Mapping[EdgeRef, int], cfg: SearchConfig,
                 stats: SearchStats, deadline: float, branch: int) -> tuple[str, Labeling | None]:
-    if cfg.restart_policy == "none":
-        status, solutions = _run(PartialLabeling(dims, base), stats, node_limit=cfg.node_budget,
-                                 deadline=deadline, rng=_rng(cfg, branch))
-        return status, solutions[0] if solutions else None
-
-    run = 0
-    while True:
-        if stats.nodes >= cfg.node_budget or time.perf_counter() > deadline:
+    luby = cfg.restart_policy == "luby"
+    for run in count(1):
+        # Luby checks the budgets before every run, a run without restarts before none
+        if luby and (stats.nodes >= cfg.node_budget or time.perf_counter() > deadline):
             return BUDGET_EXCEEDED, None
-        run += 1
-        window = min(stats.nodes + _LUBY_UNIT * _luby(run), cfg.node_budget)
-        status, solutions = _run(PartialLabeling(dims, base), stats, node_limit=window,
-                                 deadline=deadline, rng=_rng(cfg, branch, run))
-        if status == FOUND:
-            return status, solutions[0]
-        if status == EXHAUSTED:
-            # a run that ends inside its window is a genuine refutation
-            return status, None
+        window = stats.nodes + _LUBY_UNIT * _luby(run) if luby else cfg.node_budget
+        status, solutions = _run(PartialLabeling(dims, base), stats,
+                                 node_limit=min(window, cfg.node_budget), deadline=deadline,
+                                 rng=_rng(cfg, branch, run) if luby else _rng(cfg, branch))
+        if status != BUDGET_EXCEEDED or not luby:
+            # found, refuted inside its window (a genuine refutation), or the only run
+            return status, solutions[0] if solutions else None
         stats.restarts += 1
 
 
@@ -483,18 +468,12 @@ def search(n: int, m: int, cfg: SearchConfig | None = None) -> SearchOutcome:
     stats = SearchStats()
     start = time.perf_counter()
     deadline = start + cfg.time_budget
-    status_overall = EXHAUSTED
-    labeling = None
     for branch, pin in enumerate(_pins(d)):
         status, labeling = _run_branch(d, pin, cfg, stats, deadline, branch)
-        if status == FOUND:
-            status_overall = FOUND
-            break
-        if status == BUDGET_EXCEEDED:
-            status_overall = BUDGET_EXCEEDED
+        if status != EXHAUSTED:
             break
     stats.elapsed = time.perf_counter() - start
-    return SearchOutcome(status=status_overall, labeling=labeling, stats=stats)
+    return SearchOutcome(status=status, labeling=labeling, stats=stats)
 
 
 def enumerate_completions(dims: GridDims, assignments: Mapping[EdgeRef, int],

@@ -140,6 +140,11 @@ def test_search_seed_deterministic_output(capsys):
     code2, out2, err2 = run(capsys, "search", "3", "4", "--seed", "11")
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
+    # --seed is the library's Luby config with that seed
+    stats = search(3, 4, SearchConfig(value_order="random", restart_policy="luby",
+                                      seed=11)).stats
+    assert (stats.nodes, stats.restarts) == (5_069, 1)
+    assert f"| nodes {stats.nodes} | " in err1 and f"| restarts {stats.restarts} | " in err1
 
 
 def test_decompose_output(capsys):

@@ -5,6 +5,7 @@ from torusmagic.grid import (
     DimensionTooSmall,
     EdgeRef,
     H,
+    TorusMagicError,
     V,
     VertexRef,
     all_edges,
@@ -51,6 +52,12 @@ def test_dims_6_4():
 @pytest.mark.parametrize("n,m", [(1, 5), (2, 4), (3, 2), (0, 3)])
 def test_dims_rejects_short_cycles(n, m):
     with pytest.raises(DimensionTooSmall):
+        dims(n, m)
+
+
+@pytest.mark.parametrize("n,m", [(3.0, 3), ("3", 3), (True, 3), (3, None)])
+def test_dims_rejects_non_integers(n, m):
+    with pytest.raises(TorusMagicError, match="^n and m must be integers"):
         dims(n, m)
 
 

@@ -18,7 +18,7 @@ def test_label_lookup():
     assert lab.label(H(1, 1)) == 1
     assert lab.label(H(3, 3)) == 9
     assert lab.label(V(1, 1)) == 10
-    assert lab[V(2, 3)] == 15
+    assert lab.label(V(2, 3)) == 15
 
 
 def test_items_covers_all_edges_in_canonical_order():
@@ -60,6 +60,8 @@ def test_constructor_validates_shape():
     d = dims(3, 3)
     with pytest.raises(DomainMismatch):
         Labeling(d, np.ones((2, 3), dtype=int), np.ones((3, 3), dtype=int))
+    with pytest.raises(DomainMismatch, match="^h and v must be numpy arrays"):
+        Labeling(d, [[1] * 3] * 3, [[1] * 3] * 3)
 
 
 def test_rejects_nonpositive_entries():

@@ -117,6 +117,10 @@ BAD_SEARCH_INPUTS = {
     "float pin": lambda: enumerate_completions(dims(3, 3), {H(1, 1): 1.0}),
     "bool pin": lambda: enumerate_completions(dims(3, 3), {H(1, 1): True}),
     "string pin": lambda: PartialLabeling(dims(3, 3), {H(1, 1): "1"}),
+    "tuple pin key": lambda: enumerate_completions(dims(3, 3), {("H", 1, 1): 1}),
+    "float edge index": lambda: H(1.0, 1),
+    "bool edge index": lambda: H(True, 1),
+    "string edge index": lambda: V("1", 1),
 }
 
 

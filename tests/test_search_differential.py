@@ -67,6 +67,20 @@ def test_node_budget_cutoffs(budget):
     assert out.stats.nodes == budget
 
 
+@pytest.mark.parametrize("cfg,nodes", [
+    (SearchConfig(time_budget=1e-9), 1_024),
+    (SearchConfig(time_budget=1e-9, value_order="random", seed=1), 1_024),
+    (SearchConfig(time_budget=1e-9, value_order="random", restart_policy="luby", seed=1), 0),
+])
+def test_time_budget_cutoffs(cfg, nodes):
+    # A run without restarts starts before any clock check and stops at
+    # the first one, 1,024 nodes in; Luby reads the clock before its
+    # first run.
+    out = assert_same_search(3, 4, cfg)
+    assert out.status == BUDGET_EXCEEDED
+    assert out.stats.nodes == nodes
+
+
 @pytest.mark.parametrize("n,m,budget", [(5, 7, 20_000), (9, 10, 2_000)])
 def test_wider_pools(n, m, budget):
     # pools of 70 and 180 labels span several machine words
