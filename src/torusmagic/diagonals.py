@@ -135,8 +135,11 @@ def diagonal_of_edge(e: EdgeRef, dims: GridDims) -> tuple[int, int, str]:
     """Locate an edge inside the decomposition with canonical starts (s = j).
 
     Returns (j, k, kind): the edge is h^j_k (kind 'H') or v^j_k (kind 'V')
-    of the diagonal that starts at row 1, column j.
+    of the diagonal that starts at row 1, column j.  An edge off the grid
+    raises TorusMagicError.
     """
+    if not (1 <= e.i <= dims.n and 1 <= e.j <= dims.m):
+        raise TorusMagicError(f"{e} is not an edge of C_{dims.n} x C_{dims.m}")
     if e.orient == "H":
         j = wrap(e.j - e.i + 1, dims.d)
         k = _crt_step(e.i, wrap(e.j - j + 1, dims.m), dims)

@@ -1,4 +1,4 @@
-"""Torus grid C_n x C_m: dimensions, canonical edge naming, vertex incidence.
+"""Torus grid C_n x C_m: dimensions and canonical vertex and edge naming.
 
 The graph is the Cartesian product of two cycles: vertices x_{ij} for
 i in 1..n (rows) and j in 1..m (columns), with edges between positions
@@ -93,62 +93,9 @@ class EdgeRef:
             if isinstance(x, bool) or not isinstance(x, numbers.Integral):
                 raise TorusMagicError(f"edge indices must be integers, got {x!r}")
 
-    def endpoints(self, dims: GridDims) -> tuple[VertexRef, VertexRef]:
-        """The two vertices of this edge, in trace order."""
-        if self.orient == "H":
-            return (VertexRef(self.i, self.j),
-                    VertexRef(self.i, wrap(self.j + 1, dims.m)))
-        return (VertexRef(self.i, self.j),
-                VertexRef(wrap(self.i + 1, dims.n), self.j))
-
     def sort_key(self) -> tuple[int, int, str]:
         """Lexicographic order by (i, j, orient), 'H' before 'V'."""
         return (self.i, self.j, self.orient)
 
     def __str__(self) -> str:
         return f"{self.orient}({self.i},{self.j})"
-
-
-def H(i: int, j: int) -> EdgeRef:
-    return EdgeRef("H", i, j)
-
-
-def V(i: int, j: int) -> EdgeRef:
-    return EdgeRef("V", i, j)
-
-
-def all_vertices(dims: GridDims):
-    """All nm vertices in row-major order."""
-    for i in range(1, dims.n + 1):
-        for j in range(1, dims.m + 1):
-            yield VertexRef(i, j)
-
-
-def all_edges(dims: GridDims):
-    """All q edges: the horizontal block row-major, then the vertical block."""
-    for i in range(1, dims.n + 1):
-        for j in range(1, dims.m + 1):
-            yield EdgeRef("H", i, j)
-    for i in range(1, dims.n + 1):
-        for j in range(1, dims.m + 1):
-            yield EdgeRef("V", i, j)
-
-
-def check_vertex(v: VertexRef, dims: GridDims) -> None:
-    if not (1 <= v.i <= dims.n and 1 <= v.j <= dims.m):
-        raise TorusMagicError(f"vertex {v} out of range for C_{dims.n} x C_{dims.m}")
-
-
-def incident_edges(v: VertexRef, dims: GridDims) -> set[EdgeRef]:
-    """The 4 canonical edges at vertex x_{ij}.
-
-    Two horizontal (toward columns j-1 and j+1) and two vertical (toward
-    rows i-1 and i+1): H(i,j), H(i,j-1), V(i,j), V(i-1,j), wrapping mod m/n.
-    """
-    check_vertex(v, dims)
-    return {
-        EdgeRef("H", v.i, v.j),
-        EdgeRef("H", v.i, wrap(v.j - 1, dims.m)),
-        EdgeRef("V", v.i, v.j),
-        EdgeRef("V", wrap(v.i - 1, dims.n), v.j),
-    }

@@ -10,11 +10,10 @@ verifier, never assumed here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .grid import EdgeRef, GridDims, TorusMagicError, all_edges
+from .grid import GridDims, TorusMagicError
 
 
 class DomainMismatch(TorusMagicError):
@@ -23,7 +22,7 @@ class DomainMismatch(TorusMagicError):
 
 @dataclass(frozen=True)
 class Labeling:
-    """Total assignment EdgeRef -> positive integer over C_n x C_m."""
+    """Total labeling of C_n x C_m: a positive integer in every cell of h and v."""
 
     dims: GridDims
     h: np.ndarray
@@ -50,10 +49,6 @@ class Labeling:
             if matrix.dtype == np.uint64 and matrix.max() >= np.uint64(2**63):
                 raise DomainMismatch(f"labels must be below 2**63, got {int(matrix.max())}")
 
-    def label(self, e: EdgeRef) -> int:
-        matrix = self.h if e.orient == "H" else self.v
-        return int(matrix[e.i - 1, e.j - 1])
-
     def labels(self) -> np.ndarray:
         """All q labels as a flat array (H block then V block, row-major)."""
         return np.concatenate([self.h.ravel(), self.v.ravel()])
@@ -66,40 +61,9 @@ class Labeling:
         return Labeling(make_dims(self.dims.m, self.dims.n),
                         self.v.T.copy(), self.h.T.copy())
 
-    def with_swapped(self, e1: EdgeRef, e2: EdgeRef) -> "Labeling":
-        """Copy with the labels of two edges exchanged (for perturbation tests)."""
-        h, v = self.h.copy(), self.v.copy()
-
-        def put(e: EdgeRef, value: int) -> None:
-            (h if e.orient == "H" else v)[e.i - 1, e.j - 1] = value
-
-        l1, l2 = self.label(e1), self.label(e2)
-        put(e1, l2)
-        put(e2, l1)
-        return Labeling(self.dims, h, v)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Labeling):
             return NotImplemented
         return (self.dims == other.dims
                 and np.array_equal(self.h, other.h)
                 and np.array_equal(self.v, other.v))
-
-    @classmethod
-    def from_edge_map(cls, dims: GridDims, mapping: Mapping[EdgeRef, int]) -> "Labeling":
-        """Build from an explicit edge -> label map; the domain must be exactly
-        the q edges of the grid."""
-        edges = set(all_edges(dims))
-        given = set(mapping)
-        if given != edges:
-            missing = sorted(edges - given, key=EdgeRef.sort_key)
-            extra = sorted(given - edges, key=EdgeRef.sort_key)
-            raise DomainMismatch(
-                f"domain mismatch: {len(missing)} edges unlabeled "
-                f"(first: {missing[:3]}), {len(extra)} labels off-grid (first: {extra[:3]})"
-            )
-        h = np.zeros((dims.n, dims.m), dtype=np.int64)
-        v = np.zeros((dims.n, dims.m), dtype=np.int64)
-        for e, value in mapping.items():
-            (h if e.orient == "H" else v)[e.i - 1, e.j - 1] = value
-        return cls(dims, h, v)

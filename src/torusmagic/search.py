@@ -445,6 +445,8 @@ def _run_branch(dims: GridDims, base: Mapping[EdgeRef, int], cfg: SearchConfig,
         # Luby checks the budgets before every run, a run without restarts before none
         if luby and (stats.nodes >= cfg.node_budget or time.perf_counter() > deadline):
             return BUDGET_EXCEEDED, None
+        if run > 1:  # count a restart only once its run is sure to start
+            stats.restarts += 1
         window = stats.nodes + _LUBY_UNIT * _luby(run) if luby else cfg.node_budget
         status, solutions = _run(PartialLabeling(dims, base), stats,
                                  node_limit=min(window, cfg.node_budget), deadline=deadline,
@@ -452,7 +454,6 @@ def _run_branch(dims: GridDims, base: Mapping[EdgeRef, int], cfg: SearchConfig,
         if status != BUDGET_EXCEEDED or not luby:
             # found, refuted inside its window (a genuine refutation), or the only run
             return status, solutions[0] if solutions else None
-        stats.restarts += 1
 
 
 def search(n: int, m: int, cfg: SearchConfig | None = None) -> SearchOutcome:

@@ -8,8 +8,8 @@ Counter, weights held in a VertexRef dict, and every corner looked up
 through a CornerPos.  The codec and the renderer are the per-edge
 versions the package used before they went row-wise: matrices decoded
 and checked cell by cell, numpy scalars converted one at a time, and
-figures drawn by walking all_edges/all_vertices with EdgeRef.endpoints
-and Labeling.label.  It is slow and deliberately left alone, so that the
+figures drawn by walking all_edges/all_vertices with endpoints and
+label.  It is slow and deliberately left alone, so that the
 differential tests can hold the package to it.
 
 The search engine is the recursive one the package used before its
@@ -18,12 +18,18 @@ a `used[]` list scanned for the extreme labels and for pairs, and
 `_set`/`_undo_to` method calls per edge.  Its solutions are checked with
 this module's scalar `verify`.
 
-Only the module-level imports differ: the shared value types (EdgeRef,
-VertexRef, CornerPos, GridDims, Labeling, ConstructionPlan, plan_for,
-RenderSpec, ParseError, ShapeError, and the search's config, outcome
-and restart helpers) come from the package.  `UnsupportedShape`, which
-the package no longer has, is defined here, and `_corner_sums` adds
-Python ints, so that it stays exact for labels of 2**62 and more.
+It owns the per-edge grid helpers the package no longer has, which the
+tests also use as oracles: `H`, `V`, `all_vertices`, `all_edges`,
+`incident_edges`, `endpoints(e, dims)`, `label(lab, e)` and
+`swapped(lab, e1, e2)`.  `UnsupportedShape` is defined here too, and
+`_corner_sums` adds Python ints, so that it stays exact for labels of
+2**62 and more.
+
+Only the shared value types come from the package: EdgeRef, VertexRef,
+GridDims with `dims` and `wrap`, CornerPos, Labeling, ConstructionPlan
+with the ODD_ODD and EVEN_EVEN plans, `plan_for` and `Unsupported`,
+RenderSpec, the error classes, and the search's config, outcome and
+restart helpers.
 """
 
 from __future__ import annotations
@@ -53,8 +59,6 @@ from torusmagic.grid import (
     GridDims,
     TorusMagicError,
     VertexRef,
-    all_edges,
-    all_vertices,
     dims as make_dims,
     wrap,
 )
@@ -72,6 +76,76 @@ from torusmagic.search import (
     _pins,
 )
 from torusmagic.serialize import ParseError, ShapeError
+
+
+# --- grid ------------------------------------------------------------------
+
+def H(i: int, j: int) -> EdgeRef:
+    return EdgeRef("H", i, j)
+
+
+def V(i: int, j: int) -> EdgeRef:
+    return EdgeRef("V", i, j)
+
+
+def all_vertices(dims: GridDims):
+    """All nm vertices in row-major order."""
+    for i in range(1, dims.n + 1):
+        for j in range(1, dims.m + 1):
+            yield VertexRef(i, j)
+
+
+def all_edges(dims: GridDims):
+    """All q edges: the horizontal block row-major, then the vertical block."""
+    for i in range(1, dims.n + 1):
+        for j in range(1, dims.m + 1):
+            yield EdgeRef("H", i, j)
+    for i in range(1, dims.n + 1):
+        for j in range(1, dims.m + 1):
+            yield EdgeRef("V", i, j)
+
+
+def incident_edges(v: VertexRef, dims: GridDims) -> set[EdgeRef]:
+    """The 4 canonical edges at vertex x_{ij}.
+
+    Two horizontal (toward columns j-1 and j+1) and two vertical (toward
+    rows i-1 and i+1): H(i,j), H(i,j-1), V(i,j), V(i-1,j), wrapping mod m/n.
+    """
+    if not (1 <= v.i <= dims.n and 1 <= v.j <= dims.m):
+        raise TorusMagicError(f"vertex {v} out of range for C_{dims.n} x C_{dims.m}")
+    return {
+        EdgeRef("H", v.i, v.j),
+        EdgeRef("H", v.i, wrap(v.j - 1, dims.m)),
+        EdgeRef("V", v.i, v.j),
+        EdgeRef("V", wrap(v.i - 1, dims.n), v.j),
+    }
+
+
+def endpoints(e: EdgeRef, dims: GridDims) -> tuple[VertexRef, VertexRef]:
+    """The two vertices of an edge, in trace order."""
+    if e.orient == "H":
+        return (VertexRef(e.i, e.j),
+                VertexRef(e.i, wrap(e.j + 1, dims.m)))
+    return (VertexRef(e.i, e.j),
+            VertexRef(wrap(e.i + 1, dims.n), e.j))
+
+
+def label(lab: Labeling, e: EdgeRef) -> int:
+    matrix = lab.h if e.orient == "H" else lab.v
+    return int(matrix[e.i - 1, e.j - 1])
+
+
+def swapped(lab: Labeling, e1: EdgeRef, e2: EdgeRef) -> Labeling:
+    """Copy with the labels of two edges exchanged (for perturbation tests)."""
+    h, v = lab.h.copy(), lab.v.copy()
+
+    def put(e: EdgeRef, value: int) -> None:
+        (h if e.orient == "H" else v)[e.i - 1, e.j - 1] = value
+
+    l1, l2 = label(lab, e1), label(lab, e2)
+    put(e1, l2)
+    put(e2, l1)
+    return Labeling(lab.dims, h, v)
 
 
 # --- diagonals -------------------------------------------------------------
@@ -365,7 +439,7 @@ def audit_corners(lab: Labeling, plan: ConstructionPlan) -> CornerAuditReport:
             for kind in ("HV", "VH"):
                 a, b = diag.corner_edges(k, kind)
                 pos = CornerPos(diag.index, k, kind)
-                actual = lab.label(a) + lab.label(b)
+                actual = label(lab, a) + label(lab, b)
                 expected = table[pos]
                 if actual != expected:
                     report.mismatches.append((pos, expected, actual))
@@ -493,8 +567,8 @@ def _render_dot(lab: Labeling, spec: RenderSpec) -> str:
             attrs.append(f'label="{name}\\nHV={hv}\\nVH={vh}"')
         lines.append(f"  {name} [{', '.join(attrs)}];")
     for e in all_edges(d):
-        a, b = e.endpoints(d)
-        attrs = [f'label="{lab.label(e)}"']
+        a, b = endpoints(e, d)
+        attrs = [f'label="{label(lab, e)}"']
         if colors:
             attrs.append(f'color="{colors[e.orient][e.i - 1][e.j - 1]}"')
         lines.append(f"  x_{a.i}_{a.j} -- x_{b.i}_{b.j} [{', '.join(attrs)}];")
@@ -550,7 +624,7 @@ def _render_svg(lab: Labeling, spec: RenderSpec) -> str:
             out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
                        f'stroke="{color}" stroke-width="2"/>')
         out.append(f'<text x="{lx}" y="{ly}" font-size="11" fill="{color}">'
-                   f"{lab.label(e)}</text>")
+                   f"{label(lab, e)}</text>")
         out.append("</g>")
     for v in all_vertices(d):
         x, y = pos(v.i, v.j)
@@ -862,6 +936,8 @@ def _run_branch(dims: GridDims, base: Mapping[EdgeRef, int], cfg: SearchConfig,
     while True:
         if stats.nodes >= cfg.node_budget or time.perf_counter() > deadline:
             return BUDGET_EXCEEDED, None
+        if run:
+            stats.restarts += 1
         run += 1
         window = min(stats.nodes + _LUBY_UNIT * _luby(run), cfg.node_budget)
         state = PartialLabeling(dims, base)
@@ -873,7 +949,6 @@ def _run_branch(dims: GridDims, base: Mapping[EdgeRef, int], cfg: SearchConfig,
         if status == EXHAUSTED:
             # a run that ends inside its window is a genuine refutation
             return status, None
-        stats.restarts += 1
 
 
 def search(n: int, m: int, cfg: SearchConfig | None = None) -> SearchOutcome:

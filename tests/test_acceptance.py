@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from scalar_reference import all_edges, all_vertices, incident_edges, label, swapped
 from torusmagic.cli import main as cli_main
 from torusmagic.construct import (
     EVEN_EVEN,
@@ -21,7 +22,7 @@ from torusmagic.construct import (
     plan_for,
 )
 from torusmagic.diagonals import decompose, diagonal_cells, diagonal_of_edge
-from torusmagic.grid import EdgeRef, all_edges, dims, incident_edges, all_vertices
+from torusmagic.grid import EdgeRef, dims
 from torusmagic.labeling import Labeling
 from torusmagic.search import SearchConfig, enumerate_completions, search
 from torusmagic.serialize import ParseError, ShapeError, decode, encode
@@ -99,7 +100,7 @@ def test_criterion_4_corner_audit(acceptance_report):
     swap_detected = True
     for _ in range(5):
         e1, e2 = rng.sample(edges, 2)
-        tampered = lab.with_swapped(e1, e2)
+        tampered = swapped(lab, e1, e2)
         report = audit_corners(tampered, plan_for(ODD_ODD, lab.dims))
         if len(report.mismatches) < 1:
             swap_detected = False
@@ -196,7 +197,7 @@ def test_criterion_8_propagation_soundness(acceptance_report):
     golden = construct(3, 3)
     edges = list(all_edges(d))
     kept, removed = edges[:-8], edges[-8:]
-    assignments = {e: golden.label(e) for e in kept}
+    assignments = {e: label(golden, e) for e in kept}
 
     solutions, outcome = enumerate_completions(d, assignments)
     assert outcome.status == "exhausted"
@@ -210,7 +211,8 @@ def test_criterion_8_propagation_soundness(acceptance_report):
         full = dict(assignments)
         full.update(zip(removed, perm))
         if all(sum(full[e] for e in incidence[v]) == 38 for v in vertices):
-            naive.append(Labeling.from_edge_map(d, full))
+            # edges runs over the H block, then the V block, both row-major
+            naive.append(Labeling(d, *np.array([full[e] for e in edges]).reshape(2, d.n, d.m)))
     for lab in naive:
         assert verify(lab).is_supermagic
 

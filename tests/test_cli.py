@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
+from scalar_reference import H, V, swapped
 from torusmagic.cli import (
     EXIT_BUDGET,
     EXIT_ERROR,
@@ -17,7 +18,7 @@ from torusmagic.cli import (
     main,
 )
 from torusmagic.construct import construct
-from torusmagic.grid import H, V, dims
+from torusmagic.grid import dims
 from torusmagic.labeling import Labeling
 from torusmagic.render import RenderSpec, render
 from torusmagic.search import SearchConfig, search
@@ -59,7 +60,7 @@ def test_generate_to_stdout(capsys):
 
 
 def test_verify_tampered_lists_vertices(tmp_path, capsys):
-    lab = construct(3, 3).with_swapped(H(1, 1), H(1, 2))
+    lab = swapped(construct(3, 3), H(1, 1), H(1, 2))
     bad_file = tmp_path / "bad.json"
     bad_file.write_text(encode(lab))
     code, out, err = run(capsys, "verify", str(bad_file))
@@ -89,7 +90,7 @@ def test_audit_clean_and_dirty(tmp_path, capsys):
     assert code == EXIT_OK
     assert "clean" in out
 
-    tampered = construct(4, 6).with_swapped(H(1, 1), V(2, 2))
+    tampered = swapped(construct(4, 6), H(1, 1), V(2, 2))
     dirty = tmp_path / "dirty.json"
     dirty.write_text(encode(tampered))
     code, out, err = run(capsys, "audit", str(dirty), "--plan", "even-even")

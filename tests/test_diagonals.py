@@ -1,13 +1,15 @@
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scalar_reference import H, V, all_vertices, endpoints, incident_edges
 from torusmagic.construct import EVEN_EVEN, ODD_ODD, plan_for
 from torusmagic.diagonals import (Diagonal, InvalidStartColumn, decompose, diagonal_cells,
                                   diagonal_of_edge)
-from torusmagic.grid import H, V, VertexRef, all_vertices, dims, incident_edges
+from torusmagic.grid import TorusMagicError, VertexRef, dims
 
 sizes = st.integers(min_value=3, max_value=24)
 
@@ -69,8 +71,8 @@ def test_diagonal_is_a_closed_alternating_cycle(n, m):
         vs = [V(i + 1, j + 1) for i, j in zip(rows, v_cols)]
         for k in range(d.l):
             # h_k ends where v_k starts; v_k ends where h_{k+1} starts
-            assert hs[k].endpoints(d)[1] == vs[k].endpoints(d)[0]
-            assert vs[k].endpoints(d)[1] == hs[(k + 1) % d.l].endpoints(d)[0]
+            assert endpoints(hs[k], d)[1] == endpoints(vs[k], d)[0]
+            assert endpoints(vs[k], d)[1] == endpoints(hs[(k + 1) % d.l], d)[0]
 
 
 def test_diagonal_of_edge_examples():
@@ -78,6 +80,13 @@ def test_diagonal_of_edge_examples():
     assert diagonal_of_edge(H(2, 2), d) == (1, 2, "H")
     assert diagonal_of_edge(V(3, 1), d) == (1, 3, "V")
     assert diagonal_of_edge(H(1, 4), dims(3, 9))[0] == 1
+
+
+@pytest.mark.parametrize("e", [H(4, 1), V(0, 10), H(100, -7)], ids=str)
+def test_diagonal_of_edge_rejects_edges_off_the_grid(e):
+    # off-grid indices whose residues mod 3 and mod 9 still name a diagonal step
+    with pytest.raises(TorusMagicError, match=rf"^{re.escape(str(e))} is not an edge of C_3 x C_9$"):
+        diagonal_of_edge(e, dims(3, 9))
 
 
 @given(sizes, sizes)
@@ -102,7 +111,7 @@ def test_corner_edges_share_their_vertex():
         vs = [V(i + 1, j + 1) for i, j in zip(rows, v_cols)]
         for k in range(d.l):
             for (a, b), col in (((hs[k], vs[k]), v_cols[k]), ((vs[k - 1], hs[k]), h_cols[k])):
-                shared = set(a.endpoints(d)) & set(b.endpoints(d))
+                shared = set(endpoints(a, d)) & set(endpoints(b, d))
                 assert shared == {VertexRef(rows[k] + 1, col + 1)}
 
 

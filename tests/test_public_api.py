@@ -72,3 +72,31 @@ def test_every_exported_exception_is_typed():
                 assert not issubclass(obj, ValueError)
             else:
                 assert issubclass(obj, torusmagic.TorusMagicError), name
+
+
+def names_in(text):
+    """Every name a module reads: bare names, attributes and import aliases."""
+    names = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    return names
+
+
+def test_every_definition_has_a_caller():
+    # a function, class or method that nothing in the package, the demos,
+    # the benchmark or the README reaches exists only for the tests
+    package = sorted((ROOT / "src" / "torusmagic").glob("*.py"))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sources = [path.read_text(encoding="utf-8") for path in package + CALLERS]
+    sources += re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    used = set().union(*map(names_in, sources))
+    defined = {(path.name, node.name) for path in package
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and not (node.name.startswith("__") and node.name.endswith("__"))}
+    assert sorted((where, name) for where, name in defined if name not in used) == []

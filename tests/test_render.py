@@ -6,9 +6,10 @@ import xml.dom.minidom
 import numpy as np
 import pytest
 
+from scalar_reference import all_edges
 from torusmagic.construct import construct
 from torusmagic.diagonals import diagonal_of_edge
-from torusmagic.grid import all_edges, dims
+from torusmagic.grid import dims
 from torusmagic.labeling import Labeling
 from torusmagic.render import RenderSpec, RenderTooLarge, render
 from torusmagic.verify import weight_matrix

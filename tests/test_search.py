@@ -4,8 +4,9 @@ import itertools
 import numpy as np
 import pytest
 
+from scalar_reference import H, V, all_edges, label
 from torusmagic.construct import construct
-from torusmagic.grid import H, V, TorusMagicError, all_edges, dims
+from torusmagic.grid import TorusMagicError, dims
 from torusmagic.labeling import Labeling
 from torusmagic.search import (
     BUDGET_EXCEEDED,
@@ -147,7 +148,7 @@ def golden_partial(keep_all_but=8):
     golden = construct(3, 3)
     edges = list(all_edges(d))
     kept = edges[: len(edges) - keep_all_but]
-    return d, golden, {e: golden.label(e) for e in kept}, edges[len(edges) - keep_all_but:]
+    return d, golden, {e: label(golden, e) for e in kept}, edges[len(edges) - keep_all_but:]
 
 
 def first_node(assignments):
@@ -206,7 +207,7 @@ def test_feasible_completion_pair_lookup():
     # 38 - 9 - 12 = 17 = 1 + 16, every open vertex finds its pair, and the
     # enumeration completes to the golden labeling and one more.
     d, golden = dims(3, 3), construct(3, 3)
-    assignments = {e: golden.label(e) for e in all_edges(d) if e not in DIAGONAL_1}
+    assignments = {e: label(golden, e) for e in all_edges(d) if e not in DIAGONAL_1}
     solutions, out = enumerate_completions(d, assignments)
     assert (out.status, out.stats.nodes, out.stats.propagations, out.stats.prunes) == (
         EXHAUSTED, 4, 14, {"forced-used": 2})
@@ -246,11 +247,12 @@ def test_enumerate_completions_matches_brute_force():
     assert outcome.status == EXHAUSTED
 
     missing = sorted(set(range(1, d.q + 1)) - set(assignments.values()))
+    edges = list(all_edges(d))  # the H block, then the V block, both row-major
     brute = []
     for perm in itertools.permutations(missing):
         full = dict(assignments)
         full.update(zip(removed, perm))
-        lab = Labeling.from_edge_map(d, full)
+        lab = Labeling(d, *np.array([full[e] for e in edges]).reshape(2, d.n, d.m))
         if verify(lab).is_supermagic:
             brute.append(lab)
 
@@ -272,4 +274,4 @@ def test_enumerate_completions_refutes_rewired_partial():
 def test_found_labelings_pin_label_one():
     # symmetry breaking puts label 1 on H(1,1), or V(1,1) on the second branch
     out = search(3, 4)
-    assert out.labeling.label(H(1, 1)) == 1 or out.labeling.label(V(1, 1)) == 1
+    assert label(out.labeling, H(1, 1)) == 1 or label(out.labeling, V(1, 1)) == 1

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_reference as ref
+from scalar_reference import all_edges, label
 from torusmagic.construct import construct
-from torusmagic.grid import EdgeRef, all_edges, dims
+from torusmagic.grid import EdgeRef, dims
 from torusmagic.search import (
     BUDGET_EXCEEDED,
     EXHAUSTED,
@@ -60,6 +61,16 @@ def test_luby_restarts():
     assert restarts > 0  # the restart path ran
 
 
+@pytest.mark.parametrize("budget,runs", [(12_288, 3), (30_000, 6)])
+def test_luby_budget_cut_counts_only_the_restarts_that_start(budget, runs):
+    # Luby windows of 4,096 x 1, 1, 2, 1, 1, 2 nodes: every run fills its
+    # window until the budget cuts the last one, after which none starts
+    cfg = SearchConfig(node_budget=budget, value_order="random", restart_policy="luby", seed=2)
+    out = assert_same_search(5, 6, cfg)
+    assert out.status == BUDGET_EXCEEDED
+    assert (out.stats.nodes, out.stats.restarts) == (budget, runs - 1)
+
+
 @pytest.mark.parametrize("budget", [1, 1_000, 50_000])
 def test_node_budget_cutoffs(budget):
     out = assert_same_search(3, 5, SearchConfig(node_budget=budget))
@@ -92,7 +103,7 @@ def golden_partial(open_edges):
     d = dims(3, 3)
     golden = construct(3, 3)
     kept = list(all_edges(d))[:-open_edges]
-    return d, golden, {e: golden.label(e) for e in kept}
+    return d, golden, {e: label(golden, e) for e in kept}
 
 
 def test_golden_partial_enumerations():
@@ -127,7 +138,7 @@ def partial_assignments(draw):
                           min_size=1, max_size=d.q))
     if draw(st.booleans()):
         # part of a known solution, so that completions exist
-        labels = [SOLUTIONS[(n, m)].label(e) for e in edges]
+        labels = [label(SOLUTIONS[(n, m)], e) for e in edges]
     else:
         labels = draw(st.lists(st.integers(1, d.q), unique=True,
                                min_size=len(edges), max_size=len(edges)))

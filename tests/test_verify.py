@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_reference as ref
+from scalar_reference import H, V, all_edges, all_vertices, incident_edges, label, swapped
 from torusmagic.construct import (
     EVEN_EVEN,
     ODD_ODD,
@@ -11,7 +12,7 @@ from torusmagic.construct import (
     construct,
     plan_for,
 )
-from torusmagic.grid import H, V, VertexRef, all_edges, all_vertices, dims, incident_edges
+from torusmagic.grid import VertexRef, dims
 from torusmagic.labeling import DomainMismatch, Labeling
 from torusmagic.verify import (
     audit_corners,
@@ -49,7 +50,7 @@ def test_weight_matrix_agrees_with_incidence_oracle():
         lab = construct(n, m)
         w = weight_matrix(lab)
         for v in all_vertices(lab.dims):
-            naive = sum(lab.label(e) for e in incident_edges(v, lab.dims))
+            naive = sum(label(lab, e) for e in incident_edges(v, lab.dims))
             assert w[v.i - 1, v.j - 1] == naive
 
 
@@ -63,7 +64,7 @@ def test_verify_golden():
 
 
 def test_verify_swap_breaks_it():
-    tampered = golden().with_swapped(H(1, 1), H(1, 2))
+    tampered = swapped(golden(), H(1, 1), H(1, 2))
     report = verify(tampered)
     assert report.is_bijection  # still a bijection
     assert not report.is_supermagic
@@ -139,7 +140,7 @@ def test_random_label_swap_breaks_supermagic(rng):
     lab = construct(3, 9)
     edges = list(all_edges(lab.dims))
     e1, e2 = rng.sample(edges, 2)
-    report = verify(lab.with_swapped(e1, e2))
+    report = verify(swapped(lab, e1, e2))
     assert not report.is_supermagic
 
 
@@ -154,7 +155,7 @@ def test_audit_constructed_labelings_clean():
 
 def test_audit_locates_a_swap():
     lab = construct(3, 3)
-    tampered = lab.with_swapped(H(1, 1), V(2, 2))
+    tampered = swapped(lab, H(1, 1), V(2, 2))
     report = audit_corners(tampered, plan_for(ODD_ODD, lab.dims))
     assert not report.clean
     for pos, expected, actual in report.mismatches:
@@ -179,7 +180,7 @@ def test_audit_transposed_shapes_clean(n, m, variant):
 
 def test_audit_transposed_shape_locates_a_swap():
     # mismatches of an n > m labeling are those of its transpose
-    lab = construct(15, 9).with_swapped(H(2, 3), V(7, 1))
+    lab = swapped(construct(15, 9), H(2, 3), V(7, 1))
     direct = audit_corners(lab, plan_for(ODD_ODD, lab.dims))
     native = lab.transpose()
     assert direct.mismatches == audit_corners(native, plan_for(ODD_ODD, native.dims)).mismatches
@@ -195,11 +196,11 @@ def test_audit_transposed_shape_checks_the_plan():
 
 
 def test_verify_report_keeps_the_weight_matrix():
-    lab = golden().with_swapped(H(1, 1), H(2, 2))
+    lab = swapped(golden(), H(1, 1), H(2, 2))
     report = verify(lab)
     assert np.array_equal(report.weight_matrix, weight_matrix(lab))
     for v in all_vertices(lab.dims):
-        assert report.weight_matrix[v.i - 1, v.j - 1] == sum(lab.label(e)
+        assert report.weight_matrix[v.i - 1, v.j - 1] == sum(label(lab, e)
                                                              for e in incident_edges(v, lab.dims))
 
 
@@ -213,7 +214,7 @@ def test_weights_are_exact_past_the_int64_range():
     h = lab.h.copy()
     h[1, 2] = 2**63 - 1  # the largest label decode accepts, among small ones
     lab = Labeling(d, h, lab.v)
-    assert weight_matrix(lab).tolist() == [[sum(lab.label(e) for e in incident_edges(x, d))
+    assert weight_matrix(lab).tolist() == [[sum(label(lab, e) for e in incident_edges(x, d))
                                             for x in all_vertices(d) if x.i == i]
                                            for i in range(1, 4)]
 
@@ -230,7 +231,7 @@ def test_weights_stay_int64_up_to_a_quarter_of_its_range():
 @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.uint64])
 def test_verify_agrees_across_integer_dtypes(dtype):
     lab = construct(4, 6)
-    for case in (lab, lab.with_swapped(H(1, 1), V(2, 3)), Labeling(lab.dims, lab.h * 50, lab.v)):
+    for case in (lab, swapped(lab, H(1, 1), V(2, 3)), Labeling(lab.dims, lab.h * 50, lab.v)):
         typed = verify(Labeling(case.dims, case.h.astype(dtype), case.v.astype(dtype)))
         expected = verify(case)
         assert (typed.is_supermagic, typed.constant, typed.duplicate_or_missing) == \
