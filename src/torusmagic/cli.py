@@ -32,7 +32,7 @@ from .construct import (
 from .diagonals import decompose
 from .grid import TorusMagicError, dims as make_dims
 from .render import MAX_RENDER_EDGES, RenderSpec, check_render_size, render
-from .search import MAX_SEARCH_EDGES, SearchConfig, SearchOutcome, search
+from .search import MAX_SEARCH_EDGES, SearchConfig, SearchOutcome, pool_size, search
 from .serialize import ParseError, decode, encode, header_dims
 from .verify import audit_corners, forced_constant, verify
 
@@ -126,13 +126,14 @@ def _cmd_audit(args) -> int:
 def _cmd_search(args) -> int:
     order, restarts = ("random", "luby") if args.seed is not None else ("ascending", "none")
     cfg = SearchConfig(node_budget=args.node_budget, time_budget=args.time_budget,
-                       value_order=order, restart_policy=restarts, seed=args.seed)
+                       value_order=order, restart_policy=restarts, seed=args.seed,
+                       workers=args.workers)
     outcome: SearchOutcome = search(args.n, args.m, cfg)
     s = outcome.stats
     rate = s.nodes / s.elapsed if s.elapsed > 0 else 0.0
     print(f"status: {outcome.status} | nodes {s.nodes} | propagations {s.propagations} | "
           f"restarts {s.restarts} | max depth {s.max_depth} | {s.elapsed:.2f}s | "
-          f"{rate:.0f} nodes/s", file=sys.stderr)
+          f"{rate:.0f} nodes/s | workers {pool_size(cfg)}", file=sys.stderr)
     if s.prunes:
         pruned = ", ".join(f"{k}={v}" for k, v in sorted(s.prunes.items()))
         print(f"prunes: {pruned}", file=sys.stderr)
@@ -209,6 +210,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="enable seeded-random value order with Luby restarts")
     p.add_argument("--node-budget", type=int, default=100_000_000)
     p.add_argument("--time-budget", type=float, default=600.0, metavar="SECONDS")
+    p.add_argument("--workers", type=int, default=None,
+                   help="Luby runs in flight at once, in forked processes (default: the "
+                        "usable CPUs; 1 runs them in-process); results do not depend on it")
     p.add_argument("--out", help="write the found labeling here instead of stdout")
     p.set_defaults(func=_cmd_search)
 

@@ -23,7 +23,10 @@ lexicographically by (i, j, orientation); that order, like each edge's
 endpoints, is a closed form of its flat index.  Value order is ascending
 by default; seeded-random order and Luby restarts are available for the
 harder satisfiable instances.  With a fixed seed every run is fully
-deterministic (wall-clock time aside).
+deterministic (wall-clock time aside).  Luby runs are independent, and
+each one's start is known before it starts, so later runs go to worker
+processes and are merged in run order; the result is the same for any
+worker count.
 
 Symmetry is broken only by pinning label 1: translations can always move
 the edge labeled 1 to position (1,1), so the top level tries f(H(1,1))=1
@@ -35,7 +38,12 @@ from __future__ import annotations
 
 import numbers
 import operator
+import os
+import sys
+import threading
 import time
+from collections import deque
+from functools import partial
 from itertools import compress, count
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -72,6 +80,7 @@ class SearchConfig:
     value_order: str = "ascending"
     restart_policy: str = "none"
     seed: int | None = None
+    workers: int | None = None  # Luby runs in flight at once: None = usable CPUs, 1 = in-process
 
     def __post_init__(self) -> None:
         for budget in (self.node_budget, self.time_budget):
@@ -81,6 +90,10 @@ class SearchConfig:
             raise TorusMagicError("budgets must be positive")
         if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(self.seed, int)):
             raise TorusMagicError(f"seed must be an integer or None, got {self.seed!r}")
+        if self.workers is not None and (isinstance(self.workers, bool)
+                                         or not isinstance(self.workers, int) or self.workers < 1):
+            raise TorusMagicError(f"workers must be a positive integer or None, "
+                                  f"got {self.workers!r}")
         if self.value_order not in _ORDERS:
             raise TorusMagicError(f"value_order must be one of {_ORDERS}")
         if self.restart_policy not in _RESTARTS:
@@ -436,24 +449,130 @@ def _pins(dims: GridDims) -> list[dict[EdgeRef, int]]:
 
 
 _LUBY_UNIT = 4096
+# what _one_run reports for a run that filled its node window
+_CUT = "cut"
+# Seconds past the deadline after which a pooled run's missing result
+# means its worker died: a live run stops at the deadline, and a pool
+# gives a dead worker's run to no other worker.
+_LOST_RUN_S = 30.0
+
+
+def pool_size(cfg: SearchConfig) -> int:
+    """How many runs a search under cfg keeps in flight; 1 runs them in-process.
+
+    Only Luby searches have more than one run.  The count is cfg.workers,
+    or the usable CPUs when that is None, capped at the usable CPUs.
+    Worker processes are forked, so without fork, or inside a daemonic
+    process (a pool worker may not have children), it is 1.
+    """
+    if cfg.restart_policy != "luby":
+        return 1
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    size = usable if cfg.workers is None else min(cfg.workers, usable)
+    mp = sys.modules.get("multiprocessing")  # a daemonic process has imported it
+    if size > 1 and (not hasattr(os, "fork") or mp is not None and mp.current_process().daemon):
+        return 1
+    return size
+
+
+def _run_specs(cfg: SearchConfig, branch: int, offset: int, deadline: float):
+    """(value-order stream, start offset, node limit) of each run of a
+    branch in run order, each made just before its run is dispatched.
+    Every run but the last fills its window, so the next starts where it
+    stopped."""
+    if cfg.restart_policy != "luby":
+        # the only run, which checks no budget before it starts
+        yield (branch,), offset, cfg.node_budget
+        return
+    for run in count(1):
+        # Luby checks the budgets before every run
+        if offset >= cfg.node_budget or time.perf_counter() > deadline:
+            return
+        limit = min(offset + _LUBY_UNIT * _luby(run), cfg.node_budget)
+        yield (branch, run), offset, limit
+        offset = limit
+
+
+def _one_run(dims: GridDims, base: Mapping[EdgeRef, int], cfg: SearchConfig, deadline: float,
+             spec: tuple) -> tuple[str, Labeling | None, SearchStats]:
+    """One run from its spec, with its own counters: (status, labeling,
+    stats), status _CUT when the run filled its node window."""
+    parts, offset, limit = spec
+    stats = SearchStats(nodes=offset)
+    status, solutions = _run(PartialLabeling(dims, base), stats, node_limit=limit,
+                             deadline=deadline, rng=_rng(cfg, *parts))
+    if status == BUDGET_EXCEEDED and stats.nodes == limit:
+        status = _CUT
+    return status, solutions[0] if solutions else None, stats
+
+
+class _Runs:
+    """Results of a search's runs in run order, at most `size` in flight.
+
+    With size 1 they run in-process, one after another.  Otherwise a
+    branch's first run runs in-process, and the rest go to a fork pool
+    that starts when the second is asked for and serves every branch;
+    close() ends it.
+    """
+
+    def __init__(self, size: int, deadline: float):
+        self.size = size
+        self.deadline = deadline
+        self.pool = None
+
+    def results(self, one_run, specs):
+        return map(one_run, specs) if self.size == 1 else self._pooled(one_run, iter(specs))
+
+    def _pooled(self, one_run, specs):
+        # the first run in-process: many searches end inside its window
+        for spec in specs:
+            yield one_run(spec)
+            break
+        pending = deque()
+        for spec in specs:
+            if self.pool is None:
+                import multiprocessing
+
+                self.pool = multiprocessing.get_context("fork").Pool(self.size)
+            pending.append(self.pool.apply_async(one_run, (spec,)))
+            if len(pending) == self.size:
+                yield self._result(pending.popleft())
+        while pending:
+            yield self._result(pending.popleft())
+
+    def _result(self, pending):
+        from multiprocessing import TimeoutError as NoResult
+
+        wait = max(self.deadline - time.perf_counter(), 0.0) + _LOST_RUN_S
+        try:
+            # an endless time budget waits as long as the platform allows
+            return pending.get(min(wait, threading.TIMEOUT_MAX))
+        except NoResult:
+            raise RuntimeError("a search worker process ended without returning its run") from None
+
+    def close(self) -> None:
+        if self.pool is not None:
+            self.pool.terminate()
+            self.pool.join()
 
 
 def _run_branch(dims: GridDims, base: Mapping[EdgeRef, int], cfg: SearchConfig,
-                stats: SearchStats, deadline: float, branch: int) -> tuple[str, Labeling | None]:
-    luby = cfg.restart_policy == "luby"
-    for run in count(1):
-        # Luby checks the budgets before every run, a run without restarts before none
-        if luby and (stats.nodes >= cfg.node_budget or time.perf_counter() > deadline):
-            return BUDGET_EXCEEDED, None
-        if run > 1:  # count a restart only once its run is sure to start
+                stats: SearchStats, deadline: float, branch: int,
+                runs: _Runs) -> tuple[str, Labeling | None]:
+    results = runs.results(partial(_one_run, dims, base, cfg, deadline),
+                           _run_specs(cfg, branch, stats.nodes, deadline))
+    for run, (status, labeling, counted) in enumerate(results, 1):
+        if run > 1:
             stats.restarts += 1
-        window = stats.nodes + _LUBY_UNIT * _luby(run) if luby else cfg.node_budget
-        status, solutions = _run(PartialLabeling(dims, base), stats,
-                                 node_limit=min(window, cfg.node_budget), deadline=deadline,
-                                 rng=_rng(cfg, branch, run) if luby else _rng(cfg, branch))
-        if status != BUDGET_EXCEEDED or not luby:
-            # found, refuted inside its window (a genuine refutation), or the only run
-            return status, solutions[0] if solutions else None
+        stats.nodes = counted.nodes
+        stats.propagations += counted.propagations
+        stats.max_depth = max(stats.max_depth, counted.max_depth)
+        for rule, pruned in counted.prunes.items():
+            stats.prunes[rule] = stats.prunes.get(rule, 0) + pruned
+        if status != _CUT:
+            # found, refuted inside its window (a genuine refutation), or cut by the clock
+            return status, labeling
+    return BUDGET_EXCEEDED, None
 
 
 def search(n: int, m: int, cfg: SearchConfig | None = None) -> SearchOutcome:
@@ -469,10 +588,14 @@ def search(n: int, m: int, cfg: SearchConfig | None = None) -> SearchOutcome:
     stats = SearchStats()
     start = time.perf_counter()
     deadline = start + cfg.time_budget
-    for branch, pin in enumerate(_pins(d)):
-        status, labeling = _run_branch(d, pin, cfg, stats, deadline, branch)
-        if status != EXHAUSTED:
-            break
+    runs = _Runs(pool_size(cfg), deadline)
+    try:
+        for branch, pin in enumerate(_pins(d)):
+            status, labeling = _run_branch(d, pin, cfg, stats, deadline, branch, runs)
+            if status != EXHAUSTED:
+                break
+    finally:
+        runs.close()
     stats.elapsed = time.perf_counter() - start
     return SearchOutcome(status=status, labeling=labeling, stats=stats)
 
@@ -480,8 +603,11 @@ def search(n: int, m: int, cfg: SearchConfig | None = None) -> SearchOutcome:
 def enumerate_completions(dims: GridDims, assignments: Mapping[EdgeRef, int],
                           cfg: SearchConfig | None = None) -> tuple[list[Labeling], SearchOutcome]:
     """All supermagic completions of a partial assignment (no symmetry
-    breaking, so the enumeration is the complete solution set)."""
+    breaking, so the enumeration is the complete solution set).  It is
+    one run, so it takes no restart policy."""
     cfg = cfg or SearchConfig()
+    if cfg.restart_policy != "none":
+        raise TorusMagicError("a find-all run cannot restart: use restart_policy='none'")
     stats = SearchStats()
     start = time.perf_counter()
     status, solutions = _run(PartialLabeling(dims, assignments), stats,

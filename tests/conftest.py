@@ -20,3 +20,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in _acceptance_lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker pools searches start during a test, on at least two
+    usable CPUs, so that a default Luby search takes the pooled path on
+    any host."""
+    import multiprocessing.pool
+    import os
+
+    started = []
+
+    class RecordedPool(multiprocessing.pool.Pool):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", RecordedPool)
+    if len(os.sched_getaffinity(0)) < 2:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return started

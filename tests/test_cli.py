@@ -121,7 +121,8 @@ def test_search_summary_line_reports_propagations_and_rate(capsys):
     assert code == EXIT_BUDGET
     line = err.splitlines()[0]
     match = re.fullmatch(r"status: budget-exceeded \| nodes (\d+) \| propagations (\d+) \| "
-                         r"restarts 0 \| max depth (\d+) \| ([\d.]+)s \| (\d+) nodes/s", line)
+                         r"restarts 0 \| max depth (\d+) \| ([\d.]+)s \| (\d+) nodes/s \| "
+                         r"workers 1", line)
     assert match, line
     stats = search(3, 4, SearchConfig(node_budget=5000)).stats
     assert (int(match[1]), int(match[2]), int(match[3])) == (5000, stats.propagations,
@@ -146,6 +147,21 @@ def test_search_seed_deterministic_output(capsys):
                                       seed=11)).stats
     assert (stats.nodes, stats.restarts) == (5_069, 1)
     assert f"| nodes {stats.nodes} | " in err1 and f"| restarts {stats.restarts} | " in err1
+
+
+def test_search_workers_flag(capsys, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    outputs = []
+    for workers, shown in [("1", 1), ("2", 2), ("9", 3)]:
+        code, out, err = run(capsys, "search", "3", "4", "--seed", "11", "--workers", workers)
+        assert code == EXIT_OK
+        assert err.splitlines()[0].endswith(f" nodes/s | workers {shown}")
+        assert "| nodes 5069 | " in err and "| restarts 1 | " in err
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    for bad in ("0", "-1"):
+        code, out, err = run(capsys, "search", "3", "4", "--seed", "11", "--workers", bad)
+        assert code == EXIT_ERROR and "workers must be a positive integer" in err
 
 
 def test_decompose_output(capsys):

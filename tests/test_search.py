@@ -1,5 +1,11 @@
 import importlib
 import itertools
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +24,7 @@ from torusmagic.search import (
     SearchTooLarge,
     _luby,
     enumerate_completions,
+    pool_size,
     search,
 )
 from torusmagic.verify import verify
@@ -107,6 +114,81 @@ def test_config_validation():
         SearchConfig(restart_policy="luby", value_order="ascending")
     with pytest.raises(TorusMagicError):
         SearchConfig(restart_policy="often")
+
+
+@pytest.mark.parametrize("workers", [0, -1, True, 1.5, "2"])
+def test_workers_must_be_a_positive_integer(workers):
+    with pytest.raises(TorusMagicError, match="workers"):
+        SearchConfig(workers=workers)
+
+
+def luby(**kwargs):
+    return SearchConfig(value_order="random", restart_policy="luby", seed=1, **kwargs)
+
+
+def test_pool_size_is_capped_at_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert pool_size(luby()) == 3
+    assert pool_size(luby(workers=2)) == 2
+    assert pool_size(luby(workers=10**9)) == 3  # sized only: no pool starts here
+    assert pool_size(luby(workers=1)) == 1
+    # one run without restarts, so nothing to put in flight beside it
+    assert pool_size(SearchConfig(workers=3)) == 1
+    assert pool_size(SearchConfig(value_order="random", seed=1, workers=3)) == 1
+
+
+def test_pool_size_falls_back_to_in_process(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    # a daemonic process, such as a pool worker, may not have children
+    monkeypatch.setattr(multiprocessing, "current_process", lambda: SimpleNamespace(daemon=True))
+    assert pool_size(luby()) == pool_size(luby(workers=3)) == 1
+    monkeypatch.setattr(multiprocessing, "current_process", lambda: SimpleNamespace(daemon=False))
+    assert pool_size(luby(workers=3)) == 3
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert pool_size(luby(workers=3)) == 1
+
+
+def test_importing_the_package_leaves_multiprocessing_unloaded():
+    src = Path(importlib.import_module("torusmagic").__file__).resolve().parents[1]
+    code = "import sys, torusmagic, torusmagic.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_no_child_process_outlives_a_search(pools):
+    found = search(3, 6, luby(workers=2))
+    cut = search(5, 6, luby(workers=2, node_budget=30_000))
+    assert (found.status, cut.status) == (FOUND, BUDGET_EXCEEDED)
+    assert len(pools) == 2
+    assert multiprocessing.active_children() == []
+
+
+def fail():
+    raise RuntimeError("run 3 failed")
+
+
+@pytest.mark.parametrize("act,error", [(fail, "run 3 failed"),
+                                       (lambda: os._exit(1), "ended without returning its run")])
+def test_a_failed_or_lost_worker_run_is_raised_in_the_parent(pools, monkeypatch, act, error):
+    # A pool gives a dead worker's run to no other worker, so the wait for
+    # it ends _LOST_RUN_S after the deadline, or the search would block.
+    search_module = importlib.import_module("torusmagic.search")
+    engine = search_module._run
+
+    def act_on_run_3(state, stats, **kwargs):
+        if stats.nodes == 2 * 4096:  # run 3 starts after two windows of 4,096 nodes
+            act()
+        return engine(state, stats, **kwargs)
+
+    monkeypatch.setattr(search_module, "_run", act_on_run_3)
+    monkeypatch.setattr(search_module, "_LOST_RUN_S", 0.5)
+    with pytest.raises(RuntimeError, match=error):
+        search(5, 6, SearchConfig(node_budget=30_000, time_budget=1.0, value_order="random",
+                                  restart_policy="luby", seed=2, workers=2))
+    assert len(pools) == 1
+    assert multiprocessing.active_children() == []
 
 
 BAD_SEARCH_INPUTS = {
@@ -261,6 +343,12 @@ def test_enumerate_completions_matches_brute_force():
 
     assert sorted(map(key, solutions)) == sorted(map(key, brute))
     assert any(lab == golden for lab in solutions)
+
+
+def test_enumerate_completions_refuses_restarts():
+    cfg = SearchConfig(value_order="random", restart_policy="luby", seed=1)
+    with pytest.raises(TorusMagicError, match="cannot restart"):
+        enumerate_completions(dims(3, 3), {H(1, 1): 1}, cfg)
 
 
 def test_enumerate_completions_refutes_rewired_partial():

@@ -3,9 +3,13 @@ kept in scalar_reference.py.
 
 Both must walk the same tree: the same status and labeling (for
 enumerations, the same solutions in the same order) and the same nodes,
-propagations, restarts, max depth and per-rule prune counts.
+propagations, restarts, max depth and per-rule prune counts.  Every test
+here sees at least two usable CPUs, so a Luby search under the default
+worker count runs its later runs on a worker pool; the reference runs
+them one after another in-process.
 """
 
+import dataclasses
 import sys
 
 import pytest
@@ -23,6 +27,9 @@ from torusmagic.search import (
     enumerate_completions,
     search,
 )
+
+
+pytestmark = pytest.mark.usefixtures("pools")
 
 
 def summary(outcome):
@@ -51,7 +58,7 @@ def test_deterministic_orders(n, m, order):
     assert out.status == FOUND
 
 
-def test_luby_restarts():
+def test_luby_restarts(pools):
     restarts = 0
     for seed in range(4):
         cfg = SearchConfig(value_order="random", restart_policy="luby", seed=seed)
@@ -59,16 +66,39 @@ def test_luby_restarts():
         assert out.status == FOUND
         restarts += out.stats.restarts
     assert restarts > 0  # the restart path ran
+    assert pools  # and ran on a worker pool
 
 
 @pytest.mark.parametrize("budget,runs", [(12_288, 3), (30_000, 6)])
-def test_luby_budget_cut_counts_only_the_restarts_that_start(budget, runs):
+def test_luby_budget_cut_counts_only_the_restarts_that_start(pools, budget, runs):
     # Luby windows of 4,096 x 1, 1, 2, 1, 1, 2 nodes: every run fills its
     # window until the budget cuts the last one, after which none starts
     cfg = SearchConfig(node_budget=budget, value_order="random", restart_policy="luby", seed=2)
     out = assert_same_search(5, 6, cfg)
     assert out.status == BUDGET_EXCEEDED
     assert (out.stats.nodes, out.stats.restarts) == (budget, runs - 1)
+    assert len(pools) == 1
+
+
+LUBY = SearchConfig(value_order="random", restart_policy="luby", seed=0)
+WORKER_CASES = {
+    **{f"3x4-seed{seed}": ((3, 4), dataclasses.replace(LUBY, seed=seed)) for seed in range(8)},
+    **{f"5x6-budget{budget}": ((5, 6), dataclasses.replace(LUBY, seed=2, node_budget=budget))
+       for budget in (12_288, 30_000)},
+    "3x4-time-budget": ((3, 4), dataclasses.replace(LUBY, seed=1, time_budget=1e-9)),
+    "3x4-endless-time-budget": ((3, 4), dataclasses.replace(LUBY, seed=1, time_budget=float("inf"))),
+}
+
+
+@pytest.mark.parametrize("shape,cfg", WORKER_CASES.values(), ids=WORKER_CASES)
+def test_worker_counts_give_identical_searches(shape, cfg):
+    # runs merge in run order, so the pool changes only the wall clock
+    one = search(*shape, dataclasses.replace(cfg, workers=1))
+    two = search(*shape, dataclasses.replace(cfg, workers=2))
+    assert summary(one) == summary(two)
+    assert one.labeling == two.labeling
+    if cfg.time_budget < 1e-6:  # the clock is read before the first run
+        assert (one.status, one.stats.nodes) == (BUDGET_EXCEEDED, 0)
 
 
 @pytest.mark.parametrize("budget", [1, 1_000, 50_000])
