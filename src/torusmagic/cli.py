@@ -126,8 +126,7 @@ def _cmd_audit(args) -> int:
 def _cmd_search(args) -> int:
     order, restarts = ("random", "luby") if args.seed is not None else ("ascending", "none")
     cfg = SearchConfig(node_budget=args.node_budget, time_budget=args.time_budget,
-                       value_order=order, restart_policy=restarts, seed=args.seed,
-                       workers=args.workers)
+                       value_order=order, restart_policy=restarts, seed=args.seed)
     outcome: SearchOutcome = search(args.n, args.m, cfg)
     s = outcome.stats
     rate = s.nodes / s.elapsed if s.elapsed > 0 else 0.0
@@ -210,9 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="enable seeded-random value order with Luby restarts")
     p.add_argument("--node-budget", type=int, default=100_000_000)
     p.add_argument("--time-budget", type=float, default=600.0, metavar="SECONDS")
-    p.add_argument("--workers", type=int, default=None,
-                   help="Luby runs in flight at once, in forked processes (default: the "
-                        "usable CPUs; 1 runs them in-process); results do not depend on it")
     p.add_argument("--out", help="write the found labeling here instead of stdout")
     p.set_defaults(func=_cmd_search)
 

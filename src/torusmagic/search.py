@@ -24,9 +24,9 @@ endpoints, is a closed form of its flat index.  Value order is ascending
 by default; seeded-random order and Luby restarts are available for the
 harder satisfiable instances.  With a fixed seed every run is fully
 deterministic (wall-clock time aside).  Luby runs are independent, and
-each one's start is known before it starts, so later runs go to worker
+each one's start is known before it starts, so they run on worker
 processes and are merged in run order; the result is the same for any
-worker count.
+number of workers.
 
 Symmetry is broken only by pinning label 1: translations can always move
 the edge labeled 1 to position (1,1), so the top level tries f(H(1,1))=1
@@ -80,7 +80,6 @@ class SearchConfig:
     value_order: str = "ascending"
     restart_policy: str = "none"
     seed: int | None = None
-    workers: int | None = None  # Luby runs in flight at once: None = usable CPUs, 1 = in-process
 
     def __post_init__(self) -> None:
         for budget in (self.node_budget, self.time_budget):
@@ -90,10 +89,6 @@ class SearchConfig:
             raise TorusMagicError("budgets must be positive")
         if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(self.seed, int)):
             raise TorusMagicError(f"seed must be an integer or None, got {self.seed!r}")
-        if self.workers is not None and (isinstance(self.workers, bool)
-                                         or not isinstance(self.workers, int) or self.workers < 1):
-            raise TorusMagicError(f"workers must be a positive integer or None, "
-                                  f"got {self.workers!r}")
         if self.value_order not in _ORDERS:
             raise TorusMagicError(f"value_order must be one of {_ORDERS}")
         if self.restart_policy not in _RESTARTS:
@@ -460,19 +455,16 @@ _LOST_RUN_S = 30.0
 def pool_size(cfg: SearchConfig) -> int:
     """How many runs a search under cfg keeps in flight; 1 runs them in-process.
 
-    Only Luby searches have more than one run.  The count is cfg.workers,
-    or the usable CPUs when that is None, capped at the usable CPUs.
-    Worker processes are forked, so without fork, or inside a daemonic
-    process (a pool worker may not have children), it is 1.
+    Only Luby searches have more than one run, and they keep one in flight
+    per usable CPU.  Worker processes are forked, so without fork, or
+    inside a daemonic process (a pool worker may not have children), it is 1.
     """
-    if cfg.restart_policy != "luby":
+    if cfg.restart_policy != "luby" or not hasattr(os, "fork"):
         return 1
-    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    size = usable if cfg.workers is None else min(cfg.workers, usable)
     mp = sys.modules.get("multiprocessing")  # a daemonic process has imported it
-    if size > 1 and (not hasattr(os, "fork") or mp is not None and mp.current_process().daemon):
+    if mp is not None and mp.current_process().daemon:
         return 1
-    return size
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _run_specs(cfg: SearchConfig, branch: int, offset: int, deadline: float):
@@ -507,12 +499,11 @@ def _one_run(dims: GridDims, base: Mapping[EdgeRef, int], cfg: SearchConfig, dea
 
 
 class _Runs:
-    """Results of a search's runs in run order, at most `size` in flight.
+    """Results of one branch's runs in run order, at most `size` in flight.
 
-    With size 1 they run in-process, one after another.  Otherwise a
-    branch's first run runs in-process, and the rest go to a fork pool
-    that starts when the second is asked for and serves every branch;
-    close() ends it.
+    With size 1 they run in-process, one after another.  Otherwise they
+    run on a fork pool that starts when the first run is asked for;
+    leaving the `with` block ends it, with any runs still in flight.
     """
 
     def __init__(self, size: int, deadline: float):
@@ -520,14 +511,18 @@ class _Runs:
         self.deadline = deadline
         self.pool = None
 
+    def __enter__(self) -> "_Runs":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.pool is not None:
+            self.pool.terminate()
+            self.pool.join()
+
     def results(self, one_run, specs):
-        return map(one_run, specs) if self.size == 1 else self._pooled(one_run, iter(specs))
+        return map(one_run, specs) if self.size == 1 else self._pooled(one_run, specs)
 
     def _pooled(self, one_run, specs):
-        # the first run in-process: many searches end inside its window
-        for spec in specs:
-            yield one_run(spec)
-            break
         pending = deque()
         for spec in specs:
             if self.pool is None:
@@ -550,28 +545,24 @@ class _Runs:
         except NoResult:
             raise RuntimeError("a search worker process ended without returning its run") from None
 
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.terminate()
-            self.pool.join()
-
 
 def _run_branch(dims: GridDims, base: Mapping[EdgeRef, int], cfg: SearchConfig,
                 stats: SearchStats, deadline: float, branch: int,
-                runs: _Runs) -> tuple[str, Labeling | None]:
-    results = runs.results(partial(_one_run, dims, base, cfg, deadline),
-                           _run_specs(cfg, branch, stats.nodes, deadline))
-    for run, (status, labeling, counted) in enumerate(results, 1):
-        if run > 1:
-            stats.restarts += 1
-        stats.nodes = counted.nodes
-        stats.propagations += counted.propagations
-        stats.max_depth = max(stats.max_depth, counted.max_depth)
-        for rule, pruned in counted.prunes.items():
-            stats.prunes[rule] = stats.prunes.get(rule, 0) + pruned
-        if status != _CUT:
-            # found, refuted inside its window (a genuine refutation), or cut by the clock
-            return status, labeling
+                size: int) -> tuple[str, Labeling | None]:
+    with _Runs(size, deadline) as runs:
+        results = runs.results(partial(_one_run, dims, base, cfg, deadline),
+                               _run_specs(cfg, branch, stats.nodes, deadline))
+        for run, (status, labeling, counted) in enumerate(results, 1):
+            if run > 1:
+                stats.restarts += 1
+            stats.nodes = counted.nodes
+            stats.propagations += counted.propagations
+            stats.max_depth = max(stats.max_depth, counted.max_depth)
+            for rule, pruned in counted.prunes.items():
+                stats.prunes[rule] = stats.prunes.get(rule, 0) + pruned
+            if status != _CUT:
+                # found, refuted inside its window (a genuine refutation), or cut by the clock
+                return status, labeling
     return BUDGET_EXCEEDED, None
 
 
@@ -588,14 +579,11 @@ def search(n: int, m: int, cfg: SearchConfig | None = None) -> SearchOutcome:
     stats = SearchStats()
     start = time.perf_counter()
     deadline = start + cfg.time_budget
-    runs = _Runs(pool_size(cfg), deadline)
-    try:
-        for branch, pin in enumerate(_pins(d)):
-            status, labeling = _run_branch(d, pin, cfg, stats, deadline, branch, runs)
-            if status != EXHAUSTED:
-                break
-    finally:
-        runs.close()
+    size = pool_size(cfg)
+    for branch, pin in enumerate(_pins(d)):
+        status, labeling = _run_branch(d, pin, cfg, stats, deadline, branch, size)
+        if status != EXHAUSTED:
+            break
     stats.elapsed = time.perf_counter() - start
     return SearchOutcome(status=status, labeling=labeling, stats=stats)
 

@@ -25,8 +25,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def pools(monkeypatch):
     """The worker pools searches start during a test, on at least two
-    usable CPUs, so that a default Luby search takes the pooled path on
-    any host."""
+    usable CPUs, so that a Luby search takes the pooled path on any
+    host."""
     import multiprocessing.pool
     import os
 

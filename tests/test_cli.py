@@ -137,31 +137,21 @@ def test_search_budget_exit_code(capsys):
     assert "budget" in err
 
 
-def test_search_seed_deterministic_output(capsys):
+def test_search_seed_deterministic_output(capsys, monkeypatch):
+    # in-process on one usable CPU, then on a pool of three workers
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     code1, out1, err1 = run(capsys, "search", "3", "4", "--seed", "11")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     code2, out2, err2 = run(capsys, "search", "3", "4", "--seed", "11")
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
+    assert err1.splitlines()[0].endswith(" nodes/s | workers 1")
+    assert err2.splitlines()[0].endswith(" nodes/s | workers 3")
     # --seed is the library's Luby config with that seed
     stats = search(3, 4, SearchConfig(value_order="random", restart_policy="luby",
                                       seed=11)).stats
     assert (stats.nodes, stats.restarts) == (5_069, 1)
     assert f"| nodes {stats.nodes} | " in err1 and f"| restarts {stats.restarts} | " in err1
-
-
-def test_search_workers_flag(capsys, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    outputs = []
-    for workers, shown in [("1", 1), ("2", 2), ("9", 3)]:
-        code, out, err = run(capsys, "search", "3", "4", "--seed", "11", "--workers", workers)
-        assert code == EXIT_OK
-        assert err.splitlines()[0].endswith(f" nodes/s | workers {shown}")
-        assert "| nodes 5069 | " in err and "| restarts 1 | " in err
-        outputs.append(out)
-    assert outputs[0] == outputs[1] == outputs[2]
-    for bad in ("0", "-1"):
-        code, out, err = run(capsys, "search", "3", "4", "--seed", "11", "--workers", bad)
-        assert code == EXIT_ERROR and "workers must be a positive integer" in err
 
 
 def test_decompose_output(capsys):

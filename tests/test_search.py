@@ -116,36 +116,22 @@ def test_config_validation():
         SearchConfig(restart_policy="often")
 
 
-@pytest.mark.parametrize("workers", [0, -1, True, 1.5, "2"])
-def test_workers_must_be_a_positive_integer(workers):
-    with pytest.raises(TorusMagicError, match="workers"):
-        SearchConfig(workers=workers)
-
-
 def luby(**kwargs):
     return SearchConfig(value_order="random", restart_policy="luby", seed=1, **kwargs)
 
 
-def test_pool_size_is_capped_at_the_usable_cpus(monkeypatch):
+def test_pool_size_is_the_usable_cpus_of_a_forking_parent(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert pool_size(luby()) == 3
-    assert pool_size(luby(workers=2)) == 2
-    assert pool_size(luby(workers=10**9)) == 3  # sized only: no pool starts here
-    assert pool_size(luby(workers=1)) == 1
     # one run without restarts, so nothing to put in flight beside it
-    assert pool_size(SearchConfig(workers=3)) == 1
-    assert pool_size(SearchConfig(value_order="random", seed=1, workers=3)) == 1
-
-
-def test_pool_size_falls_back_to_in_process(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert pool_size(SearchConfig()) == pool_size(SearchConfig(value_order="random", seed=1)) == 1
     # a daemonic process, such as a pool worker, may not have children
     monkeypatch.setattr(multiprocessing, "current_process", lambda: SimpleNamespace(daemon=True))
-    assert pool_size(luby()) == pool_size(luby(workers=3)) == 1
+    assert pool_size(luby()) == 1
     monkeypatch.setattr(multiprocessing, "current_process", lambda: SimpleNamespace(daemon=False))
-    assert pool_size(luby(workers=3)) == 3
+    assert pool_size(luby()) == 3
     monkeypatch.delattr(os, "fork", raising=False)
-    assert pool_size(luby(workers=3)) == 1
+    assert pool_size(luby()) == 1
 
 
 def test_importing_the_package_leaves_multiprocessing_unloaded():
@@ -158,8 +144,8 @@ def test_importing_the_package_leaves_multiprocessing_unloaded():
 
 
 def test_no_child_process_outlives_a_search(pools):
-    found = search(3, 6, luby(workers=2))
-    cut = search(5, 6, luby(workers=2, node_budget=30_000))
+    found = search(3, 6, luby())
+    cut = search(5, 6, luby(node_budget=30_000))
     assert (found.status, cut.status) == (FOUND, BUDGET_EXCEEDED)
     assert len(pools) == 2
     assert multiprocessing.active_children() == []
@@ -186,7 +172,7 @@ def test_a_failed_or_lost_worker_run_is_raised_in_the_parent(pools, monkeypatch,
     monkeypatch.setattr(search_module, "_LOST_RUN_S", 0.5)
     with pytest.raises(RuntimeError, match=error):
         search(5, 6, SearchConfig(node_budget=30_000, time_budget=1.0, value_order="random",
-                                  restart_policy="luby", seed=2, workers=2))
+                                  restart_policy="luby", seed=2))
     assert len(pools) == 1
     assert multiprocessing.active_children() == []
 

@@ -4,12 +4,12 @@ kept in scalar_reference.py.
 Both must walk the same tree: the same status and labeling (for
 enumerations, the same solutions in the same order) and the same nodes,
 propagations, restarts, max depth and per-rule prune counts.  Every test
-here sees at least two usable CPUs, so a Luby search under the default
-worker count runs its later runs on a worker pool; the reference runs
-them one after another in-process.
+here sees at least two usable CPUs, so a Luby search runs its runs on a
+worker pool; the reference runs them one after another in-process.
 """
 
 import dataclasses
+import os
 import sys
 
 import pytest
@@ -91,10 +91,14 @@ WORKER_CASES = {
 
 
 @pytest.mark.parametrize("shape,cfg", WORKER_CASES.values(), ids=WORKER_CASES)
-def test_worker_counts_give_identical_searches(shape, cfg):
+def test_worker_counts_give_identical_searches(pools, monkeypatch, shape, cfg):
     # runs merge in run order, so the pool changes only the wall clock
-    one = search(*shape, dataclasses.replace(cfg, workers=1))
-    two = search(*shape, dataclasses.replace(cfg, workers=2))
+    outs = []
+    for cpus in ({0}, {0, 1}):  # one usable CPU runs in-process, two on a 2-worker pool
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        outs.append(search(*shape, cfg))
+    one, two = outs
+    assert bool(pools) == bool(two.stats.nodes)  # a pool ran the second search's runs
     assert summary(one) == summary(two)
     assert one.labeling == two.labeling
     if cfg.time_budget < 1e-6:  # the clock is read before the first run
