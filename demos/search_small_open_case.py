@@ -19,8 +19,8 @@ for n, m in [(3, 4), (3, 5)]:
     print(f"  prunes: {dict(sorted(out.stats.prunes.items()))}")
 
 print("\n(3,6) is harder; seeded-random order with Luby restarts:")
-cfg = SearchConfig(node_budget=20_000_000, time_budget=300.0,
-                   value_order="random", restart_policy="luby", seed=1)
+# a seed means seeded-random value order with Luby restarts
+cfg = SearchConfig(node_budget=20_000_000, time_budget=300.0, seed=1)
 out = search(3, 6, cfg)
 print(f"  status {out.status}: {out.stats.nodes} nodes, "
       f"{out.stats.restarts} restarts, {out.stats.elapsed:.1f}s")

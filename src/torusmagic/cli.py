@@ -124,9 +124,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    order, restarts = ("random", "luby") if args.seed is not None else ("ascending", "none")
-    cfg = SearchConfig(node_budget=args.node_budget, time_budget=args.time_budget,
-                       value_order=order, restart_policy=restarts, seed=args.seed)
+    cfg = SearchConfig(node_budget=args.node_budget, time_budget=args.time_budget, seed=args.seed)
     outcome: SearchOutcome = search(args.n, args.m, cfg)
     s = outcome.stats
     rate = s.nodes / s.elapsed if s.elapsed > 0 else 0.0

@@ -20,13 +20,13 @@ the complete solution set of a partial assignment.
 Decision edges follow the most-constrained-vertex-first rule: take an
 unlabeled edge at a vertex with the fewest unlabeled edges, breaking ties
 lexicographically by (i, j, orientation); that order, like each edge's
-endpoints, is a closed form of its flat index.  Value order is ascending
-by default; seeded-random order and Luby restarts are available for the
-harder satisfiable instances.  With a fixed seed every run is fully
-deterministic (wall-clock time aside).  Luby runs are independent, and
-each one's start is known before it starts, so they run on worker
-processes and are merged in run order; the result is the same for any
-number of workers.
+endpoints, is a closed form of its flat index.  Without a seed a search is
+one run in ascending value order; a seed gives seeded-random value order
+with Luby restarts, for the harder satisfiable instances.  With a fixed
+seed every run is fully deterministic (wall-clock time aside).  Luby runs
+are independent, and each one's start is known before it starts, so they
+run on worker processes and are merged in run order; the result is the
+same for any number of workers.
 
 Symmetry is broken only by pinning label 1: translations can always move
 the edge labeled 1 to position (1,1), so the top level tries f(H(1,1))=1
@@ -39,13 +39,15 @@ from __future__ import annotations
 import numbers
 import operator
 import os
+import random
 import sys
 import threading
 import time
 from collections import deque
+from contextlib import closing
 from functools import partial
 from itertools import compress, count
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -57,9 +59,6 @@ from .verify import forced_constant, verify
 FOUND = "found"
 EXHAUSTED = "exhausted"
 BUDGET_EXCEEDED = "budget-exceeded"
-
-_ORDERS = ("ascending", "random")
-_RESTARTS = ("none", "luby")
 
 # Largest grid search takes on, in edges.  PartialLabeling builds about
 # 420 bytes of Python state per edge before the first node, so the cap
@@ -73,15 +72,22 @@ class SearchTooLarge(TorusMagicError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budgets and exploration policy; seeded modes are pure functions of the seed."""
+    """Budgets and a seed.  No seed is one run in ascending value order; a
+    seed is seeded-random value order with Luby restarts, a pure function
+    of the seed.
+
+    `value_order` and `restart_policy` may spell out the policy the seed
+    implies ("ascending" and "none" without one, "random" and "luby" with
+    one); they are checked, not stored.
+    """
 
     node_budget: int = 100_000_000
     time_budget: float = 600.0
-    value_order: str = "ascending"
-    restart_policy: str = "none"
     seed: int | None = None
+    value_order: InitVar[str | None] = None
+    restart_policy: InitVar[str | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, value_order: str | None, restart_policy: str | None) -> None:
         for budget in (self.node_budget, self.time_budget):
             if isinstance(budget, bool) or not isinstance(budget, numbers.Real):
                 raise TorusMagicError(f"budgets must be numbers, got {budget!r}")
@@ -89,14 +95,10 @@ class SearchConfig:
             raise TorusMagicError("budgets must be positive")
         if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(self.seed, int)):
             raise TorusMagicError(f"seed must be an integer or None, got {self.seed!r}")
-        if self.value_order not in _ORDERS:
-            raise TorusMagicError(f"value_order must be one of {_ORDERS}")
-        if self.restart_policy not in _RESTARTS:
-            raise TorusMagicError(f"restart_policy must be one of {_RESTARTS}")
-        if self.value_order == "random" and self.seed is None:
-            raise TorusMagicError("seeded-random value order needs a seed")
-        if self.restart_policy == "luby" and self.value_order != "random":
-            raise TorusMagicError("luby restarts only make sense with seeded-random value order")
+        implied = ("ascending", "none") if self.seed is None else ("random", "luby")
+        if value_order not in (None, implied[0]) or restart_policy not in (None, implied[1]):
+            raise TorusMagicError(f"seed={self.seed!r} means value_order={implied[0]!r} and "
+                                  f"restart_policy={implied[1]!r}")
 
 
 @dataclass
@@ -353,11 +355,7 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
         else:
             if len(stack) > max_depth:
                 max_depth = len(stack)
-            solution = state.to_labeling()
-            report = verify(solution)
-            if not report.is_supermagic or report.constant != state.constant:
-                raise RuntimeError("internal defect: search produced a non-supermagic labeling")
-            solutions.append(solution)
+            solutions.append(state.to_labeling())
             if not find_all:
                 status = FOUND
                 break
@@ -425,13 +423,11 @@ def _derived_seed(seed: int, *parts: int) -> int:
     return value
 
 
-def _rng(cfg: SearchConfig, *parts: int):
-    """The value-order stream for one run, or None for a fixed order."""
-    if cfg.value_order != "random":
-        return None
-    import random
-
-    return random.Random(_derived_seed(cfg.seed, *parts))
+def _check_found(labeling: Labeling) -> None:
+    # run in the calling process, whichever process found the labeling
+    report = verify(labeling)
+    if not report.is_supermagic or report.constant != forced_constant(labeling.dims):
+        raise RuntimeError("internal defect: search produced a non-supermagic labeling")
 
 
 def _pins(dims: GridDims) -> list[dict[EdgeRef, int]]:
@@ -459,7 +455,7 @@ def pool_size(cfg: SearchConfig) -> int:
     per usable CPU.  Worker processes are forked, so without fork, or
     inside a daemonic process (a pool worker may not have children), it is 1.
     """
-    if cfg.restart_policy != "luby" or not hasattr(os, "fork"):
+    if cfg.seed is None or not hasattr(os, "fork"):
         return 1
     mp = sys.modules.get("multiprocessing")  # a daemonic process has imported it
     if mp is not None and mp.current_process().daemon:
@@ -468,90 +464,81 @@ def pool_size(cfg: SearchConfig) -> int:
 
 
 def _run_specs(cfg: SearchConfig, branch: int, offset: int, deadline: float):
-    """(value-order stream, start offset, node limit) of each run of a
-    branch in run order, each made just before its run is dispatched.
-    Every run but the last fills its window, so the next starts where it
-    stopped."""
-    if cfg.restart_policy != "luby":
-        # the only run, which checks no budget before it starts
-        yield (branch,), offset, cfg.node_budget
+    """(value-order seed, start offset, node limit) of each run of a branch
+    in run order, each made just before its run is dispatched.  Every run
+    but the last fills its window, so the next starts where it stopped."""
+    if cfg.seed is None:
+        # the only run, in ascending order, which checks no budget before it starts
+        yield None, offset, cfg.node_budget
         return
     for run in count(1):
         # Luby checks the budgets before every run
         if offset >= cfg.node_budget or time.perf_counter() > deadline:
             return
         limit = min(offset + _LUBY_UNIT * _luby(run), cfg.node_budget)
-        yield (branch, run), offset, limit
+        yield _derived_seed(cfg.seed, branch, run), offset, limit
         offset = limit
 
 
-def _one_run(dims: GridDims, base: Mapping[EdgeRef, int], cfg: SearchConfig, deadline: float,
+def _one_run(dims: GridDims, base: Mapping[EdgeRef, int], deadline: float,
              spec: tuple) -> tuple[str, Labeling | None, SearchStats]:
     """One run from its spec, with its own counters: (status, labeling,
     stats), status _CUT when the run filled its node window."""
-    parts, offset, limit = spec
+    seed, offset, limit = spec
     stats = SearchStats(nodes=offset)
     status, solutions = _run(PartialLabeling(dims, base), stats, node_limit=limit,
-                             deadline=deadline, rng=_rng(cfg, *parts))
+                             deadline=deadline, rng=None if seed is None else random.Random(seed))
     if status == BUDGET_EXCEEDED and stats.nodes == limit:
         status = _CUT
     return status, solutions[0] if solutions else None, stats
 
 
-class _Runs:
+def _results(one_run, specs, size: int, deadline: float):
     """Results of one branch's runs in run order, at most `size` in flight.
 
     With size 1 they run in-process, one after another.  Otherwise they
     run on a fork pool that starts when the first run is asked for;
-    leaving the `with` block ends it, with any runs still in flight.
+    closing the generator ends it, with any runs still in flight.
     """
+    if size == 1:
+        yield from map(one_run, specs)
+        return
 
-    def __init__(self, size: int, deadline: float):
-        self.size = size
-        self.deadline = deadline
-        self.pool = None
-
-    def __enter__(self) -> "_Runs":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self.pool is not None:
-            self.pool.terminate()
-            self.pool.join()
-
-    def results(self, one_run, specs):
-        return map(one_run, specs) if self.size == 1 else self._pooled(one_run, specs)
-
-    def _pooled(self, one_run, specs):
-        pending = deque()
-        for spec in specs:
-            if self.pool is None:
-                import multiprocessing
-
-                self.pool = multiprocessing.get_context("fork").Pool(self.size)
-            pending.append(self.pool.apply_async(one_run, (spec,)))
-            if len(pending) == self.size:
-                yield self._result(pending.popleft())
-        while pending:
-            yield self._result(pending.popleft())
-
-    def _result(self, pending):
+    def result(run):
         from multiprocessing import TimeoutError as NoResult
 
-        wait = max(self.deadline - time.perf_counter(), 0.0) + _LOST_RUN_S
+        wait = max(deadline - time.perf_counter(), 0.0) + _LOST_RUN_S
         try:
             # an endless time budget waits as long as the platform allows
-            return pending.get(min(wait, threading.TIMEOUT_MAX))
+            return run.get(min(wait, threading.TIMEOUT_MAX))
         except NoResult:
             raise RuntimeError("a search worker process ended without returning its run") from None
+
+    pool = None
+    pending = deque()
+    try:
+        for spec in specs:
+            if pool is None:
+                import multiprocessing
+
+                pool = multiprocessing.get_context("fork").Pool(size)
+            pending.append(pool.apply_async(one_run, (spec,)))
+            if len(pending) == size:
+                yield result(pending.popleft())
+        while pending:
+            yield result(pending.popleft())
+    finally:
+        if pool is not None:
+            pool.terminate()
+            pool.join()
 
 
 def _run_branch(dims: GridDims, base: Mapping[EdgeRef, int], cfg: SearchConfig,
                 stats: SearchStats, deadline: float, branch: int,
                 size: int) -> tuple[str, Labeling | None]:
-    with _Runs(size, deadline) as runs:
-        results = runs.results(partial(_one_run, dims, base, cfg, deadline),
-                               _run_specs(cfg, branch, stats.nodes, deadline))
+    one_run = partial(_one_run, dims, base, deadline)
+    specs = _run_specs(cfg, branch, stats.nodes, deadline)
+    with closing(_results(one_run, specs, size, deadline)) as results:
         for run, (status, labeling, counted) in enumerate(results, 1):
             if run > 1:
                 stats.restarts += 1
@@ -584,6 +571,8 @@ def search(n: int, m: int, cfg: SearchConfig | None = None) -> SearchOutcome:
         status, labeling = _run_branch(d, pin, cfg, stats, deadline, branch, size)
         if status != EXHAUSTED:
             break
+    if labeling is not None:
+        _check_found(labeling)
     stats.elapsed = time.perf_counter() - start
     return SearchOutcome(status=status, labeling=labeling, stats=stats)
 
@@ -592,14 +581,17 @@ def enumerate_completions(dims: GridDims, assignments: Mapping[EdgeRef, int],
                           cfg: SearchConfig | None = None) -> tuple[list[Labeling], SearchOutcome]:
     """All supermagic completions of a partial assignment (no symmetry
     breaking, so the enumeration is the complete solution set).  It is
-    one run, so it takes no restart policy."""
+    one run in ascending order, so it takes no seed."""
     cfg = cfg or SearchConfig()
-    if cfg.restart_policy != "none":
-        raise TorusMagicError("a find-all run cannot restart: use restart_policy='none'")
+    if cfg.seed is not None:
+        raise TorusMagicError("a find-all run is one ascending run and cannot restart: "
+                              "it takes no seed")
     stats = SearchStats()
     start = time.perf_counter()
     status, solutions = _run(PartialLabeling(dims, assignments), stats,
                              node_limit=cfg.node_budget, deadline=start + cfg.time_budget,
-                             rng=_rng(cfg, 0), find_all=True)
+                             find_all=True)
+    for solution in solutions:
+        _check_found(solution)
     stats.elapsed = time.perf_counter() - start
     return solutions, SearchOutcome(status=status, labeling=None, stats=stats)

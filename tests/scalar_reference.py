@@ -784,13 +784,11 @@ class _Engine:
     """One depth-first run over a PartialLabeling."""
 
     def __init__(self, state: PartialLabeling, stats: SearchStats, *,
-                 node_limit: int, deadline: float, value_order: str,
-                 rng=None, find_all: bool = False):
+                 node_limit: int, deadline: float, rng=None, find_all: bool = False):
         self.s = state
         self.stats = stats
         self.node_limit = node_limit
         self.deadline = deadline
-        self.value_order = value_order
         self.rng = rng
         self.find_all = find_all
         self.solutions: list[Labeling] = []
@@ -878,9 +876,7 @@ class _Engine:
                 lo = max(lo, need - maxs[r - 1])
         used = s.used
         values = [x for x in range(max(lo, 1), min(hi, q) + 1) if not used[x]]
-        if self.value_order == "descending":
-            values.reverse()
-        elif self.value_order == "random":
+        if self.rng is not None:
             self.rng.shuffle(values)
         return values
 
@@ -924,11 +920,9 @@ def _run_branch(dims: GridDims, base: Mapping[EdgeRef, int], cfg: SearchConfig,
                 stats: SearchStats, deadline: float, branch: int) -> tuple[str, Labeling | None]:
     import random
 
-    if cfg.restart_policy == "none":
+    if cfg.seed is None:
         state = PartialLabeling(dims, base)
-        rng = random.Random(_derived_seed(cfg.seed, branch)) if cfg.value_order == "random" else None
-        engine = _Engine(state, stats, node_limit=cfg.node_budget, deadline=deadline,
-                         value_order=cfg.value_order, rng=rng)
+        engine = _Engine(state, stats, node_limit=cfg.node_budget, deadline=deadline)
         status = engine.run()
         return status, engine.solutions[0] if engine.solutions else None
 
@@ -942,7 +936,7 @@ def _run_branch(dims: GridDims, base: Mapping[EdgeRef, int], cfg: SearchConfig,
         window = min(stats.nodes + _LUBY_UNIT * _luby(run), cfg.node_budget)
         state = PartialLabeling(dims, base)
         engine = _Engine(state, stats, node_limit=window, deadline=deadline,
-                         value_order="random", rng=random.Random(_derived_seed(cfg.seed, branch, run)))
+                         rng=random.Random(_derived_seed(cfg.seed, branch, run)))
         status = engine.run()
         if status == FOUND:
             return status, engine.solutions[0]
@@ -988,14 +982,8 @@ def enumerate_completions(dims: GridDims, assignments: Mapping[EdgeRef, int],
     stats = SearchStats()
     start = time.perf_counter()
     state = PartialLabeling(dims, assignments)
-    rng = None
-    if cfg.value_order == "random":
-        import random
-
-        rng = random.Random(_derived_seed(cfg.seed, 0))
     engine = _Engine(state, stats, node_limit=cfg.node_budget,
-                     deadline=start + cfg.time_budget, value_order=cfg.value_order,
-                     rng=rng, find_all=True)
+                     deadline=start + cfg.time_budget, find_all=True)
     status = engine.run()
     stats.elapsed = time.perf_counter() - start
     outcome = SearchOutcome(status=status, labeling=None, stats=stats)

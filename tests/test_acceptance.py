@@ -177,9 +177,7 @@ def test_criterion_7_search_reproduction(acceptance_report):
     stretch = {}
     out35 = search(3, 5, SearchConfig(node_budget=100_000_000, time_budget=300.0))
     stretch["(3,5)"] = f"{out35.status} ({out35.stats.nodes} nodes, {out35.stats.elapsed:.1f}s)"
-    out36 = search(3, 6, SearchConfig(node_budget=20_000_000, time_budget=300.0,
-                                      value_order="random", restart_policy="luby",
-                                      seed=1))
+    out36 = search(3, 6, SearchConfig(node_budget=20_000_000, time_budget=300.0, seed=1))
     stretch["(3,6)"] = f"{out36.status} ({out36.stats.nodes} nodes, {out36.stats.elapsed:.1f}s)"
     for shape, out in (("(3,5)", out35), ("(3,6)", out36)):
         if out.status == "found":

@@ -148,8 +148,7 @@ def test_search_seed_deterministic_output(capsys, monkeypatch):
     assert err1.splitlines()[0].endswith(" nodes/s | workers 1")
     assert err2.splitlines()[0].endswith(" nodes/s | workers 3")
     # --seed is the library's Luby config with that seed
-    stats = search(3, 4, SearchConfig(value_order="random", restart_policy="luby",
-                                      seed=11)).stats
+    stats = search(3, 4, SearchConfig(seed=11)).stats
     assert (stats.nodes, stats.restarts) == (5_069, 1)
     assert f"| nodes {stats.nodes} | " in err1 and f"| restarts {stats.restarts} | " in err1
 

@@ -90,8 +90,7 @@ def test_search_edge_cap_is_inclusive(monkeypatch):
 
 
 def test_search_deterministic_given_seed():
-    cfg = SearchConfig(node_budget=5_000_000, time_budget=120,
-                       value_order="random", restart_policy="luby", seed=11)
+    cfg = SearchConfig(node_budget=5_000_000, time_budget=120, seed=11)
     a, b = search(3, 4, cfg), search(3, 4, cfg)
     assert a.status == b.status == FOUND
     assert a.stats.nodes == b.stats.nodes
@@ -106,25 +105,49 @@ def test_config_validation():
         SearchConfig(time_budget=-1)
     with pytest.raises(TorusMagicError):
         SearchConfig(time_budget=float("nan"))  # would never expire
+
+
+def test_spelling_out_the_seeded_policy_gives_the_same_config():
+    for seed in (0, 7):
+        spelled = SearchConfig(value_order="random", restart_policy="luby", seed=seed)
+        assert spelled == SearchConfig(seed=seed)
+        a, b = search(3, 4, spelled), search(3, 4, SearchConfig(seed=seed))
+        assert (a.status, a.stats.nodes, a.stats.restarts, a.stats.prunes) == \
+               (b.status, b.stats.nodes, b.stats.restarts, b.stats.prunes)
+        assert a.labeling == b.labeling
+    assert SearchConfig(value_order="ascending", restart_policy="none") == SearchConfig()
+
+
+POLICIES_THE_SEED_CONTRADICTS = [
+    dict(value_order="random"),  # a seed is required
+    dict(restart_policy="luby"),
+    dict(restart_policy="luby", value_order="ascending"),
+    dict(restart_policy="often"),
+    dict(value_order="spiral"),
+    dict(seed=1, restart_policy="none"),
+    dict(seed=1, value_order="ascending"),
+    dict(seed=1, value_order="descending"),
+    dict(seed=1, value_order="spiral"),
+    dict(value_order="descending"),
+    dict(value_order="none"),
+]
+
+
+@pytest.mark.parametrize("kwargs", POLICIES_THE_SEED_CONTRADICTS)
+def test_a_policy_the_seed_does_not_imply_raises(kwargs):
     with pytest.raises(TorusMagicError):
-        SearchConfig(value_order="spiral")
-    with pytest.raises(TorusMagicError):
-        SearchConfig(value_order="random")  # seed required
-    with pytest.raises(TorusMagicError):
-        SearchConfig(restart_policy="luby", value_order="ascending")
-    with pytest.raises(TorusMagicError):
-        SearchConfig(restart_policy="often")
+        SearchConfig(**kwargs)
 
 
 def luby(**kwargs):
-    return SearchConfig(value_order="random", restart_policy="luby", seed=1, **kwargs)
+    return SearchConfig(seed=1, **kwargs)
 
 
 def test_pool_size_is_the_usable_cpus_of_a_forking_parent(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert pool_size(luby()) == 3
     # one run without restarts, so nothing to put in flight beside it
-    assert pool_size(SearchConfig()) == pool_size(SearchConfig(value_order="random", seed=1)) == 1
+    assert pool_size(SearchConfig()) == 1
     # a daemonic process, such as a pool worker, may not have children
     monkeypatch.setattr(multiprocessing, "current_process", lambda: SimpleNamespace(daemon=True))
     assert pool_size(luby()) == 1
@@ -151,6 +174,33 @@ def test_no_child_process_outlives_a_search(pools):
     assert multiprocessing.active_children() == []
 
 
+def counted_verify(monkeypatch):
+    """Count calls to verify as search makes them, in this process only."""
+    search_module = importlib.import_module("torusmagic.search")
+    calls = []
+
+    def counted(lab):
+        calls.append(os.getpid())
+        return verify(lab)
+
+    monkeypatch.setattr(search_module, "verify", counted)
+    return calls
+
+
+def test_a_pooled_search_verifies_its_labeling_in_the_calling_process(pools, monkeypatch):
+    calls = counted_verify(monkeypatch)
+    out = search(3, 6, luby())
+    assert out.status == FOUND and len(pools) == 1  # found on a worker
+    assert calls == [os.getpid()]
+
+
+def test_enumerate_completions_verifies_each_solution_once(monkeypatch):
+    calls = counted_verify(monkeypatch)
+    solutions, out = enumerate_completions(dims(3, 3), {H(1, 1): 1, V(1, 1): 2})
+    assert out.status == EXHAUSTED and solutions
+    assert len(calls) == len(solutions)
+
+
 def fail():
     raise RuntimeError("run 3 failed")
 
@@ -171,15 +221,14 @@ def test_a_failed_or_lost_worker_run_is_raised_in_the_parent(pools, monkeypatch,
     monkeypatch.setattr(search_module, "_run", act_on_run_3)
     monkeypatch.setattr(search_module, "_LOST_RUN_S", 0.5)
     with pytest.raises(RuntimeError, match=error):
-        search(5, 6, SearchConfig(node_budget=30_000, time_budget=1.0, value_order="random",
-                                  restart_policy="luby", seed=2))
+        search(5, 6, SearchConfig(node_budget=30_000, time_budget=1.0, seed=2))
     assert len(pools) == 1
     assert multiprocessing.active_children() == []
 
 
 BAD_SEARCH_INPUTS = {
-    "float seed": lambda: search(3, 3, SearchConfig(value_order="random", seed=1.5)),
-    "bool seed": lambda: SearchConfig(value_order="random", seed=True),
+    "float seed": lambda: search(3, 3, SearchConfig(seed=1.5)),
+    "bool seed": lambda: SearchConfig(seed=True),
     "string time budget": lambda: SearchConfig(time_budget="5"),
     "bool node budget": lambda: SearchConfig(node_budget=True),
     "descending order": lambda: SearchConfig(value_order="descending"),
@@ -332,9 +381,10 @@ def test_enumerate_completions_matches_brute_force():
 
 
 def test_enumerate_completions_refuses_restarts():
-    cfg = SearchConfig(value_order="random", restart_policy="luby", seed=1)
-    with pytest.raises(TorusMagicError, match="cannot restart"):
-        enumerate_completions(dims(3, 3), {H(1, 1): 1}, cfg)
+    # a seed means Luby restarts, and a find-all run is one ascending run
+    for seed in (0, 1):
+        with pytest.raises(TorusMagicError, match="cannot restart"):
+            enumerate_completions(dims(3, 3), {H(1, 1): 1}, SearchConfig(seed=seed))
 
 
 def test_enumerate_completions_refutes_rewired_partial():

@@ -61,8 +61,7 @@ def test_deterministic_orders(n, m, order):
 def test_luby_restarts(pools):
     restarts = 0
     for seed in range(4):
-        cfg = SearchConfig(value_order="random", restart_policy="luby", seed=seed)
-        out = assert_same_search(3, 4, cfg)
+        out = assert_same_search(3, 4, SearchConfig(seed=seed))
         assert out.status == FOUND
         restarts += out.stats.restarts
     assert restarts > 0  # the restart path ran
@@ -73,14 +72,13 @@ def test_luby_restarts(pools):
 def test_luby_budget_cut_counts_only_the_restarts_that_start(pools, budget, runs):
     # Luby windows of 4,096 x 1, 1, 2, 1, 1, 2 nodes: every run fills its
     # window until the budget cuts the last one, after which none starts
-    cfg = SearchConfig(node_budget=budget, value_order="random", restart_policy="luby", seed=2)
-    out = assert_same_search(5, 6, cfg)
+    out = assert_same_search(5, 6, SearchConfig(node_budget=budget, seed=2))
     assert out.status == BUDGET_EXCEEDED
     assert (out.stats.nodes, out.stats.restarts) == (budget, runs - 1)
     assert len(pools) == 1
 
 
-LUBY = SearchConfig(value_order="random", restart_policy="luby", seed=0)
+LUBY = SearchConfig(seed=0)
 WORKER_CASES = {
     **{f"3x4-seed{seed}": ((3, 4), dataclasses.replace(LUBY, seed=seed)) for seed in range(8)},
     **{f"5x6-budget{budget}": ((5, 6), dataclasses.replace(LUBY, seed=2, node_budget=budget))
@@ -114,13 +112,12 @@ def test_node_budget_cutoffs(budget):
 
 @pytest.mark.parametrize("cfg,nodes", [
     (SearchConfig(time_budget=1e-9), 1_024),
-    (SearchConfig(time_budget=1e-9, value_order="random", seed=1), 1_024),
-    (SearchConfig(time_budget=1e-9, value_order="random", restart_policy="luby", seed=1), 0),
+    (SearchConfig(time_budget=1e-9, seed=1), 0),
 ])
 def test_time_budget_cutoffs(cfg, nodes):
-    # A run without restarts starts before any clock check and stops at
-    # the first one, 1,024 nodes in; Luby reads the clock before its
-    # first run.
+    # The unseeded run starts before any clock check and stops at the
+    # first one, 1,024 nodes in; Luby reads the clock before its first
+    # run.
     out = assert_same_search(3, 4, cfg)
     assert out.status == BUDGET_EXCEEDED
     assert out.stats.nodes == nodes
@@ -159,8 +156,7 @@ def test_pinned_enumerations(x):
 
 SOLUTIONS = {
     (3, 3): construct(3, 3),
-    (3, 4): search(3, 4, SearchConfig(value_order="random", restart_policy="luby",
-                                      seed=0)).labeling,
+    (3, 4): search(3, 4, SearchConfig(seed=0)).labeling,
 }
 
 
@@ -176,10 +172,7 @@ def partial_assignments(draw):
     else:
         labels = draw(st.lists(st.integers(1, d.q), unique=True,
                                min_size=len(edges), max_size=len(edges)))
-    order = draw(st.sampled_from(["ascending", "random"]))
-    seed = draw(st.integers(0, 2**32 - 1)) if order == "random" else None
-    cfg = SearchConfig(node_budget=2_000, value_order=order, seed=seed)
-    return d, dict(zip(edges, labels)), cfg
+    return d, dict(zip(edges, labels)), SearchConfig(node_budget=2_000)
 
 
 @settings(max_examples=120, deadline=None)
