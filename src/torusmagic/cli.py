@@ -130,7 +130,7 @@ def _cmd_search(args) -> int:
     rate = s.nodes / s.elapsed if s.elapsed > 0 else 0.0
     print(f"status: {outcome.status} | nodes {s.nodes} | propagations {s.propagations} | "
           f"restarts {s.restarts} | max depth {s.max_depth} | {s.elapsed:.2f}s | "
-          f"{rate:.0f} nodes/s | workers {pool_size(cfg)}", file=sys.stderr)
+          f"{rate:.0f} nodes/s | workers {pool_size()}", file=sys.stderr)
     if s.prunes:
         pruned = ", ".join(f"{k}={v}" for k, v in sorted(s.prunes.items()))
         print(f"prunes: {pruned}", file=sys.stderr)

@@ -21,12 +21,16 @@ Decision edges follow the most-constrained-vertex-first rule: take an
 unlabeled edge at a vertex with the fewest unlabeled edges, breaking ties
 lexicographically by (i, j, orientation); that order, like each edge's
 endpoints, is a closed form of its flat index.  Without a seed a search is
-one run in ascending value order; a seed gives seeded-random value order
-with Luby restarts, for the harder satisfiable instances.  With a fixed
-seed every run is fully deterministic (wall-clock time aside).  Luby runs
-are independent, and each one's start is known before it starts, so they
-run on worker processes and are merged in run order; the result is the
-same for any number of workers.
+one tree walked in ascending value order; a seed gives seeded-random value
+order with Luby restarts, for the harder satisfiable instances.  With a
+fixed seed every run is fully deterministic (wall-clock time aside).
+
+Both run on worker processes, one per usable CPU, and merge in a fixed
+order, so the result is the same for any number of workers.  Luby runs are
+independent, and each one's start is known before it starts; they merge in
+run order.  An ascending tree, in a search or an enumeration, splits at
+its first decision: each candidate there roots an independent subtree, and
+the subtrees merge in candidate order.
 
 Symmetry is broken only by pinning label 1: translations can always move
 the edge labeled 1 to position (1,1), so the top level tries f(H(1,1))=1
@@ -220,14 +224,19 @@ _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadline: float,
-         rng=None, find_all: bool = False) -> tuple[str, list[Labeling]]:
-    """One depth-first run over a PartialLabeling: (status, solutions).
+         rng=None, find_all: bool = False,
+         root: int | None = None) -> tuple[str, list[Labeling], int]:
+    """One depth-first run over a PartialLabeling: (status, solutions,
+    width), width being the number of candidates at the first decision
+    (0 when the root makes none).
 
     The tree is walked with an explicit stack of frames, one per decision
     level: (edge, its endpoints, candidate iterator, trail mark, pool and
     mirrored pool at the mark).  Resuming a frame undoes the trail to its
     mark and restores both pools from it.  Candidates are tried in
-    ascending order, or shuffled by rng when one is given.
+    ascending order, or shuffled by rng when one is given.  With `root`
+    the first decision keeps only its candidate of that index, so the run
+    walks that one subtree.
     """
     prunes = stats.prunes
     q, c = state.dims.q, state.constant
@@ -240,6 +249,7 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
     stack: list[tuple] = []
     solutions: list[Labeling] = []
     status = EXHAUSTED
+    width = 0
     queue = list(range(state.nm))  # the root checks every vertex
     # A node's bounds scan visits all nm vertices, so read the clock about
     # every 2**15 vertex visits, and at most every 1,024 nodes.
@@ -351,6 +361,10 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
                                        digits.encode().translate(_DIGIT_BITS)))
                 if shuffle is not None:
                     shuffle(values)
+            if not stack:
+                width = len(values)
+                if root is not None:
+                    values = values[root:root + 1]
             stack.append((e, a, b, iter(values), len(trail), pool, rpool))
         else:
             if len(stack) > max_depth:
@@ -412,7 +426,7 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
 
     state.pool, state.rpool = pool, rpool  # the state is consistent at every exit
     stats.nodes, stats.propagations, stats.max_depth = nodes, propagations, max_depth
-    return status, solutions
+    return status, solutions, width
 
 
 def _derived_seed(seed: int, *parts: int) -> int:
@@ -448,14 +462,14 @@ _CUT = "cut"
 _LOST_RUN_S = 30.0
 
 
-def pool_size(cfg: SearchConfig) -> int:
-    """How many runs a search under cfg keeps in flight; 1 runs them in-process.
+def pool_size() -> int:
+    """How many worker processes a search or an enumeration may use; 1 runs
+    everything in-process.
 
-    Only Luby searches have more than one run, and they keep one in flight
-    per usable CPU.  Worker processes are forked, so without fork, or
+    One per usable CPU.  Worker processes are forked, so without fork, or
     inside a daemonic process (a pool worker may not have children), it is 1.
     """
-    if cfg.seed is None or not hasattr(os, "fork"):
+    if not hasattr(os, "fork"):
         return 1
     mp = sys.modules.get("multiprocessing")  # a daemonic process has imported it
     if mp is not None and mp.current_process().daemon:
@@ -464,93 +478,160 @@ def pool_size(cfg: SearchConfig) -> int:
 
 
 def _run_specs(cfg: SearchConfig, branch: int, offset: int, deadline: float):
-    """(value-order seed, start offset, node limit) of each run of a branch
-    in run order, each made just before its run is dispatched.  Every run
-    but the last fills its window, so the next starts where it stopped."""
-    if cfg.seed is None:
-        # the only run, in ascending order, which checks no budget before it starts
-        yield None, offset, cfg.node_budget
-        return
+    """(value-order seed, root candidate, start offset, node limit) of each
+    Luby run of a branch in run order, each made just before its run is
+    dispatched, after a check of both budgets.  Every run but the last
+    fills its window, so the next starts where it stopped."""
     for run in count(1):
-        # Luby checks the budgets before every run
         if offset >= cfg.node_budget or time.perf_counter() > deadline:
             return
         limit = min(offset + _LUBY_UNIT * _luby(run), cfg.node_budget)
-        yield _derived_seed(cfg.seed, branch, run), offset, limit
+        yield _derived_seed(cfg.seed, branch, run), None, offset, limit
         offset = limit
 
 
-def _one_run(dims: GridDims, base: Mapping[EdgeRef, int], deadline: float,
-             spec: tuple) -> tuple[str, Labeling | None, SearchStats]:
-    """One run from its spec, with its own counters: (status, labeling,
+def _one_run(dims: GridDims, base: Mapping[EdgeRef, int], deadline: float, find_all: bool,
+             spec: tuple) -> tuple[str, list[Labeling], SearchStats]:
+    """One run from its spec, with its own counters: (status, solutions,
     stats), status _CUT when the run filled its node window."""
-    seed, offset, limit = spec
+    seed, root, offset, limit = spec
     stats = SearchStats(nodes=offset)
-    status, solutions = _run(PartialLabeling(dims, base), stats, node_limit=limit,
-                             deadline=deadline, rng=None if seed is None else random.Random(seed))
+    status, solutions, _ = _run(PartialLabeling(dims, base), stats, node_limit=limit,
+                                deadline=deadline, find_all=find_all, root=root,
+                                rng=None if seed is None else random.Random(seed))
     if status == BUDGET_EXCEEDED and stats.nodes == limit:
         status = _CUT
-    return status, solutions[0] if solutions else None, stats
+    return status, solutions, stats
 
 
-def _results(one_run, specs, size: int, deadline: float):
-    """Results of one branch's runs in run order, at most `size` in flight.
+def _results(one_run, specs, size: int, deadline: float, ahead: int | None = None):
+    """Results of runs in spec order.
 
     With size 1 they run in-process, one after another.  Otherwise they
-    run on a fork pool that starts when the first run is asked for;
-    closing the generator ends it, with any runs still in flight.
+    run on a fork pool of `size` workers that starts when the first run is
+    asked for.  With `ahead`, at most that many runs are dispatched and not
+    yet read, and each spec is made as its run is dispatched; without it,
+    every run is handed to the pool at once.  Closing the generator ends
+    the pool, with any runs still in flight.
     """
     if size == 1:
         yield from map(one_run, specs)
         return
 
-    def result(run):
+    def result(get):
         from multiprocessing import TimeoutError as NoResult
 
         wait = max(deadline - time.perf_counter(), 0.0) + _LOST_RUN_S
         try:
             # an endless time budget waits as long as the platform allows
-            return run.get(min(wait, threading.TIMEOUT_MAX))
+            return get(min(wait, threading.TIMEOUT_MAX))
         except NoResult:
             raise RuntimeError("a search worker process ended without returning its run") from None
 
     pool = None
-    pending = deque()
     try:
+        if ahead is None:
+            import multiprocessing
+
+            pool = multiprocessing.get_context("fork").Pool(size)
+            # one task stream: a handle per run would cost far more than
+            # the run on a wide first decision
+            runs = pool.imap(one_run, specs)
+            for _ in specs:
+                yield result(runs.next)
+            return
+        pending = deque()
         for spec in specs:
             if pool is None:
                 import multiprocessing
 
                 pool = multiprocessing.get_context("fork").Pool(size)
             pending.append(pool.apply_async(one_run, (spec,)))
-            if len(pending) == size:
-                yield result(pending.popleft())
+            if len(pending) == ahead:
+                yield result(pending.popleft().get)
         while pending:
-            yield result(pending.popleft())
+            yield result(pending.popleft().get)
     finally:
         if pool is not None:
             pool.terminate()
             pool.join()
 
 
-def _run_branch(dims: GridDims, base: Mapping[EdgeRef, int], cfg: SearchConfig,
-                stats: SearchStats, deadline: float, branch: int,
-                size: int) -> tuple[str, Labeling | None]:
-    one_run = partial(_one_run, dims, base, deadline)
-    specs = _run_specs(cfg, branch, stats.nodes, deadline)
+def _add(stats: SearchStats, counted: SearchStats, shared: int = 0) -> None:
+    # a run's counters but its nodes, less `shared` propagations already added
+    stats.propagations += counted.propagations - shared
+    stats.max_depth = max(stats.max_depth, counted.max_depth)
+    for rule, pruned in counted.prunes.items():
+        stats.prunes[rule] = stats.prunes.get(rule, 0) + pruned
+
+
+def _run_tree(dims: GridDims, base: Mapping[EdgeRef, int], one_run, limit: int,
+              stats: SearchStats, deadline: float, size: int,
+              find_all: bool) -> tuple[str, list[Labeling]]:
+    """One ascending tree, split at its first decision when there are
+    workers and that decision has more than one candidate.
+
+    The root is walked here first, with a window of no nodes, to count the
+    candidates.  Each candidate's subtree is then one run, all dispatched
+    at once with the whole node budget, and they merge in candidate order
+    into what the one walk gives: nodes and prunes add up, the depth is the
+    maximum, the root's propagations count once and solutions concatenate.
+    A subtree whose nodes would take the total past the node budget closes
+    the pool and is walked again here, from the node where the one walk
+    enters it, to the exact cut.
+    """
+    offset = stats.nodes
+    width = shared = 0
+    if size > 1:
+        at_root = SearchStats(nodes=offset)
+        width = _run(PartialLabeling(dims, base), at_root, node_limit=offset, deadline=deadline,
+                     find_all=find_all)[2]
+        shared = at_root.propagations
+    if width < 2:
+        status, solutions, counted = one_run((None, None, offset, limit))
+        stats.nodes = counted.nodes
+        _add(stats, counted)
+        return BUDGET_EXCEEDED if status == _CUT else status, solutions
+
+    stats.propagations += shared
+    found: list[Labeling] = []
+    specs = [(None, root, offset, limit) for root in range(width)]
     with closing(_results(one_run, specs, size, deadline)) as results:
-        for run, (status, labeling, counted) in enumerate(results, 1):
+        for root, (status, solutions, counted) in enumerate(results):
+            start = offset
+            if stats.nodes + counted.nodes - offset > limit:
+                # The node budget cuts the one walk inside this subtree,
+                # which is larger than what is left of the budget: walk it
+                # here to the exact cut, from where the one walk enters it.
+                results.close()
+                start = stats.nodes
+                status, solutions, counted = one_run((None, root, start, limit))
+            stats.nodes += counted.nodes - start
+            _add(stats, counted, shared)
+            found += solutions
+            if status != EXHAUSTED:
+                return BUDGET_EXCEEDED if status == _CUT else status, found
+    return EXHAUSTED, found
+
+
+def _run_branch(dims: GridDims, base: Mapping[EdgeRef, int], cfg: SearchConfig,
+                stats: SearchStats, deadline: float, branch: int, size: int,
+                find_all: bool = False) -> tuple[str, list[Labeling]]:
+    """(status, solutions) of one pinned branch, its counters added to stats."""
+    one_run = partial(_one_run, dims, base, deadline, find_all)
+    if cfg.seed is None:
+        return _run_tree(dims, base, one_run, cfg.node_budget, stats, deadline, size, find_all)
+    specs = _run_specs(cfg, branch, stats.nodes, deadline)
+    with closing(_results(one_run, specs, size, deadline, size)) as results:
+        for run, (status, solutions, counted) in enumerate(results, 1):
             if run > 1:
                 stats.restarts += 1
             stats.nodes = counted.nodes
-            stats.propagations += counted.propagations
-            stats.max_depth = max(stats.max_depth, counted.max_depth)
-            for rule, pruned in counted.prunes.items():
-                stats.prunes[rule] = stats.prunes.get(rule, 0) + pruned
+            _add(stats, counted)
             if status != _CUT:
                 # found, refuted inside its window (a genuine refutation), or cut by the clock
-                return status, labeling
-    return BUDGET_EXCEEDED, None
+                return status, solutions
+    return BUDGET_EXCEEDED, []
 
 
 def search(n: int, m: int, cfg: SearchConfig | None = None) -> SearchOutcome:
@@ -566,11 +647,12 @@ def search(n: int, m: int, cfg: SearchConfig | None = None) -> SearchOutcome:
     stats = SearchStats()
     start = time.perf_counter()
     deadline = start + cfg.time_budget
-    size = pool_size(cfg)
+    size = pool_size()
     for branch, pin in enumerate(_pins(d)):
-        status, labeling = _run_branch(d, pin, cfg, stats, deadline, branch, size)
+        status, solutions = _run_branch(d, pin, cfg, stats, deadline, branch, size)
         if status != EXHAUSTED:
             break
+    labeling = solutions[0] if solutions else None
     if labeling is not None:
         _check_found(labeling)
     stats.elapsed = time.perf_counter() - start
@@ -580,17 +662,18 @@ def search(n: int, m: int, cfg: SearchConfig | None = None) -> SearchOutcome:
 def enumerate_completions(dims: GridDims, assignments: Mapping[EdgeRef, int],
                           cfg: SearchConfig | None = None) -> tuple[list[Labeling], SearchOutcome]:
     """All supermagic completions of a partial assignment (no symmetry
-    breaking, so the enumeration is the complete solution set).  It is
-    one run in ascending order, so it takes no seed."""
+    breaking, so the enumeration is the complete solution set).  It walks
+    one tree in ascending order, so it takes no seed; like an unseeded
+    search, the tree is split at its first decision across the workers,
+    and the solutions come in the order of the one walk."""
     cfg = cfg or SearchConfig()
     if cfg.seed is not None:
         raise TorusMagicError("a find-all run is one ascending run and cannot restart: "
                               "it takes no seed")
     stats = SearchStats()
     start = time.perf_counter()
-    status, solutions = _run(PartialLabeling(dims, assignments), stats,
-                             node_limit=cfg.node_budget, deadline=start + cfg.time_budget,
-                             find_all=True)
+    status, solutions = _run_branch(dims, assignments, cfg, stats,
+                                    start + cfg.time_budget, 0, pool_size(), find_all=True)
     for solution in solutions:
         _check_found(solution)
     stats.elapsed = time.perf_counter() - start

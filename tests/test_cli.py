@@ -116,13 +116,15 @@ def test_search_found_writes_document(tmp_path, capsys):
     assert code == EXIT_OK
 
 
-def test_search_summary_line_reports_propagations_and_rate(capsys):
+def test_search_summary_line_reports_propagations_and_rate(capsys, monkeypatch):
+    # an unseeded search, too, splits its tree across the usable CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     code, out, err = run(capsys, "search", "3", "4", "--node-budget", "5000")
     assert code == EXIT_BUDGET
     line = err.splitlines()[0]
     match = re.fullmatch(r"status: budget-exceeded \| nodes (\d+) \| propagations (\d+) \| "
                          r"restarts 0 \| max depth (\d+) \| ([\d.]+)s \| (\d+) nodes/s \| "
-                         r"workers 1", line)
+                         r"workers 2", line)
     assert match, line
     stats = search(3, 4, SearchConfig(node_budget=5000)).stats
     assert (int(match[1]), int(match[2]), int(match[3])) == (5000, stats.propagations,

@@ -145,16 +145,14 @@ def luby(**kwargs):
 
 def test_pool_size_is_the_usable_cpus_of_a_forking_parent(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    assert pool_size(luby()) == 3
-    # one run without restarts, so nothing to put in flight beside it
-    assert pool_size(SearchConfig()) == 1
+    assert pool_size() == 3
     # a daemonic process, such as a pool worker, may not have children
     monkeypatch.setattr(multiprocessing, "current_process", lambda: SimpleNamespace(daemon=True))
-    assert pool_size(luby()) == 1
+    assert pool_size() == 1
     monkeypatch.setattr(multiprocessing, "current_process", lambda: SimpleNamespace(daemon=False))
-    assert pool_size(luby()) == 3
+    assert pool_size() == 3
     monkeypatch.delattr(os, "fork", raising=False)
-    assert pool_size(luby()) == 1
+    assert pool_size() == 1
 
 
 def test_importing_the_package_leaves_multiprocessing_unloaded():
@@ -169,8 +167,13 @@ def test_importing_the_package_leaves_multiprocessing_unloaded():
 def test_no_child_process_outlives_a_search(pools):
     found = search(3, 6, luby())
     cut = search(5, 6, luby(node_budget=30_000))
-    assert (found.status, cut.status) == (FOUND, BUDGET_EXCEEDED)
-    assert len(pools) == 2
+    ascending = search(3, 4)
+    # the budget cuts the third of nine subtrees, which is walked again in this process
+    _, enumeration = enumerate_completions(dims(3, 3), {H(1, 1): 1, V(1, 1): 9},
+                                           SearchConfig(node_budget=40_000))
+    assert [out.status for out in (found, cut, ascending, enumeration)] == [
+        FOUND, BUDGET_EXCEEDED, FOUND, BUDGET_EXCEEDED]
+    assert len(pools) == 4
     assert multiprocessing.active_children() == []
 
 
@@ -202,26 +205,42 @@ def test_enumerate_completions_verifies_each_solution_once(monkeypatch):
 
 
 def fail():
-    raise RuntimeError("run 3 failed")
+    raise RuntimeError("a worker run failed")
 
 
-@pytest.mark.parametrize("act,error", [(fail, "run 3 failed"),
+# (call, which of its runs acts): the third Luby run, the first subtree of
+# an ascending search and the second of an enumeration, none of which the
+# calling process walks itself
+FAILING_RUNS = {
+    "luby": (lambda: search(5, 6, SearchConfig(node_budget=30_000, time_budget=1.0, seed=2)),
+             lambda stats, kwargs: stats.nodes == 2 * 4096),  # after two windows of 4,096
+    "ascending": (lambda: search(3, 4, SearchConfig(time_budget=1.0)),
+                  lambda stats, kwargs: kwargs.get("root") == 0),
+    "enumeration": (lambda: enumerate_completions(dims(3, 3), {H(1, 1): 1, V(1, 1): 2},
+                                                  SearchConfig(time_budget=1.0)),
+                    lambda stats, kwargs: kwargs.get("root") == 1),
+}
+
+
+@pytest.mark.parametrize("call", FAILING_RUNS)
+@pytest.mark.parametrize("act,error", [(fail, "a worker run failed"),
                                        (lambda: os._exit(1), "ended without returning its run")])
-def test_a_failed_or_lost_worker_run_is_raised_in_the_parent(pools, monkeypatch, act, error):
+def test_a_failed_or_lost_worker_run_is_raised_in_the_parent(pools, monkeypatch, act, error, call):
     # A pool gives a dead worker's run to no other worker, so the wait for
     # it ends _LOST_RUN_S after the deadline, or the search would block.
     search_module = importlib.import_module("torusmagic.search")
     engine = search_module._run
+    run, acts = FAILING_RUNS[call]
 
-    def act_on_run_3(state, stats, **kwargs):
-        if stats.nodes == 2 * 4096:  # run 3 starts after two windows of 4,096 nodes
+    def act_on_one_run(state, stats, **kwargs):
+        if acts(stats, kwargs):
             act()
         return engine(state, stats, **kwargs)
 
-    monkeypatch.setattr(search_module, "_run", act_on_run_3)
+    monkeypatch.setattr(search_module, "_run", act_on_one_run)
     monkeypatch.setattr(search_module, "_LOST_RUN_S", 0.5)
     with pytest.raises(RuntimeError, match=error):
-        search(5, 6, SearchConfig(node_budget=30_000, time_budget=1.0, seed=2))
+        run()
     assert len(pools) == 1
     assert multiprocessing.active_children() == []
 

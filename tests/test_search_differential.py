@@ -4,8 +4,9 @@ kept in scalar_reference.py.
 Both must walk the same tree: the same status and labeling (for
 enumerations, the same solutions in the same order) and the same nodes,
 propagations, restarts, max depth and per-rule prune counts.  Every test
-here sees at least two usable CPUs, so a Luby search runs its runs on a
-worker pool; the reference runs them one after another in-process.
+here sees at least two usable CPUs, so a Luby search runs its runs, and
+an ascending tree its subtrees, on a worker pool; the reference walks
+them one after another in-process.
 """
 
 import dataclasses
@@ -78,29 +79,68 @@ def test_luby_budget_cut_counts_only_the_restarts_that_start(pools, budget, runs
     assert len(pools) == 1
 
 
+def searched(shape, cfg):
+    out = search(*shape, cfg)
+    return summary(out), [out.labeling]
+
+
+def enumerated(pins, cfg):
+    solutions, out = enumerate_completions(dims(3, 3), pins, cfg)
+    return summary(out), solutions
+
+
+def bucket(x):
+    return {EdgeRef("H", 1, 1): 1, EdgeRef("V", 1, 1): x}
+
+
+# The 9 subtrees of bucket V(1,1)=9 take 14,519, 16,398, 14,821, 17,181,
+# 1, 14,776, 11,569, 14,647 and 9,482 nodes, 113,394 in all.
 LUBY = SearchConfig(seed=0)
 WORKER_CASES = {
-    **{f"3x4-seed{seed}": ((3, 4), dataclasses.replace(LUBY, seed=seed)) for seed in range(8)},
-    **{f"5x6-budget{budget}": ((5, 6), dataclasses.replace(LUBY, seed=2, node_budget=budget))
+    **{f"3x4-seed{seed}": (searched, (3, 4), dataclasses.replace(LUBY, seed=seed))
+       for seed in range(8)},
+    **{f"5x6-budget{budget}": (searched, (5, 6), dataclasses.replace(LUBY, seed=2, node_budget=budget))
        for budget in (12_288, 30_000)},
-    "3x4-time-budget": ((3, 4), dataclasses.replace(LUBY, seed=1, time_budget=1e-9)),
-    "3x4-endless-time-budget": ((3, 4), dataclasses.replace(LUBY, seed=1, time_budget=float("inf"))),
+    "3x4-time-budget": (searched, (3, 4), dataclasses.replace(LUBY, seed=1, time_budget=1e-9)),
+    "3x4-endless-time-budget": (searched, (3, 4),
+                                dataclasses.replace(LUBY, seed=1, time_budget=float("inf"))),
+    "3x4-ascending": (searched, (3, 4), SearchConfig()),
+    "3x5-ascending": (searched, (3, 5), SearchConfig()),
+    **{f"3x3-all-x{x}": (enumerated, bucket(x), SearchConfig()) for x in (2, 9)},
+    # cut inside the third and the eighth subtree
+    **{f"3x3-all-x9-budget{budget}": (enumerated, bucket(9), SearchConfig(node_budget=budget))
+       for budget in (40_000, 100_000)},
+    # the budget runs out where the second subtree ends, with seven left
+    "3x3-all-x9-boundary": (enumerated, bucket(9), SearchConfig(node_budget=30_917)),
+    # ... and where the last one ends, which finishes the walk
+    "3x3-all-x9-last-boundary": (enumerated, bucket(9), SearchConfig(node_budget=113_394)),
+    # the root forces V(3,1) = 16; its one propagation counts once
+    "3x3-forced-root-budget1": (enumerated, {EdgeRef("H", 1, 1): 1, EdgeRef("H", 1, 3): 9,
+                                            EdgeRef("V", 1, 1): 12}, SearchConfig(node_budget=1)),
+}
+# (status, nodes[, propagations]) where the case pins them
+WORKER_PINS = {
+    "3x4-time-budget": (BUDGET_EXCEEDED, 0),  # the clock is read before the first run
+    "3x3-all-x9-boundary": (BUDGET_EXCEEDED, 30_917),
+    "3x3-all-x9-last-boundary": (EXHAUSTED, 113_394),
+    "3x3-forced-root-budget1": (BUDGET_EXCEEDED, 1, 1),
 }
 
 
-@pytest.mark.parametrize("shape,cfg", WORKER_CASES.values(), ids=WORKER_CASES)
-def test_worker_counts_give_identical_searches(pools, monkeypatch, shape, cfg):
-    # runs merge in run order, so the pool changes only the wall clock
+@pytest.mark.parametrize("case", WORKER_CASES)
+def test_worker_counts_give_identical_searches(pools, monkeypatch, case):
+    # runs and subtrees merge in a fixed order, so the pool changes only the wall clock
+    run, *args = WORKER_CASES[case]
     outs = []
     for cpus in ({0}, {0, 1}):  # one usable CPU runs in-process, two on a 2-worker pool
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
-        outs.append(search(*shape, cfg))
-    one, two = outs
-    assert bool(pools) == bool(two.stats.nodes)  # a pool ran the second search's runs
-    assert summary(one) == summary(two)
-    assert one.labeling == two.labeling
-    if cfg.time_budget < 1e-6:  # the clock is read before the first run
-        assert (one.status, one.stats.nodes) == (BUDGET_EXCEEDED, 0)
+        outs.append(run(*args))
+    (one, one_found), (two, two_found) = outs
+    assert bool(pools) == bool(two[1])  # a pool ran the second search's nodes
+    assert one == two
+    assert one_found == two_found
+    pin = WORKER_PINS.get(case, ())
+    assert two[:len(pin)] == pin
 
 
 @pytest.mark.parametrize("budget", [1, 1_000, 50_000])
