@@ -25,12 +25,12 @@ one tree walked in ascending value order; a seed gives seeded-random value
 order with Luby restarts, for the harder satisfiable instances.  With a
 fixed seed every run is fully deterministic (wall-clock time aside).
 
-Both run on worker processes, one per usable CPU, and merge in a fixed
-order, so the result is the same for any number of workers.  Luby runs are
-independent, and each one's start is known before it starts; they merge in
-run order.  An ascending tree, in a search or an enumeration, splits at
-its first decision: each candidate there roots an independent subtree, and
-the subtrees merge in candidate order.
+Both run on worker processes, one per usable CPU, as one ordered stream
+of independent runs, merged in that order by one loop, so the result is
+the same for any number of workers.  Luby runs, each starting where the
+last one's window ends, follow one another; an ascending tree, in a
+search or an enumeration, splits at its first decision into one subtree
+per candidate, in candidate order.
 
 Symmetry is broken only by pinning label 1: translations can always move
 the edge labeled 1 to position (1,1), so the top level tries f(H(1,1))=1
@@ -45,12 +45,10 @@ import operator
 import os
 import random
 import sys
-import threading
 import time
-from collections import deque
-from contextlib import closing
+from contextlib import closing, suppress
 from functools import partial
-from itertools import compress, count
+from itertools import chain, compress, count
 from dataclasses import InitVar, dataclass, field
 from typing import Mapping
 
@@ -92,9 +90,11 @@ class SearchConfig:
     restart_policy: InitVar[str | None] = None
 
     def __post_init__(self, value_order: str | None, restart_policy: str | None) -> None:
-        for budget in (self.node_budget, self.time_budget):
-            if isinstance(budget, bool) or not isinstance(budget, numbers.Real):
-                raise TorusMagicError(f"budgets must be numbers, got {budget!r}")
+        # a fractional node budget would cut no run where the one walk stops
+        if isinstance(self.node_budget, bool) or not isinstance(self.node_budget, numbers.Integral):
+            raise TorusMagicError(f"node_budget must be an integer, got {self.node_budget!r}")
+        if isinstance(self.time_budget, bool) or not isinstance(self.time_budget, numbers.Real):
+            raise TorusMagicError(f"time_budget must be a number, got {self.time_budget!r}")
         if not (self.node_budget > 0 and self.time_budget > 0):  # NaN fails too
             raise TorusMagicError("budgets must be positive")
         if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(self.seed, int)):
@@ -456,10 +456,6 @@ def _pins(dims: GridDims) -> list[dict[EdgeRef, int]]:
 _LUBY_UNIT = 4096
 # what _one_run reports for a run that filled its node window
 _CUT = "cut"
-# Seconds past the deadline after which a pooled run's missing result
-# means its worker died: a live run stops at the deadline, and a pool
-# gives a dead worker's run to no other worker.
-_LOST_RUN_S = 30.0
 
 
 def pool_size() -> int:
@@ -479,9 +475,9 @@ def pool_size() -> int:
 
 def _run_specs(cfg: SearchConfig, branch: int, offset: int, deadline: float):
     """(value-order seed, root candidate, start offset, node limit) of each
-    Luby run of a branch in run order, each made just before its run is
-    dispatched, after a check of both budgets.  Every run but the last
-    fills its window, so the next starts where it stopped."""
+    Luby run of a branch in run order, each made as its run is about to
+    start, after a check of both budgets.  Every run but the last fills its
+    window, so the next starts where it stopped."""
     for run in count(1):
         if offset >= cfg.node_budget or time.perf_counter() > deadline:
             return
@@ -492,146 +488,149 @@ def _run_specs(cfg: SearchConfig, branch: int, offset: int, deadline: float):
 
 def _one_run(dims: GridDims, base: Mapping[EdgeRef, int], deadline: float, find_all: bool,
              spec: tuple) -> tuple[str, list[Labeling], SearchStats]:
-    """One run from its spec, with its own counters: (status, solutions,
-    stats), status _CUT when the run filled its node window."""
+    """One run from its spec: (status, solutions, stats), its nodes counted
+    from its own start, status _CUT when it filled its node window."""
     seed, root, offset, limit = spec
+    # counting from the offset puts the clock checks on the one walk's nodes
     stats = SearchStats(nodes=offset)
     status, solutions, _ = _run(PartialLabeling(dims, base), stats, node_limit=limit,
                                 deadline=deadline, find_all=find_all, root=root,
                                 rng=None if seed is None else random.Random(seed))
     if status == BUDGET_EXCEEDED and stats.nodes == limit:
         status = _CUT
+    stats.nodes -= offset
     return status, solutions, stats
 
 
-def _results(one_run, specs, size: int, deadline: float, ahead: int | None = None):
-    """Results of runs in spec order.
+def _serve(ours, theirs, one_run) -> None:
+    """A worker process: for each spec sent down its pipe it sends back
+    (True, result) or (False, the run's exception), until the pipe ends."""
+    ours.close()  # the calling process's end, so that its exit ends the pipe
+    with suppress(EOFError):
+        while True:
+            spec = theirs.recv()
+            try:
+                theirs.send((True, one_run(spec)))
+            except Exception as exc:
+                theirs.send((False, exc))
 
-    With size 1 they run in-process, one after another.  Otherwise they
-    run on a fork pool of `size` workers that starts when the first run is
-    asked for.  With `ahead`, at most that many runs are dispatched and not
-    yet read, and each spec is made as its run is dispatched; without it,
-    every run is handed to the pool at once.  Closing the generator ends
-    the pool, with any runs still in flight.
-    """
+
+def _start_workers(one_run, size: int) -> dict:
+    """`size` forked worker processes, each keyed by this process's end of
+    its pipe."""
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    workers = {}
+    for _ in range(size):
+        ours, theirs = ctx.Pipe()
+        workers[ours] = ctx.Process(target=_serve, args=(ours, theirs, one_run), daemon=True)
+        workers[ours].start()
+        theirs.close()
+    return workers
+
+
+def _results(one_run, specs, size: int):
+    """Results of runs in spec order, each spec made as its run is about to
+    start: in-process one after another with size 1, or else each on the
+    next of `size` forked workers to be free, which start once the first
+    spec is made.  A worker has a pipe of its own and shares no lock, so
+    closing the generator kills them all, with any runs still going, and
+    blocks on nothing.  A run's exception is raised here, and so is the end
+    of a worker that did not return its run."""
     if size == 1:
         yield from map(one_run, specs)
         return
+    specs = iter(specs)
+    first = next(specs, None)
+    if first is None:
+        return
+    from multiprocessing.connection import wait
 
-    def result(get):
-        from multiprocessing import TimeoutError as NoResult
-
-        wait = max(deadline - time.perf_counter(), 0.0) + _LOST_RUN_S
-        try:
-            # an endless time budget waits as long as the platform allows
-            return get(min(wait, threading.TIMEOUT_MAX))
-        except NoResult:
-            raise RuntimeError("a search worker process ended without returning its run") from None
-
-    pool = None
+    workers = _start_workers(one_run, size)
     try:
-        if ahead is None:
-            import multiprocessing
-
-            pool = multiprocessing.get_context("fork").Pool(size)
-            # one task stream: a handle per run would cost far more than
-            # the run on a wide first decision
-            runs = pool.imap(one_run, specs)
-            for _ in specs:
-                yield result(runs.next)
-            return
-        pending = deque()
-        for spec in specs:
-            if pool is None:
-                import multiprocessing
-
-                pool = multiprocessing.get_context("fork").Pool(size)
-            pending.append(pool.apply_async(one_run, (spec,)))
-            if len(pending) == ahead:
-                yield result(pending.popleft().get)
-        while pending:
-            yield result(pending.popleft().get)
+        specs, order = chain([first], specs), count()
+        free, running, done, merged = list(workers), {}, {}, 0
+        while True:
+            while free and (spec := next(specs, None)) is not None:
+                ours = free.pop()
+                ours.send(spec)
+                running[ours] = next(order)
+            while merged in done:
+                yield done.pop(merged)
+                merged += 1
+            if not running:
+                return
+            for ours in wait(list(running)):
+                try:
+                    ok, result = ours.recv()
+                except EOFError:
+                    raise RuntimeError("a search worker ended without returning its run") from None
+                if not ok:
+                    raise result
+                done[running.pop(ours)] = result
+                free.append(ours)
     finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-
-
-def _add(stats: SearchStats, counted: SearchStats, shared: int = 0) -> None:
-    # a run's counters but its nodes, less `shared` propagations already added
-    stats.propagations += counted.propagations - shared
-    stats.max_depth = max(stats.max_depth, counted.max_depth)
-    for rule, pruned in counted.prunes.items():
-        stats.prunes[rule] = stats.prunes.get(rule, 0) + pruned
-
-
-def _run_tree(dims: GridDims, base: Mapping[EdgeRef, int], one_run, limit: int,
-              stats: SearchStats, deadline: float, size: int,
-              find_all: bool) -> tuple[str, list[Labeling]]:
-    """One ascending tree, split at its first decision when there are
-    workers and that decision has more than one candidate.
-
-    The root is walked here first, with a window of no nodes, to count the
-    candidates.  Each candidate's subtree is then one run, all dispatched
-    at once with the whole node budget, and they merge in candidate order
-    into what the one walk gives: nodes and prunes add up, the depth is the
-    maximum, the root's propagations count once and solutions concatenate.
-    A subtree whose nodes would take the total past the node budget closes
-    the pool and is walked again here, from the node where the one walk
-    enters it, to the exact cut.
-    """
-    offset = stats.nodes
-    width = shared = 0
-    if size > 1:
-        at_root = SearchStats(nodes=offset)
-        width = _run(PartialLabeling(dims, base), at_root, node_limit=offset, deadline=deadline,
-                     find_all=find_all)[2]
-        shared = at_root.propagations
-    if width < 2:
-        status, solutions, counted = one_run((None, None, offset, limit))
-        stats.nodes = counted.nodes
-        _add(stats, counted)
-        return BUDGET_EXCEEDED if status == _CUT else status, solutions
-
-    stats.propagations += shared
-    found: list[Labeling] = []
-    specs = [(None, root, offset, limit) for root in range(width)]
-    with closing(_results(one_run, specs, size, deadline)) as results:
-        for root, (status, solutions, counted) in enumerate(results):
-            start = offset
-            if stats.nodes + counted.nodes - offset > limit:
-                # The node budget cuts the one walk inside this subtree,
-                # which is larger than what is left of the budget: walk it
-                # here to the exact cut, from where the one walk enters it.
-                results.close()
-                start = stats.nodes
-                status, solutions, counted = one_run((None, root, start, limit))
-            stats.nodes += counted.nodes - start
-            _add(stats, counted, shared)
-            found += solutions
-            if status != EXHAUSTED:
-                return BUDGET_EXCEEDED if status == _CUT else status, found
-    return EXHAUSTED, found
+        for worker in workers.values():
+            worker.kill()
+            worker.join()
 
 
 def _run_branch(dims: GridDims, base: Mapping[EdgeRef, int], cfg: SearchConfig,
                 stats: SearchStats, deadline: float, branch: int, size: int,
                 find_all: bool = False) -> tuple[str, list[Labeling]]:
-    """(status, solutions) of one pinned branch, its counters added to stats."""
+    """(status, solutions) of one pinned branch, its counters added to stats.
+
+    A seeded branch is its Luby runs, which go on while each fills its
+    window.  An unseeded tree, with workers and a first decision of more
+    than one candidate, is one run per candidate's subtree, which go on
+    while each is refuted; the root is walked here first, with a window of
+    no nodes, to count the candidates.  Any other tree is one run, walked
+    here.  The runs merge in order into the counters of one walk: nodes
+    and prunes add up, propagations add up but for the root's, which every
+    subtree repeats and which count once, the depth is the maximum,
+    solutions concatenate and each seeded run after the first is a
+    restart.  A run whose nodes would take the total past the node budget
+    closes the pool and is walked again here, from where the one walk
+    enters it, to the exact cut; only a subtree can, as a Luby window
+    never passes the budget.
+    """
     one_run = partial(_one_run, dims, base, deadline, find_all)
-    if cfg.seed is None:
-        return _run_tree(dims, base, one_run, cfg.node_budget, stats, deadline, size, find_all)
-    specs = _run_specs(cfg, branch, stats.nodes, deadline)
-    with closing(_results(one_run, specs, size, deadline, size)) as results:
-        for run, (status, solutions, counted) in enumerate(results, 1):
-            if run > 1:
+    offset, budget = stats.nodes, cfg.node_budget
+    shared = width = 0
+    if cfg.seed is not None:
+        specs, go_on = _run_specs(cfg, branch, offset, deadline), _CUT
+    else:
+        go_on = EXHAUSTED
+        if size > 1:
+            at_root = SearchStats(nodes=offset)
+            width = _run(PartialLabeling(dims, base), at_root, node_limit=offset,
+                         deadline=deadline, find_all=find_all)[2]
+        if width > 1:
+            shared = at_root.propagations
+            specs = [(None, root, offset, budget) for root in range(width)]
+        else:
+            specs, size = [(None, None, offset, budget)], 1
+    stats.propagations += shared
+    status, found = go_on, []
+    with closing(_results(one_run, specs, size)) as results:
+        for run, (status, solutions, counted) in enumerate(results):
+            if stats.nodes + counted.nodes > budget:
+                # the budget cuts the one walk inside this subtree
+                results.close()
+                status, solutions, counted = one_run((None, run, stats.nodes, budget))
+            if run and cfg.seed is not None:
                 stats.restarts += 1
-            stats.nodes = counted.nodes
-            _add(stats, counted)
-            if status != _CUT:
-                # found, refuted inside its window (a genuine refutation), or cut by the clock
-                return status, solutions
-    return BUDGET_EXCEEDED, []
+            stats.nodes += counted.nodes
+            stats.propagations += counted.propagations - shared
+            stats.max_depth = max(stats.max_depth, counted.max_depth)
+            for rule, pruned in counted.prunes.items():
+                stats.prunes[rule] = stats.prunes.get(rule, 0) + pruned
+            found += solutions
+            if status != go_on:
+                # found, cut, or a Luby run refuted inside its window (a genuine refutation)
+                break
+    return BUDGET_EXCEEDED if status == _CUT else status, found
 
 
 def search(n: int, m: int, cfg: SearchConfig | None = None) -> SearchOutcome:

@@ -27,17 +27,19 @@ def pools(monkeypatch):
     """The worker pools searches start during a test, on at least two
     usable CPUs, so that a Luby search takes the pooled path on any
     host."""
-    import multiprocessing.pool
+    import importlib
     import os
 
+    search_module = importlib.import_module("torusmagic.search")
+    start_workers = search_module._start_workers
     started = []
 
-    class RecordedPool(multiprocessing.pool.Pool):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(self)
+    def recorded(*args, **kwargs):
+        workers = start_workers(*args, **kwargs)
+        started.append(workers)
+        return workers
 
-    monkeypatch.setattr(multiprocessing.pool, "Pool", RecordedPool)
+    monkeypatch.setattr(search_module, "_start_workers", recorded)
     if len(os.sched_getaffinity(0)) < 2:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     return started

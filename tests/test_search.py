@@ -226,8 +226,7 @@ FAILING_RUNS = {
 @pytest.mark.parametrize("act,error", [(fail, "a worker run failed"),
                                        (lambda: os._exit(1), "ended without returning its run")])
 def test_a_failed_or_lost_worker_run_is_raised_in_the_parent(pools, monkeypatch, act, error, call):
-    # A pool gives a dead worker's run to no other worker, so the wait for
-    # it ends _LOST_RUN_S after the deadline, or the search would block.
+    # a worker that dies ends its pipe, so the search does not wait for its run
     search_module = importlib.import_module("torusmagic.search")
     engine = search_module._run
     run, acts = FAILING_RUNS[call]
@@ -238,7 +237,6 @@ def test_a_failed_or_lost_worker_run_is_raised_in_the_parent(pools, monkeypatch,
         return engine(state, stats, **kwargs)
 
     monkeypatch.setattr(search_module, "_run", act_on_one_run)
-    monkeypatch.setattr(search_module, "_LOST_RUN_S", 0.5)
     with pytest.raises(RuntimeError, match=error):
         run()
     assert len(pools) == 1
@@ -250,6 +248,7 @@ BAD_SEARCH_INPUTS = {
     "bool seed": lambda: SearchConfig(seed=True),
     "string time budget": lambda: SearchConfig(time_budget="5"),
     "bool node budget": lambda: SearchConfig(node_budget=True),
+    "float node budget": lambda: SearchConfig(node_budget=30916.5),
     "descending order": lambda: SearchConfig(value_order="descending"),
     "float pin": lambda: enumerate_completions(dims(3, 3), {H(1, 1): 1.0}),
     "bool pin": lambda: enumerate_completions(dims(3, 3), {H(1, 1): True}),

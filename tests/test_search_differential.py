@@ -187,6 +187,17 @@ def test_golden_partial_enumerations():
     assert outcome.status == EXHAUSTED and solutions == []
 
 
+def test_a_tree_its_root_settles_runs_in_process(pools, monkeypatch):
+    # with its last 6 edges open, propagation at the root completes the
+    # golden labeling: the first decision has no candidate, so no subtree
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    d, golden, assignments = golden_partial(6)
+    solutions, outcome = assert_same_enumeration(d, assignments)
+    assert outcome.status == EXHAUSTED and solutions == [golden]
+    assert outcome.stats.nodes == 0
+    assert pools == []
+
+
 @pytest.mark.parametrize("x", [2, 3])
 def test_pinned_enumerations(x):
     pins = {EdgeRef("H", 1, 1): 1, EdgeRef("V", 1, 1): x}
