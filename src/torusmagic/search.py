@@ -25,12 +25,16 @@ one tree walked in ascending value order; a seed gives seeded-random value
 order with Luby restarts, for the harder satisfiable instances.  With a
 fixed seed every run is fully deterministic (wall-clock time aside).
 
-Both run on worker processes, one per usable CPU, as one ordered stream
-of independent runs, merged in that order by one loop, so the result is
-the same for any number of workers.  Luby runs, each starting where the
-last one's window ends, follow one another; an ascending tree, in a
-search or an enumeration, splits at its first decision into one subtree
-per candidate, in candidate order.
+Both run on worker processes, one per usable CPU, as one stream of
+independent runs that one scheduler hands out and merges in key order, so
+the result is the same for any number of workers.  Luby runs, each
+starting where the last one's window ends, are keyed by run number.  An
+ascending tree is cut into pieces, in the manner of cube-and-conquer: a
+piece is a node the walk has entered and a range of its candidates, keyed
+by the candidate indices on its path, so that key order is depth-first
+order.  A first-solution search cuts the tree every few thousand nodes
+where the walk has got to; an enumeration cuts it once, at its first
+decision.
 
 Symmetry is broken only by pinning label 1: translations can always move
 the edge labeled 1 to position (1,1), so the top level tries f(H(1,1))=1
@@ -48,6 +52,7 @@ import sys
 import time
 from contextlib import closing, suppress
 from functools import partial
+from heapq import heappop, heappush
 from itertools import chain, compress, count
 from dataclasses import InitVar, dataclass, field
 from typing import Mapping
@@ -61,6 +66,8 @@ from .verify import forced_constant, verify
 FOUND = "found"
 EXHAUSTED = "exhausted"
 BUDGET_EXCEEDED = "budget-exceeded"
+# what _run reports for a run that filled its node window
+_CUT = "cut"
 
 # Largest grid search takes on, in edges.  PartialLabeling builds about
 # 420 bytes of Python state per edge before the first node, so the cap
@@ -201,7 +208,10 @@ class PartialLabeling:
             raise TorusMagicError(f"{e} already labeled")
         if not self.is_free(value):
             raise TorusMagicError(f"label {value} unavailable")
-        # the engine inlines this update, and its undo, in its loop
+        self.put(idx, value)
+
+    def put(self, idx: int, value: int) -> None:
+        # unchecked; the engine inlines this update, and its undo, in its loop
         self.label[idx] = value
         self.pool ^= 1 << value
         self.rpool ^= 1 << (2 * self.dims.q - value)
@@ -224,19 +234,26 @@ _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadline: float,
-         rng=None, find_all: bool = False,
-         root: int | None = None) -> tuple[str, list[Labeling], int]:
+         rng=None, find_all: bool = False, piece: tuple[tuple, int] | None = None,
+         split: bool = False) -> tuple[str, list[Labeling], list[tuple]]:
     """One depth-first run over a PartialLabeling: (status, solutions,
-    width), width being the number of candidates at the first decision
-    (0 when the root makes none).
+    rest).  Status is _CUT when the run stops at `node_limit`.
 
     The tree is walked with an explicit stack of frames, one per decision
     level: (edge, its endpoints, candidate iterator, trail mark, pool and
-    mirrored pool at the mark).  Resuming a frame undoes the trail to its
-    mark and restores both pools from it.  Candidates are tried in
-    ascending order, or shuffled by rng when one is given.  With `root`
-    the first decision keeps only its candidate of that index, so the run
-    walks that one subtree.
+    mirrored pool at the mark, end of its candidate range).  Resuming a
+    frame undoes the trail to its mark and restores both pools from it.
+    Candidates are tried in ascending order, or shuffled by rng when one
+    is given.
+
+    With `piece` = (key, stop) the state is a node that a walk of the
+    whole tree has already entered, key being the candidate indices on
+    its path and then a start: its checks have passed, so none is run
+    again, and its decision keeps candidates start..stop-1.  When a
+    `split` run is cut, rest is what it left unexplored as pieces, one
+    per open frame with candidates left, deepest first: (key, the trail as
+    (edge, label) pairs, the frame's trail mark, stop).  Key order is
+    depth-first order.
     """
     prunes = stats.prunes
     q, c = state.dims.q, state.constant
@@ -249,8 +266,7 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
     stack: list[tuple] = []
     solutions: list[Labeling] = []
     status = EXHAUSTED
-    width = 0
-    queue = list(range(state.nm))  # the root checks every vertex
+    queue = [] if piece else list(range(state.nm))  # the root checks every vertex
     # A node's bounds scan visits all nm vertices, so read the clock about
     # every 2**15 vertex visits, and at most every 1,024 nodes.
     clock_mask = (1 << max(0, min(10, (32768 // state.nm).bit_length() - 1))) - 1
@@ -361,11 +377,11 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
                                        digits.encode().translate(_DIGIT_BITS)))
                 if shuffle is not None:
                     shuffle(values)
-            if not stack:
-                width = len(values)
-                if root is not None:
-                    values = values[root:root + 1]
-            stack.append((e, a, b, iter(values), len(trail), pool, rpool))
+            stop = len(values)
+            if piece and not stack:
+                stop = piece[1]
+                values = values[piece[0][-1]:stop]
+            stack.append((e, a, b, iter(values), len(trail), pool, rpool, stop))
         else:
             if len(stack) > max_depth:
                 max_depth = len(stack)
@@ -381,7 +397,7 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
         # endpoint exactly and keeps a forced label within 1..q, so the
         # one rule that can refute here is a forced label in use.
         while stack:
-            e, a, b, values, mark, pool, rpool = stack[-1]
+            e, a, b, values, mark, pool, rpool, _ = stack[-1]
             while len(trail) > mark:
                 f = trail.pop()
                 x = label[f]
@@ -393,7 +409,7 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
                 vcnt[fb] += 1
             for x in values:
                 if nodes >= node_limit:
-                    status = BUDGET_EXCEEDED
+                    status = _CUT
                     break
                 nodes += 1
                 if not nodes & clock_mask and time.perf_counter() > deadline:
@@ -426,7 +442,19 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
 
     state.pool, state.rpool = pool, rpool  # the state is consistent at every exit
     stats.nodes, stats.propagations, stats.max_depth = nodes, propagations, max_depth
-    return status, solutions, width
+    rest = []
+    if status == _CUT and split:
+        path, deepest = [(f, label[f]) for f in trail], len(stack) - 1
+        taken = piece[0][:-1] if piece else ()
+        for i, (*_, values, mark, _, _, stop) in enumerate(stack):
+            # the candidate each frame is in; the deepest one's was drawn but not tried
+            k = stop - operator.length_hint(values) - 1
+            start = k if i == deepest else k + 1
+            if start < stop:
+                rest.append((taken + (start,), path, mark, stop))
+            taken += (k,)
+        rest.reverse()
+    return status, solutions, rest
 
 
 def _derived_seed(seed: int, *parts: int) -> int:
@@ -454,8 +482,9 @@ def _pins(dims: GridDims) -> list[dict[EdgeRef, int]]:
 
 
 _LUBY_UNIT = 4096
-# what _one_run reports for a run that filled its node window
-_CUT = "cut"
+# Nodes a first-solution search's piece runs before it is cut again;
+# 2,048 to 16,384 timed alike on (3,4) and (3,5) with two workers.
+_PIECE_NODES = 4096
 
 
 def pool_size() -> int:
@@ -474,32 +503,47 @@ def pool_size() -> int:
 
 
 def _run_specs(cfg: SearchConfig, branch: int, offset: int, deadline: float):
-    """(value-order seed, root candidate, start offset, node limit) of each
-    Luby run of a branch in run order, each made as its run is about to
-    start, after a check of both budgets.  Every run but the last fills its
-    window, so the next starts where it stopped."""
+    """(key, value-order seed, piece, start offset, node limit) of each Luby
+    run of a branch in run order, keyed by run number, each made as its run
+    is about to start, after a check of both budgets.  Every run but the
+    last fills its window, so the next starts where it stopped."""
     for run in count(1):
         if offset >= cfg.node_budget or time.perf_counter() > deadline:
             return
         limit = min(offset + _LUBY_UNIT * _luby(run), cfg.node_budget)
-        yield _derived_seed(cfg.seed, branch, run), None, offset, limit
+        yield (run,), _derived_seed(cfg.seed, branch, run), None, offset, limit
         offset = limit
 
 
 def _one_run(dims: GridDims, base: Mapping[EdgeRef, int], deadline: float, find_all: bool,
-             spec: tuple) -> tuple[str, list[Labeling], SearchStats]:
-    """One run from its spec: (status, solutions, stats), its nodes counted
-    from its own start, status _CUT when it filled its node window."""
-    seed, root, offset, limit = spec
+             budget: int, spec: tuple) -> tuple[str, list[Labeling], SearchStats, list[tuple]]:
+    """One run from its spec: (status, solutions, stats, rest), its nodes
+    counted from its own start and rest the specs of the pieces it left
+    when a window short of the node budget cut it, each with that window.
+
+    A spec without a piece walks the whole tree from `base`.  A piece is
+    (a trail as (edge, label) pairs, the length of its part that reaches
+    the piece's node, stop); it counts only what lies below that node, but
+    for the depth, to which it adds the node's."""
+    key, seed, piece, offset, limit = spec
     # counting from the offset puts the clock checks on the one walk's nodes
     stats = SearchStats(nodes=offset)
-    status, solutions, _ = _run(PartialLabeling(dims, base), stats, node_limit=limit,
-                                deadline=deadline, find_all=find_all, root=root,
-                                rng=None if seed is None else random.Random(seed))
-    if status == BUDGET_EXCEEDED and stats.nodes == limit:
-        status = _CUT
+    if piece is None:
+        state = PartialLabeling(dims, base)
+    else:
+        path, mark, stop = piece
+        state = PartialLabeling(dims)
+        for f, x in path[:mark]:
+            state.put(f, x)
+    status, solutions, rest = _run(state, stats, node_limit=limit, deadline=deadline,
+                                   find_all=find_all, piece=piece and (key, stop),
+                                   rng=None if seed is None else random.Random(seed),
+                                   split=seed is None and limit < budget)
+    if piece is not None:
+        stats.max_depth += len(key) - 1
     stats.nodes -= offset
-    return status, solutions, stats
+    return status, solutions, stats, [(at, None, (trail, end, last), 0, limit - offset)
+                                      for at, trail, end, last in rest]
 
 
 def _serve(ours, theirs, one_run) -> None:
@@ -530,36 +574,49 @@ def _start_workers(one_run, size: int) -> dict:
     return workers
 
 
-def _results(one_run, specs, size: int):
-    """Results of runs in spec order, each spec made as its run is about to
-    start: in-process one after another with size 1, or else each on the
-    next of `size` forked workers to be free, which start once the first
-    spec is made.  A worker has a pipe of its own and shares no lock, so
-    closing the generator kills them all, with any runs still going, and
-    blocks on nothing.  A run's exception is raised here, and so is the end
-    of a worker that did not return its run."""
+def _results(one_run, pieces: list[tuple], specs, size: int, deadline: float):
+    """(spec, result) of each run in key order: depth-first order for
+    pieces, run order for Luby runs.
+
+    With size 1 the runs are `pieces` and then `specs`, one after another
+    in-process.  Otherwise each free worker of `size` forked ones, which
+    start with the first run, takes the smallest-keyed piece waiting, or
+    else the next of `specs`, made as it is drawn; a result comes out once
+    no run with a smaller key waits or runs, and the pieces it left wait
+    from when it came.  The clock is read before each piece after the
+    first is sent; past the deadline none is, and the first piece left
+    unsent comes out as cut by the clock.  A worker has a pipe of its own
+    and shares no lock, so closing the generator kills them all, with any
+    runs still going, and blocks on nothing.  A run's exception is raised
+    here, and so is the end of a worker that did not return its run."""
     if size == 1:
-        yield from map(one_run, specs)
-        return
-    specs = iter(specs)
-    first = next(specs, None)
-    if first is None:
+        yield from ((spec, one_run(spec)) for spec in chain(pieces, specs))
         return
     from multiprocessing.connection import wait
 
-    workers = _start_workers(one_run, size)
+    waiting, running, done, workers = sorted(pieces), {}, {}, {}
     try:
-        specs, order = chain([first], specs), count()
-        free, running, done, merged = list(workers), {}, {}, 0
         while True:
-            while free and (spec := next(specs, None)) is not None:
+            while len(running) < size:
+                if waiting:
+                    if workers and time.perf_counter() > deadline:
+                        break
+                    spec = heappop(waiting)
+                elif (spec := next(specs, None)) is None:
+                    break
+                if not workers:
+                    workers = _start_workers(one_run, size)
+                    free = list(workers)
                 ours = free.pop()
                 ours.send(spec)
-                running[ours] = next(order)
-            while merged in done:
-                yield done.pop(merged)
-                merged += 1
+                running[ours] = spec
+            first = min((spec[0] for spec in chain(running.values(), waiting[:1])),
+                        default=(float("inf"),))
+            while done and min(done) < first:
+                yield done.pop(min(done))
             if not running:
+                if waiting:
+                    yield waiting[0], (BUDGET_EXCEEDED, [], SearchStats(), [])
                 return
             for ours in wait(list(running)):
                 try:
@@ -568,7 +625,10 @@ def _results(one_run, specs, size: int):
                     raise RuntimeError("a search worker ended without returning its run") from None
                 if not ok:
                     raise result
-                done[running.pop(ours)] = result
+                spec = running.pop(ours)
+                done[spec[0]] = spec, result
+                for rest in result[3]:
+                    heappush(waiting, rest)
                 free.append(ours)
     finally:
         for worker in workers.values():
@@ -582,53 +642,52 @@ def _run_branch(dims: GridDims, base: Mapping[EdgeRef, int], cfg: SearchConfig,
     """(status, solutions) of one pinned branch, its counters added to stats.
 
     A seeded branch is its Luby runs, which go on while each fills its
-    window.  An unseeded tree, with workers and a first decision of more
-    than one candidate, is one run per candidate's subtree, which go on
-    while each is refuted; the root is walked here first, with a window of
-    no nodes, to count the candidates.  Any other tree is one run, walked
-    here.  The runs merge in order into the counters of one walk: nodes
-    and prunes add up, propagations add up but for the root's, which every
-    subtree repeats and which count once, the depth is the maximum,
-    solutions concatenate and each seeded run after the first is a
-    restart.  A run whose nodes would take the total past the node budget
-    closes the pool and is walked again here, from where the one walk
-    enters it, to the exact cut; only a subtree can, as a Luby window
-    never passes the budget.
+    window.  An unseeded tree is pieces, which go on while each is refuted
+    or cut by its window.  With one worker it is one piece, the whole
+    tree.  With more, a first-solution search starts as the whole tree in
+    a window of _PIECE_NODES nodes, each cut leaving pieces with that
+    window.  An enumeration's root is walked here, and each of its
+    candidates is one piece with the whole node budget.  The runs merge in
+    key order into the counters of one walk: nodes, propagations and
+    prunes add up, the depth is the maximum, solutions concatenate and
+    each seeded run after the first is a restart.  A run whose nodes would
+    take the total past the node budget closes the pool and is walked
+    again here, from where the one walk enters it, to the exact cut; only
+    a piece can, as a Luby window never passes the budget.
     """
-    one_run = partial(_one_run, dims, base, deadline, find_all)
     offset, budget = stats.nodes, cfg.node_budget
-    shared = width = 0
+    one_run = partial(_one_run, dims, base, deadline, find_all, budget)
+    status, found, pieces, specs, go_on = _CUT, [], [], iter(()), (_CUT, EXHAUSTED)
     if cfg.seed is not None:
-        specs, go_on = _run_specs(cfg, branch, offset, deadline), _CUT
+        specs, go_on = _run_specs(cfg, branch, offset, deadline), (_CUT,)
+    elif size == 1 or not find_all:
+        window = budget if size == 1 else offset + _PIECE_NODES
+        pieces = [((0,), None, None, offset, window)]
     else:
-        go_on = EXHAUSTED
-        if size > 1:
-            at_root = SearchStats(nodes=offset)
-            width = _run(PartialLabeling(dims, base), at_root, node_limit=offset,
-                         deadline=deadline, find_all=find_all)[2]
-        if width > 1:
-            shared = at_root.propagations
-            specs = [(None, root, offset, budget) for root in range(width)]
-        else:
-            specs, size = [(None, None, offset, budget)], 1
-    stats.propagations += shared
-    status, found = go_on, []
-    with closing(_results(one_run, specs, size)) as results:
-        for run, (status, solutions, counted) in enumerate(results):
-            if stats.nodes + counted.nodes > budget:
-                # the budget cuts the one walk inside this subtree
+        status, found, rest = _run(PartialLabeling(dims, base), stats, node_limit=offset,
+                                   deadline=deadline, find_all=True, split=True)
+        if rest:  # the root's one piece, split per candidate
+            [(_, path, mark, stop)] = rest
+            pieces = [((k,), None, (path, mark, k + 1), offset, budget) for k in range(stop)]
+        size = size if len(pieces) > 1 else 1
+    with closing(_results(one_run, pieces, specs, size, deadline)) as results:
+        for merged, (spec, (status, solutions, counted, _)) in enumerate(results):
+            over = stats.nodes + counted.nodes > budget
+            if over:
+                # the budget cuts the one walk inside this run
                 results.close()
-                status, solutions, counted = one_run((None, run, stats.nodes, budget))
-            if run and cfg.seed is not None:
+                key, seed, piece, _, _ = spec
+                status, solutions, counted, _ = one_run((key, seed, piece, stats.nodes, budget))
+            if merged and cfg.seed is not None:
                 stats.restarts += 1
             stats.nodes += counted.nodes
-            stats.propagations += counted.propagations - shared
+            stats.propagations += counted.propagations
             stats.max_depth = max(stats.max_depth, counted.max_depth)
             for rule, pruned in counted.prunes.items():
                 stats.prunes[rule] = stats.prunes.get(rule, 0) + pruned
             found += solutions
-            if status != go_on:
-                # found, cut, or a Luby run refuted inside its window (a genuine refutation)
+            if over or status not in go_on or status == _CUT and stats.nodes == budget:
+                # found, cut by a budget, or a Luby run refuted inside its window
                 break
     return BUDGET_EXCEEDED if status == _CUT else status, found
 
@@ -662,9 +721,9 @@ def enumerate_completions(dims: GridDims, assignments: Mapping[EdgeRef, int],
                           cfg: SearchConfig | None = None) -> tuple[list[Labeling], SearchOutcome]:
     """All supermagic completions of a partial assignment (no symmetry
     breaking, so the enumeration is the complete solution set).  It walks
-    one tree in ascending order, so it takes no seed; like an unseeded
-    search, the tree is split at its first decision across the workers,
-    and the solutions come in the order of the one walk."""
+    one tree in ascending order, so it takes no seed; with more than one
+    worker the tree is split at its first decision, one piece per
+    candidate, and the solutions come in the order of the one walk."""
     cfg = cfg or SearchConfig()
     if cfg.seed is not None:
         raise TorusMagicError("a find-all run is one ascending run and cannot restart: "

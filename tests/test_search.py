@@ -1,6 +1,8 @@
+import contextlib
 import importlib
 import itertools
 import multiprocessing
+import multiprocessing.connection
 import os
 import subprocess
 import sys
@@ -177,6 +179,59 @@ def test_no_child_process_outlives_a_search(pools):
     assert multiprocessing.active_children() == []
 
 
+def merged_runs(monkeypatch):
+    """The runs a search merges, as its scheduler hands them over."""
+    search_module = importlib.import_module("torusmagic.search")
+    results, merged = search_module._results, []
+
+    def counted(*args, **kwargs):
+        with contextlib.closing(results(*args, **kwargs)) as runs:
+            for run in runs:
+                merged.append(run)
+                yield run
+
+    monkeypatch.setattr(search_module, "_results", counted)
+    return merged
+
+
+def test_an_ascending_search_merges_pieces_of_its_first_subtree(pools, monkeypatch):
+    # the (3,5) labeling lies in the first root candidate's subtree, which
+    # a first-decision split would hand to one worker whole
+    merged = merged_runs(monkeypatch)
+    out = search(3, 5)
+    assert (out.status, out.stats.nodes) == (FOUND, 471_804)
+    assert len(pools) == 1 and len(merged) > 1
+
+
+def test_no_piece_is_sent_once_the_deadline_has_passed(pools, monkeypatch):
+    # Pieces of fewer than 1,024 nodes never read the clock, so the caller
+    # reads it before it sends each piece after the first.  Here the
+    # caller's clock passes the deadline once it has read the start; the
+    # workers, forked copies, keep the real one.
+    search_module = importlib.import_module("torusmagic.search")
+    caller, reads, real = os.getpid(), [], search_module.time.perf_counter
+
+    def clock():
+        if os.getpid() != caller:
+            return real()
+        reads.append(None)
+        return real() + (0 if len(reads) == 1 else 1e6)
+
+    sent, send = [], multiprocessing.connection.Connection.send
+
+    def counted_send(self, obj):
+        if os.getpid() == caller:
+            sent.append(obj)
+        return send(self, obj)
+
+    monkeypatch.setattr(search_module, "time", SimpleNamespace(perf_counter=clock))
+    monkeypatch.setattr(multiprocessing.connection.Connection, "send", counted_send)
+    out = search(3, 5)
+    # the first piece, the whole tree, comes back cut by its window
+    assert (out.status, out.stats.nodes) == (BUDGET_EXCEEDED, 4096)
+    assert len(sent) == 1 and len(reads) > 1
+
+
 def counted_verify(monkeypatch):
     """Count calls to verify as search makes them, in this process only."""
     search_module = importlib.import_module("torusmagic.search")
@@ -208,17 +263,18 @@ def fail():
     raise RuntimeError("a worker run failed")
 
 
-# (call, which of its runs acts): the third Luby run, the first subtree of
-# an ascending search and the second of an enumeration, none of which the
-# calling process walks itself
+# (call, which of its runs acts): the third Luby run, every piece that the
+# first cut of an ascending search leaves, and the piece of an
+# enumeration's second root candidate, none of which the calling process
+# walks itself
 FAILING_RUNS = {
     "luby": (lambda: search(5, 6, SearchConfig(node_budget=30_000, time_budget=1.0, seed=2)),
              lambda stats, kwargs: stats.nodes == 2 * 4096),  # after two windows of 4,096
     "ascending": (lambda: search(3, 4, SearchConfig(time_budget=1.0)),
-                  lambda stats, kwargs: kwargs.get("root") == 0),
+                  lambda stats, kwargs: kwargs.get("piece") is not None),
     "enumeration": (lambda: enumerate_completions(dims(3, 3), {H(1, 1): 1, V(1, 1): 2},
                                                   SearchConfig(time_budget=1.0)),
-                    lambda stats, kwargs: kwargs.get("root") == 1),
+                    lambda stats, kwargs: kwargs.get("piece") == ((1,), 2)),
 }
 
 

@@ -106,6 +106,10 @@ WORKER_CASES = {
                                 dataclasses.replace(LUBY, seed=1, time_budget=float("inf"))),
     "3x4-ascending": (searched, (3, 4), SearchConfig()),
     "3x5-ascending": (searched, (3, 5), SearchConfig()),
+    # cut where the first piece's window ends, one node into its pieces,
+    # inside them, one node short of the labeling and at it
+    **{f"3x5-ascending-budget{budget}": (searched, (3, 5), SearchConfig(node_budget=budget))
+       for budget in (4_096, 4_097, 100_000, 471_803, 471_804)},
     **{f"3x3-all-x{x}": (enumerated, bucket(x), SearchConfig()) for x in (2, 9)},
     # cut inside the third and the eighth subtree
     **{f"3x3-all-x9-budget{budget}": (enumerated, bucket(9), SearchConfig(node_budget=budget))
@@ -121,6 +125,9 @@ WORKER_CASES = {
 # (status, nodes[, propagations]) where the case pins them
 WORKER_PINS = {
     "3x4-time-budget": (BUDGET_EXCEEDED, 0),  # the clock is read before the first run
+    **{f"3x5-ascending-budget{budget}": (BUDGET_EXCEEDED, budget)
+       for budget in (4_096, 4_097, 100_000, 471_803)},
+    "3x5-ascending-budget471804": (FOUND, 471_804),
     "3x3-all-x9-boundary": (BUDGET_EXCEEDED, 30_917),
     "3x3-all-x9-last-boundary": (EXHAUSTED, 113_394),
     "3x3-forced-root-budget1": (BUDGET_EXCEEDED, 1, 1),
