@@ -18,6 +18,7 @@ documents or "H i j label" edge lists; both are 1-based.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections.abc import Iterable
 from contextlib import nullcontext
@@ -33,10 +34,12 @@ from .construct import (
 from .diagonals import decompose
 from .grid import TorusMagicError, dims as make_dims
 from .render import MAX_RENDER_EDGES, RenderSpec, check_render_size, render_pieces
-# Not called here: the benchmark's tracer patches torusmagic.cli.render.
+# Not called here: the benchmark's tracer patches torusmagic.cli.render and
+# torusmagic.cli.encode.
 from .render import render  # noqa: F401
 from .search import MAX_SEARCH_EDGES, SearchConfig, SearchOutcome, pool_size, search
-from .serialize import ParseError, decode, encode, header_dims
+from .serialize import ParseError, decode, encode_pieces, header_dims
+from .serialize import encode  # noqa: F401
 from .verify import audit_corners, forced_constant, verify
 
 EXIT_OK = 0
@@ -55,23 +58,19 @@ def _read_text(path: str) -> str:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-# Characters written at a time: a slice's encoded copy stays small.
-_WRITE_CHARS = 1 << 16
-
-
 def _write_data(pieces: Iterable[str], out: str | None) -> None:
     """Write the pieces of a text to stdout (out None or "-") or to the file
     out, as UTF-8.
 
-    Each piece goes out in slices of _WRITE_CHARS characters through one
-    open file, so no encoded copy of a piece is made, and a figure, which
-    can run to tens of megabytes, is never whole in memory.
+    Each piece is written whole, as it is made, through one open file, so
+    a document or figure, which can run to tens of megabytes, is never
+    whole in memory: the CLI holds one piece, a band of about 4,096 fields
+    or elements, and its encoded copy.
     """
     with (nullcontext(sys.stdout) if out is None or out == "-"
           else open(out, "w", encoding="utf-8")) as stream:
         for text in pieces:
-            for start in range(0, len(text), _WRITE_CHARS):
-                stream.write(text[start:start + _WRITE_CHARS])
+            stream.write(text)
 
 
 def _load_labeling(path: str):
@@ -93,7 +92,7 @@ def _cmd_generate(args) -> int:
         "plan": {"variant": plan.variant, "start_cols": list(plan.start_cols)},
         "constant": forced_constant(d),
     }
-    _write_data([encode(result, metadata=metadata)], args.out)
+    _write_data(encode_pieces(result, metadata), args.out)
     return EXIT_OK
 
 
@@ -145,7 +144,7 @@ def _cmd_search(args) -> int:
             "seed": args.seed,
             "constant": forced_constant(outcome.labeling.dims),
         }
-        _write_data([encode(outcome.labeling, metadata=metadata)], args.out)
+        _write_data(encode_pieces(outcome.labeling, metadata), args.out)
         return EXIT_OK
     if outcome.status == "budget-exceeded":
         print("budget exceeded before the space was explored; raise "
@@ -183,6 +182,7 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built on the first call, then reused by every main() in the process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torusmagic",

@@ -19,8 +19,13 @@ sum, a colour looked up by diagonal index).  `_weave` writes a template
 over its grid a band of rows at a time: every field goes into a list of
 pieces with one slice assignment, `parts[t::k] = ...`, and one
 `"".join` makes the band's text.  Only one band's pieces and cell
-strings are alive at a time.  The SVG line of a wrap edge's second stub
-is the one piece formatted per edge, as there are only n + m of them.
+strings are alive at a time.  A band's numbers are written by
+serialize's write_decimal into one byte grid, a space after each, and
+one decode and one split make their strings; only sums past int64, held
+as Python ints, are formatted by str.  Colours and wrap stubs are taken
+from an object array of strings at the band's indices at once.  The SVG
+line of a wrap edge's second stub is formatted once per wrap edge, as
+there are only n + m of them.
 
 `render_pieces` yields the header, each band as it is woven and the
 footer, so a caller that writes them out holds one band at a time;
@@ -39,6 +44,7 @@ import numpy as np
 
 from .grid import GridDims, TorusMagicError
 from .labeling import Labeling
+from .serialize import write_decimal
 from .verify import corner_sums, weight_matrix
 
 _FORMATS = ("dot", "svg")
@@ -47,8 +53,8 @@ _ANNOTATE = ("labels", "weights", "corners")
 # Largest grid render draws, in edges.  An SVG takes about 336 bytes per
 # edge, so the cap keeps a figure under about 170 MB of text.  `render`
 # holds the band strings and the figure joined from them, about twice the
-# figure's size, plus one band's pieces.  The CLI writes the bands as they
-# are woven, in slices, so it holds one band and no encoded copy of it.
+# figure's size, plus one band's pieces.  The CLI writes each band as it
+# is woven, so it holds one band and its encoded copy.
 MAX_RENDER_EDGES = 500_000
 
 
@@ -133,9 +139,29 @@ def _col(values) -> tuple[int, list[str]]:
     return _PER_COL, list(map(str, values))
 
 
-def _cell(matrix: np.ndarray, lookup=str) -> tuple[int, tuple]:
-    """A per-cell field: lookup(matrix[i, j]) at cell (i, j)."""
-    return _PER_CELL, (matrix, lookup)
+def _cell(matrix: np.ndarray, table: list[str] | None = None) -> tuple[int, tuple]:
+    """A per-cell field: matrix[i, j] in decimal at cell (i, j), or
+    table[matrix[i, j]] for a matrix of indices into the table."""
+    return _PER_CELL, (matrix, None if table is None else np.array(table, dtype=object))
+
+
+def _cell_strings(values: np.ndarray, table: np.ndarray | None) -> list[str]:
+    """The text of a per-cell field at a band's cells, given their values.
+
+    A table is taken at the values at once.  Numbers are written by
+    write_decimal into a byte grid, one row per cell with a space after
+    the digits, which one decode and one split turn into strings; only
+    numbers past int64, held as Python ints in an object array, take str.
+    """
+    if table is not None:
+        return table[values].tolist()
+    if values.dtype == object:
+        return list(map(str, values.tolist()))
+    width = len(str(int(values.max())))
+    grid = np.zeros((values.size, width + 1), dtype=np.uint8)
+    grid[:, width] = ord(" ")
+    write_decimal(values, grid[:, :width])
+    return grid[grid != 0][:-1].tobytes().decode("ascii").split(" ")
 
 
 def _merge(a: tuple[int, object], b: tuple[int, object]) -> tuple[int, object]:
@@ -203,8 +229,8 @@ def _weave(template: str, fields: dict, n: int, m: int) -> Iterator[str]:
                 parts[t::k] = chain.from_iterable(map(repeat, value[r0:r1], repeat(m)))
             elif kind == _PER_CELL:
                 if value not in cells:
-                    matrix, lookup = fields[value][1]
-                    cells[value] = list(map(lookup, matrix[r0:r1].ravel().tolist()))
+                    matrix, table = fields[value][1]
+                    cells[value] = _cell_strings(matrix[r0:r1].ravel(), table)
                 parts[t::k] = cells[value]
         yield "".join(parts)
 
@@ -235,7 +261,7 @@ def _render_dot(lab: Labeling, spec: RenderSpec) -> Iterator[str]:
     grid = {"i": _row(range(1, n + 1)), "j": _col(range(1, m + 1))}
     if spec.highlight_diagonals:
         colors = [f', color="{c}"' for c in _palette(d.d)]
-        h_color, v_color = (_cell(idx, colors.__getitem__) for idx in _diagonal_colors(d))
+        h_color, v_color = (_cell(idx, colors) for idx in _diagonal_colors(d))
     else:
         h_color = v_color = (_LITERAL, "")
     vertex = '  x_{i}_{j} [pos="{j},{y}!"' + _DOT_NOTES[spec.annotate] + '];\n'
@@ -294,7 +320,7 @@ def _render_svg(lab: Labeling, spec: RenderSpec) -> Iterator[str]:
     if spec.highlight_diagonals:
         palette = _palette(d.d)
         h_idx, v_idx = _diagonal_colors(d)
-        h_color, v_color = _cell(h_idx, palette.__getitem__), _cell(v_idx, palette.__getitem__)
+        h_color, v_color = _cell(h_idx, palette), _cell(v_idx, palette)
         h_wrap = [palette[c] for c in h_idx[:, -1].tolist()]
         v_wrap = [palette[c] for c in v_idx[-1].tolist()]
     else:
@@ -305,7 +331,7 @@ def _render_svg(lab: Labeling, spec: RenderSpec) -> Iterator[str]:
         # the second stub of each wrap edge, and nothing at the other cells
         index = np.zeros((n, m), np.intp)
         index[wrap] = np.arange(1, len(lines) + 1)
-        return _cell(index, ["", *lines].__getitem__)
+        return _cell(index, ["", *lines])
 
     yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
            f'viewBox="0 0 {width} {height}" font-family="sans-serif">\n'

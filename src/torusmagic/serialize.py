@@ -10,14 +10,18 @@ the same labeling always produces the same bytes, and the text is
 UTF-8 and newline-terminated.
 
 encode formats each matrix block a band of about 4,096 fields at a time,
-with no Python object per label.  A band's labels are split into digits
-by integer division on uint32 (uint64 once a label reaches 2**32) and
-written right-aligned into a zero-filled byte grid, one field as wide as
-the band's widest label, with ", " after each field and a row break
-after each row; the zero bytes are then dropped.  The 400 x 400,
-201 x 303 and 303 x 201 documents together encode in about 21 ms this
-way, against about 89 ms with one json.dumps per row (medians of 9
-in-process runs on 2 shared vCPUs, Python 3.11, numpy 2.4).
+with no Python object per label.  write_decimal splits a band's labels
+into digits by integer division on uint32 (uint64 for fields of 10
+digits and more) and writes them right-aligned into a zero-filled byte
+grid, one field as wide as the band's widest label, with ", " after each
+field and a row break after each row; the zero bytes are then dropped.
+The 400 x 400, 201 x 303 and 303 x 201 documents together encode in
+about 21 ms this way, against about 89 ms with one json.dumps per row
+(medians of 9 in-process runs on 2 shared vCPUs, Python 3.11, numpy
+2.4).  render writes its labels, weights and corner sums with the same
+write_decimal.  encode_pieces yields the header, each band and the tail
+as they are formatted, so that a caller writing them out holds one band
+of the document; encode joins them.
 
 A line-oriented edge list ("H i j label" / "V i j label", one edge per
 line, '#' comments allowed) is accepted on input for hand-authored
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterator
 from typing import Mapping
 
 import numpy as np
@@ -86,54 +91,71 @@ _ROW_BREAK_BYTES = np.frombuffer(_ROW_BREAK.encode("ascii"), dtype=np.uint8)
 _LAST_ROW_END = np.frombuffer(b"]".ljust(len(_ROW_BREAK), b"\0"), dtype=np.uint8)
 
 
-def _matrix_block(matrix: np.ndarray) -> list[bytes]:
+def write_decimal(values: np.ndarray, fields: np.ndarray) -> None:
+    """Write non-negative integers in decimal into the uint8 array fields,
+    whose last axis is as wide as the widest of them and whose other axes
+    have the shape of values.
+
+    Each value is split into digits by integer division on uint32 (on
+    uint64 for fields of 10 digits and more) and written right-aligned,
+    with zero bytes left of its first digit.  The units digit is always
+    written, so 0 is written "0".
+    """
+    width = fields.shape[-1]
+    values = values.astype(np.uint32 if width < 10 else np.uint64, copy=False)
+    for col in range(width - 1, -1, -1):
+        rest = values // 10
+        digit = values - rest * 10
+        digit += ord("0")
+        if col < width - 1:
+            digit *= values != 0  # no digit left of a value's first
+        fields[..., col] = digit
+        values = rest
+
+
+def _matrix_block(matrix: np.ndarray) -> Iterator[str]:
     """A matrix block as encode writes it, "[\\n    [1, 2],\\n    [3, 4]",
     up to its closing "\\n  ]", in pieces of about _BAND_CELLS fields.
 
-    Each band's labels are written right-aligned, digit by digit, into a
-    zero-filled byte grid with a field of the band's widest label, ", "
-    after each field and a row break after each row; the zero bytes left of
-    the shorter labels are then dropped.  Labels must be positive.
+    Each band's labels are written by write_decimal into a zero-filled byte
+    grid with a field of the band's widest label, ", " after each field and
+    a row break after each row; the zero bytes left of the shorter labels
+    are then dropped.  Labels must be positive.
     """
     n, m = matrix.shape
     step = max(1, _BAND_CELLS // m)
-    pieces = [b"[\n    ["]
+    yield "[\n    ["
     for top in range(0, n, step):
         band = matrix[top:top + step]
-        high = int(band.max())
-        width = len(str(high))
-        values = band.astype(np.uint32 if high < 2**32 else np.uint64)
+        width = len(str(int(band.max())))
         # each field and its ", ", less the last ", ", then the row break
         grid = np.zeros((len(band), m * (width + 2) - 2 + len(_ROW_BREAK)), dtype=np.uint8)
         fields = grid[:, :m * (width + 2)].reshape(len(band), m, width + 2)
         fields[:, :, width] = ord(",")
         fields[:, :, width + 1] = ord(" ")
-        for col in range(width - 1, -1, -1):
-            rest = values // 10
-            digit = values - rest * 10
-            digit += ord("0")
-            digit *= values != 0  # no digit left of a label's first
-            fields[:, :, col] = digit
-            values = rest
+        write_decimal(band, fields[:, :, :width])
         grid[:, -len(_ROW_BREAK):] = _ROW_BREAK_BYTES  # over the last field's ", "
         if top + step >= n:
             grid[-1, -len(_ROW_BREAK):] = _LAST_ROW_END
-        pieces.append(grid[grid != 0].tobytes())
-    return pieces
+        yield grid[grid != 0].tobytes().decode("ascii")
+
+
+def encode_pieces(lab: Labeling, metadata: Mapping[str, object] | None = None) -> Iterator[str]:
+    """The document encode returns, as its header, one piece per band of
+    each matrix block and its tail, each formatted when it is asked for."""
+    yield f'{{\n  "n": {lab.dims.n},\n  "m": {lab.dims.m},\n  "horizontal": '
+    yield from _matrix_block(lab.h)
+    yield _VERTICAL
+    yield from _matrix_block(lab.v)
+    if metadata:  # json.dumps escapes every non-ASCII character
+        yield _METADATA + json.dumps(dict(metadata), sort_keys=True) + _END
+    else:
+        yield _CLOSE + _END
 
 
 def encode(lab: Labeling, metadata: Mapping[str, object] | None = None) -> str:
     """Serialize to the canonical JSON document (byte-stable across runs)."""
-    pieces = [f'{{\n  "n": {lab.dims.n},\n  "m": {lab.dims.m},\n  "horizontal": '.encode("ascii"),
-              *_matrix_block(lab.h), _VERTICAL.encode("ascii"), *_matrix_block(lab.v)]
-    if metadata:  # json.dumps escapes every non-ASCII character
-        meta = json.dumps(dict(metadata), sort_keys=True)
-        pieces.append((_METADATA + meta + _END).encode("ascii"))
-    else:
-        pieces.append((_CLOSE + _END).encode("ascii"))
-    doc = b"".join(pieces)
-    del pieces  # the bands: hold at most two copies of the document
-    return doc.decode("ascii")
+    return "".join(encode_pieces(lab, metadata))
 
 
 def _require_int(value: object, where: str) -> int:

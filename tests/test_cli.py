@@ -17,7 +17,7 @@ from torusmagic.cli import (
     EXIT_VERDICT,
     main,
 )
-from torusmagic.construct import construct
+from torusmagic.construct import ODD_ODD, construct, plan_for
 from torusmagic.grid import dims
 from torusmagic.labeling import Labeling
 from torusmagic.render import RenderSpec, render
@@ -42,6 +42,54 @@ def test_generate_then_verify_pipe(tmp_path, capsys):
     code, out, err = run(capsys, "verify", str(out_file))
     assert code == EXIT_OK
     assert "supermagic: True" in out
+
+
+def generate_metadata(n, m):
+    # what torusmagic generate records, spelled out
+    start_cols = plan_for(ODD_ODD, dims(min(n, m), max(n, m))).start_cols
+    return {"generator": "construct", "plan": {"variant": ODD_ODD, "start_cols": list(start_cols)},
+            "constant": 4 * n * m + 2}
+
+
+@pytest.mark.parametrize("n,m", [(9, 15), (15, 9)])
+def test_generated_documents_match_encode(tmp_path, capsys, n, m):
+    # the CLI writes the header, each band and the tail as they are encoded
+    doc = encode(construct(n, m), metadata=generate_metadata(n, m))
+    dst = tmp_path / "lab.json"
+    assert run(capsys, "generate", str(n), str(m), "--out", str(dst)) == (EXIT_OK, "", "")
+    assert dst.read_bytes() == doc.encode()
+    assert run(capsys, "generate", str(n), str(m)) == (EXIT_OK, doc, "")
+    assert run(capsys, "generate", str(n), str(m), "--out", "-") == (EXIT_OK, doc, "")
+
+
+def test_generate_holds_one_band_not_the_document(tmp_path, monkeypatch):
+    # the labeling is built before tracing, so the peak is the encoding and writing
+    cli = importlib.import_module("torusmagic.cli")
+    lab = construct(201, 303)
+    monkeypatch.setattr(cli, "construct", lambda n, m: lab)
+    dst = tmp_path / "lab.json"
+    main(["generate", "3", "3", "--out", str(dst)])  # the parser is built once, untraced
+    tracemalloc.start()
+    try:
+        code = main(["generate", "201", "303", "--out", str(dst)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert dst.read_text() == encode(lab, metadata=generate_metadata(201, 303))
+    assert peak < dst.stat().st_size / 2
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    cli = importlib.import_module("torusmagic.cli")
+    cli._build_parser()
+    built = []
+    monkeypatch.setattr(cli.argparse, "ArgumentParser",
+                        lambda *args, **kwargs: built.append(1))
+    assert run(capsys, "decompose", "3", "3")[0] == EXIT_OK
+    assert run(capsys, "generate", "3", "3")[0] == EXIT_OK
+    assert run(capsys, "decompose", "1", "3")[0] == EXIT_ERROR
+    assert built == []
 
 
 def test_generate_unsupported_suggests_search(capsys):
@@ -245,17 +293,25 @@ def test_render_holds_one_band_not_the_figure(tmp_path):
     assert peak < dst.stat().st_size / 2
 
 
-def test_write_data_writes_utf8_across_slices(tmp_path, capsys):
-    # a slice boundary falls between two multi-byte characters of the first
-    # piece, and the piece boundary between two more
+def test_write_data_writes_each_piece_whole_as_utf8(tmp_path, capsys, monkeypatch):
     cli = importlib.import_module("torusmagic.cli")
-    pieces = ["x" * (cli._WRITE_CHARS - 1) + "\u00e9\u2192\u00e9",
-              "\u2192" + "y" * cli._WRITE_CHARS + "\n"]
+    pieces = ["x" * 70_000 + "\u00e9\u2192\u00e9", "\u2192" + "y" * 70_000 + "\n", "\u00e9"]
     dst = tmp_path / "out.txt"
-    cli._write_data(pieces, str(dst))
+    cli._write_data(iter(pieces), str(dst))
     assert dst.read_bytes() == "".join(pieces).encode("utf-8")
-    cli._write_data(pieces, None)
+    cli._write_data(iter(pieces), None)
     assert capsys.readouterr().out == "".join(pieces)
+
+    class Stream:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+    monkeypatch.setattr(sys, "stdout", Stream())
+    cli._write_data(iter(pieces), "-")
+    assert sys.stdout.writes == pieces  # one write per piece
 
 
 def test_render_too_large_exits_one(tmp_path, capsys, monkeypatch):

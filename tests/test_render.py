@@ -1,4 +1,6 @@
+import hashlib
 import importlib
+import itertools
 import re
 import tracemalloc
 import xml.dom.minidom
@@ -6,6 +8,7 @@ import xml.dom.minidom
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from scalar_reference import all_edges
 from torusmagic.construct import construct
 from torusmagic.diagonals import diagonal_of_edge
@@ -91,6 +94,44 @@ def test_corner_notes_are_exact_past_the_int64_range():
     assert dot.count("HV=9223372036854775808\\nVH=9223372036854775808") == 9
     svg = render(lab, RenderSpec(format="svg", annotate="corners"))
     assert len(re.findall(r">(?:HV|VH)=9223372036854775808<", svg)) == 18
+
+
+def test_cells_are_written_by_the_digit_writer_and_objects_by_str(monkeypatch):
+    render_module = importlib.import_module("torusmagic.render")
+    calls = []
+    write_decimal = render_module.write_decimal
+    monkeypatch.setattr(render_module, "write_decimal",
+                        lambda *args: calls.append(1) or write_decimal(*args))
+    values = np.array([7, 0, 10, 2**63 - 1, 99, 100])
+    assert render_module._cell_strings(values, None) == list(map(str, values.tolist()))
+    assert calls == [1]
+    # sums past int64 are Python ints in an object array: str writes them
+    big = np.array([2**64, 2**63, 0, 5], dtype=object)
+    assert render_module._cell_strings(big, None) == ["18446744073709551616",
+                                                       "9223372036854775808", "0", "5"]
+    assert calls == [1]
+    table = np.array(["", "a", "bc"], dtype=object)
+    assert render_module._cell_strings(np.array([2, 0, 1, 1]), table) == ["bc", "", "a", "a"]
+
+
+def test_uint64_labels_render_as_before():
+    h = np.array([[2**63 - 1, 1, 9, 10], [99, 100, 2**32 - 1, 2**32],
+                  [10**18 - 1, 10**18, 2**62, 7]], dtype=np.uint64)
+    v = np.array([[2**63 - 2, 2, 8, 11], [98, 101, 2**32 - 2, 2**32 + 1],
+                  [10**17, 999, 2**61, 2**63 - 3]], dtype=np.uint64)
+    lab = Labeling(dims(3, 4), h, v)
+    digest = hashlib.sha256()
+    for fmt, annotate, highlight in itertools.product(("svg", "dot"),
+                                                      ("labels", "weights", "corners"),
+                                                      (False, True)):
+        spec = RenderSpec(fmt, annotate, highlight)
+        figure = render(lab, spec)
+        digest.update(figure.encode())
+        # the reference's weights wrap around in uint64; its labels and corners do not
+        if annotate != "weights":
+            assert figure == ref.render(lab, spec)
+    # the twelve figures as rendered with one str() call per label and weight
+    assert digest.hexdigest() == "fcc7eb086de637bccc85d32f0b13ae98a7281fa8e74700673d05125ae90d1e4f"
 
 
 def test_render_default_spec_is_dot():

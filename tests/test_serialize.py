@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scalar_reference as ref
 from scalar_reference import all_edges, label
 from torusmagic.construct import construct
 from torusmagic.grid import DimensionTooSmall, TorusMagicError, dims
 from torusmagic.labeling import Labeling
-from torusmagic.serialize import ParseError, ShapeError, decode, encode
+from torusmagic.serialize import ParseError, ShapeError, decode, encode, write_decimal
 
 
 def random_labeling(rng, n, m):
@@ -34,6 +35,47 @@ def test_encode_metadata_and_determinism():
     doc = json.loads(encode(lab, metadata=meta))
     assert doc["metadata"] == meta
     assert encode(lab) == encode(lab)
+
+
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+# widths change at 9/10 and 99/100; uint32 gives way to uint64 at 2**32
+BOUNDARIES = [0, 9, 10, 99, 100, 2**32 - 1, 2**32, 2**63 - 1]
+
+
+def int_arrays(dtype):
+    top = int(np.iinfo(dtype).max)
+    values = st.integers(0, top) | st.sampled_from([b for b in BOUNDARIES if b <= top])
+    return st.lists(values, min_size=1, max_size=40).map(lambda vs: np.array(vs, dtype=dtype))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(INT_DTYPES).flatmap(int_arrays))
+def test_write_decimal_matches_str(values):
+    texts = [str(v) for v in values.tolist()]
+    width = max(map(len, texts))
+    fields = np.full((values.size, width), 255, dtype=np.uint8)
+    write_decimal(values, fields)
+    # right-aligned, zero bytes on the left, and 0 written "0"
+    assert [row.tobytes() for row in fields] == [t.encode().rjust(width, b"\0") for t in texts]
+
+
+def test_write_decimal_writes_every_boundary():
+    values = np.array(BOUNDARIES, dtype=np.uint64).reshape(2, 4)
+    fields = np.zeros((2, 4, 19), dtype=np.uint8)
+    write_decimal(values, fields)
+    texts = [f[f != 0].tobytes().decode() for f in fields.reshape(8, 19)]
+    assert texts == list(map(str, BOUNDARIES))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(INT_DTYPES), st.integers(3, 7), st.data())
+def test_encode_writes_every_dtype_as_json_does(dtype, m, data):
+    top = min(int(np.iinfo(dtype).max), 2**63 - 1)
+    values = st.integers(1, top) | st.sampled_from([b for b in BOUNDARIES if 1 <= b <= top])
+    flat = data.draw(st.lists(values, min_size=6 * m, max_size=6 * m))
+    h, v = np.array(flat, dtype=dtype).reshape(2, 3, m)
+    lab = Labeling(dims(3, m), h, v)
+    assert encode(lab) == ref.encode(lab)
 
 
 @settings(max_examples=100, deadline=None)
