@@ -263,8 +263,7 @@ def test_render_svg_to_file(tmp_path, capsys):
 @pytest.mark.parametrize("annotate", ["labels", "weights", "corners"])
 @pytest.mark.parametrize("highlight", [False, True])
 def test_streamed_figures_match_render(tmp_path, capsys, n, m, fmt, annotate, highlight):
-    # the CLI writes the pieces as they are woven; a 9 x 15 SVG is about
-    # 75,000 characters, two slices of 65,536
+    # the CLI writes each piece whole as it is woven
     src = tmp_path / "lab.json"
     src.write_text(encode(construct(n, m)))
     flags = ["--format", fmt, "--annotate", annotate] + ["--highlight-diagonals"] * highlight
