@@ -10,7 +10,6 @@ vertex.
 from collections import Counter
 
 from torusmagic import (
-    ODD_ODD,
     EdgeRef,
     construct,
     decompose,
@@ -23,7 +22,7 @@ from torusmagic import (
 d = dims(3, 9)
 print(f"C_3 x C_9: gcd = {d.d} diagonals, each of length 2*lcm = {2 * d.l}")
 
-plan = plan_for(ODD_ODD, d)
+plan = plan_for(d)
 print(f"construction start columns: {plan.start_cols} "
       "(diagonal 1 starts at column d+1 so the last seam closes)\n")
 
@@ -35,7 +34,7 @@ for diag in decompose(d, list(plan.start_cols)):
     print(f"D{diag.index} h-labels: {h}")
     print(f"   v-labels: {v}")
 
-table = expected_corner_table(plan, d)
+table = expected_corner_table(d)
 print("\npartial weight distribution over all corners:")
 for value, count in sorted(Counter(table.entries.values()).items()):
     name = {d.q: "2nm", d.q + 1: "2nm+1", d.q + 2: "2nm+2",

@@ -17,7 +17,6 @@ necessarily 4nm+2.  The package provides:
 """
 
 from .construct import (
-    ODD_ODD,
     ConstructionError,
     PlanShapeMismatch,
     construct,
@@ -39,7 +38,6 @@ __version__ = "0.1.0"
 # submodule.
 __all__ = [
     "FOUND",
-    "ODD_ODD",
     "EdgeRef",
     "RenderSpec",
     "SearchConfig",

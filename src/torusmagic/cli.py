@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from collections.abc import Iterable
 from contextlib import nullcontext
@@ -27,6 +28,7 @@ from pathlib import Path
 from .construct import (
     EVEN_EVEN,
     ODD_ODD,
+    PlanShapeMismatch,
     Unsupported,
     construct,
     plan_for,
@@ -37,7 +39,8 @@ from .render import MAX_RENDER_EDGES, RenderSpec, check_render_size, render_piec
 # Not called here: the benchmark's tracer patches torusmagic.cli.render and
 # torusmagic.cli.encode.
 from .render import render  # noqa: F401
-from .search import MAX_SEARCH_EDGES, SearchConfig, SearchOutcome, pool_size, search
+from .search import BUDGET_EXCEEDED, FOUND, MAX_SEARCH_EDGES, SearchConfig, SearchOutcome
+from .search import pool_size, search
 from .serialize import ParseError, decode, encode_pieces, header_dims
 from .serialize import encode  # noqa: F401
 from .verify import audit_corners, forced_constant, verify
@@ -60,17 +63,31 @@ def _read_text(path: str) -> str:
 
 def _write_data(pieces: Iterable[str], out: str | None) -> None:
     """Write the pieces of a text to stdout (out None or "-") or to the file
-    out, as UTF-8.
+    out, as UTF-8.  A regular file out is whole or absent: the pieces go to
+    a file beside it, renamed to out after the last piece and removed if one
+    fails.  Devices and pipes are written in place.
 
     Each piece is written whole, as it is made, through one open file, so
     a document or figure, which can run to tens of megabytes, is never
     whole in memory: the CLI holds one piece, a band of about 4,096 fields
     or elements, and its encoded copy.
     """
-    with (nullcontext(sys.stdout) if out is None or out == "-"
-          else open(out, "w", encoding="utf-8")) as stream:
-        for text in pieces:
-            stream.write(text)
+    in_place = out in (None, "-") or (os.path.exists(out) and not os.path.isfile(out))
+    partial = None if in_place else f"{out}.{os.getpid()}.partial"
+    stream = (nullcontext(sys.stdout) if out in (None, "-")
+              else open(partial or out, "w", encoding="utf-8"))  # a directory fails here
+    try:
+        with stream as sink:
+            for text in pieces:
+                sink.write(text)
+        if partial:
+            if os.path.exists(out):  # ext4 writes back a file renamed over another in the call
+                os.unlink(out)
+            os.replace(partial, out)
+    except BaseException:
+        if partial:
+            os.unlink(partial)
+        raise
 
 
 def _load_labeling(path: str):
@@ -84,13 +101,11 @@ def _cmd_generate(args) -> int:
               file=sys.stderr)
         print(f"hint: {result.suggestion}", file=sys.stderr)
         return EXIT_VERDICT
-    d = result.dims
-    variant = ODD_ODD if d.n % 2 else EVEN_EVEN
-    plan = plan_for(variant, make_dims(min(d.n, d.m), max(d.n, d.m)))
+    plan = plan_for(result.dims)
     metadata = {
         "generator": "construct",
         "plan": {"variant": plan.variant, "start_cols": list(plan.start_cols)},
-        "constant": forced_constant(d),
+        "constant": forced_constant(result.dims),
     }
     _write_data(encode_pieces(result, metadata), args.out)
     return EXIT_OK
@@ -116,8 +131,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_audit(args) -> int:
     lab = _load_labeling(args.file)
-    plan = plan_for(args.plan, lab.dims)
-    report = audit_corners(lab, plan)
+    if args.plan not in (None, plan_for(lab.dims).variant):
+        raise PlanShapeMismatch(f"--plan {args.plan} does not build {lab.dims.n}x{lab.dims.m}")
+    report = audit_corners(lab)
     if report.clean:
         print(f"corner audit clean: all {2 * lab.dims.d * lab.dims.l} corners match")
         return EXIT_OK
@@ -138,7 +154,7 @@ def _cmd_search(args) -> int:
     if s.prunes:
         pruned = ", ".join(f"{k}={v}" for k, v in sorted(s.prunes.items()))
         print(f"prunes: {pruned}", file=sys.stderr)
-    if outcome.status == "found":
+    if outcome.status == FOUND:
         metadata = {
             "generator": "search",
             "seed": args.seed,
@@ -146,7 +162,7 @@ def _cmd_search(args) -> int:
         }
         _write_data(encode_pieces(outcome.labeling, metadata), args.out)
         return EXIT_OK
-    if outcome.status == "budget-exceeded":
+    if outcome.status == BUDGET_EXCEEDED:
         print("budget exceeded before the space was explored; raise "
               "--node-budget/--time-budget or try another --seed", file=sys.stderr)
         return EXIT_BUDGET
@@ -200,9 +216,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="labeling document (JSON or edge list, - for stdin)")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("audit", help="compare corner partial weights to a plan's table")
+    p = sub.add_parser("audit", help="compare corner partial weights to the grid's plan")
     p.add_argument("file", help="labeling document (JSON or edge list, - for stdin)")
-    p.add_argument("--plan", required=True, choices=[ODD_ODD, EVEN_EVEN])
+    p.add_argument("--plan", choices=[ODD_ODD, EVEN_EVEN],
+                   help="fail unless this is the plan that builds the grid")
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("search", help=f"exact backtracking search (at most "
@@ -211,8 +228,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.add_argument("--seed", type=int, default=None,
                    help="enable seeded-random value order with Luby restarts")
-    p.add_argument("--node-budget", type=int, default=100_000_000)
-    p.add_argument("--time-budget", type=float, default=600.0, metavar="SECONDS")
+    p.add_argument("--node-budget", type=int, default=SearchConfig.node_budget)
+    p.add_argument("--time-budget", type=float, default=SearchConfig.time_budget, metavar="SECONDS")
     p.add_argument("--out", help="write the found labeling here instead of stdout")
     p.set_defaults(func=_cmd_search)
 

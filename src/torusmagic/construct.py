@@ -20,6 +20,9 @@ reroute the last two diagonals: d-1 is shifted so that its exceptional
 corner moves to step l'+2, and the last diagonal interleaves its blocks
 with stride 2 so that its VH-corners absorb the seam back into diagonal 1.
 
+`_uncovered` states once which grids a construction covers, and a grid
+fixes its own plan: its parities pick the variant.
+
 `_ROLES` is the one table of roles: each row gives the block orders and,
 stated on their own, the corner weights the role promises.  `_build`
 reads the orders, `expected_corner_table` only the weights, so the corner
@@ -46,7 +49,7 @@ EVEN_EVEN = "even-even"
 
 
 class PlanShapeMismatch(TorusMagicError):
-    """Construction plan inconsistent with the grid's parity."""
+    """No construction covers the grid, or a plan named for it is not its own."""
 
 
 @dataclass(frozen=True)
@@ -67,25 +70,30 @@ class ConstructionPlan:
     start_cols: tuple[int, ...]
 
 
-def plan_for(variant: str, dims: GridDims) -> ConstructionPlan:
-    """Canonical plan: diagonal 1 starts at column d+1 (wrapped into 1..m),
-    diagonal j at column j otherwise.
+def _uncovered(dims: GridDims) -> str | None:
+    """Why no construction covers the grid, or None when one does."""
+    if dims.n % 2 != dims.m % 2:
+        return "mixed parity"
+    if dims.n % 2 and dims.d == 1:
+        return "coprime odd"
+    return None
+
+
+def plan_for(dims: GridDims) -> ConstructionPlan:
+    """The plan that builds the grid, stated in native orientation n <= m:
+    diagonal 1 starts at column d+1 (wrapped into 1..m), diagonal j at
+    column j otherwise.  PlanShapeMismatch when no construction covers it.
 
     Both variants share the start columns: the wrap-around seam between the
     last diagonal and diagonal 1 aligns its exceptional corners only when
     diagonal 1 starts at column d+1.  (On square grids that wraps to
     column 1, so all diagonals start at their own index.)
     """
-    if variant == ODD_ODD:
-        if dims.n % 2 == 0 or dims.m % 2 == 0 or dims.d == 1:
-            raise PlanShapeMismatch(f"{variant} needs odd n, m with gcd > 1, got {dims.n}x{dims.m}")
-    elif variant == EVEN_EVEN:
-        if dims.n % 2 == 1 or dims.m % 2 == 1:
-            raise PlanShapeMismatch(f"{variant} needs even n and m, got {dims.n}x{dims.m}")
-    else:
-        raise PlanShapeMismatch(f"unknown variant {variant!r}")
-    starts = [wrap(dims.d + 1, dims.m)] + list(range(2, dims.d + 1))
-    return ConstructionPlan(variant=variant, start_cols=tuple(starts))
+    reason = _uncovered(dims)
+    if reason is not None:
+        raise PlanShapeMismatch(f"no construction covers {dims.n}x{dims.m}: {reason}")
+    starts = [wrap(dims.d + 1, max(dims.n, dims.m))] + list(range(2, dims.d + 1))
+    return ConstructionPlan(ODD_ODD if dims.n % 2 else EVEN_EVEN, tuple(starts))
 
 
 class ConstructionError(RuntimeError):
@@ -186,7 +194,7 @@ def _check_bijection(h: np.ndarray, v: np.ndarray, q: int) -> None:
         raise ConstructionError(f"labels not used exactly once: {wrong[:10].tolist()}")
 
 
-def _build(variant: str, dims: GridDims) -> Labeling:
+def _build(dims: GridDims) -> Labeling:
     """Write every diagonal's label blocks (native orientation n <= m).
 
     Diagonal j takes the labels (j-1)l+1..jl for its horizontal edges and
@@ -194,14 +202,14 @@ def _build(variant: str, dims: GridDims) -> Labeling:
     Each role's blocks are scattered into the raveled matrices once, for
     all the diagonals of that role."""
     if dims.n > dims.m:
-        return _build(variant, make_dims(dims.m, dims.n)).transpose()
-    plan = plan_for(variant, dims)
+        return _build(make_dims(dims.m, dims.n)).transpose()
+    plan = plan_for(dims)
     h_cells, v_cells = diagonal_cells(decompose(dims, list(plan.start_cols)))
     h = np.zeros(dims.n * dims.m, dtype=np.int64)
     v = np.zeros(dims.n * dims.m, dtype=np.int64)
     k = np.arange(1, dims.l + 1)
     below = np.arange(dims.d)[:, None] * dims.l  # labels of the blocks before j
-    for name, rows in _role_rows(variant, dims.d).items():
+    for name, rows in _role_rows(plan.variant, dims.d).items():
         h_order, v_order = _ROLES[name].orders(k, dims)
         h[h_cells[rows]] = below[rows] + h_order
         v[v_cells[rows]] = dims.q + 1 - below[rows] - v_order
@@ -215,15 +223,11 @@ def construct(n: int, m: int) -> Labeling | Unsupported:
 
     For n > m the transposed instance is built and flipped back."""
     d = make_dims(n, m)
-    if n % 2 == 1 and m % 2 == 1:
-        if d.d == 1:
-            return Unsupported(n, m, reason="coprime odd",
-                               suggestion=f"no direct construction; try: search {n} {m}")
-        return _build(ODD_ODD, d)
-    if n % 2 == 0 and m % 2 == 0:
-        return _build(EVEN_EVEN, d)
-    return Unsupported(n, m, reason="mixed parity",
-                       suggestion=f"no direct construction; try: search {n} {m}")
+    reason = _uncovered(d)
+    if reason is not None:
+        return Unsupported(n, m, reason=reason,
+                           suggestion=f"no direct construction; try: search {n} {m}")
+    return _build(d)
 
 
 @dataclass(frozen=True)
@@ -248,15 +252,15 @@ class ExpectedCornerTable:
                 for kind, weights in (("HV", hv), ("VH", vh))}
 
 
-def expected_corner_table(plan: ConstructionPlan, dims: GridDims) -> ExpectedCornerTable:
-    """Partial weights the construction promises at each (diagonal, k, kind).
+def expected_corner_table(dims: GridDims) -> ExpectedCornerTable:
+    """Partial weights the grid's plan promises at each (diagonal, k, kind),
+    in native orientation n <= m.
 
     Within each diagonal at most one HV-corner carries 2nm+l and at most
     one VH-corner carries 2nm-l+2; for every vertex the HV entry of its
     diagonal plus the VH entry of the successor diagonal is 4nm+2.
     """
-    if plan != plan_for(plan.variant, dims):
-        raise PlanShapeMismatch(f"plan {plan} is not the canonical plan for {dims.n}x{dims.m}")
+    plan = plan_for(dims)
     base, l = dims.q, dims.l  # base = 2nm
     hv = np.empty((dims.d, l), dtype=np.int64)
     vh = np.empty((dims.d, l), dtype=np.int64)

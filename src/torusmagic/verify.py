@@ -13,8 +13,9 @@ them.  The corner audit checks the finer decomposition the constructions
 guarantee: it gathers every diagonal's HV and VH sums out of those
 matrices at once, through the (d, l) cell matrices of `diagonal_cells`,
 and compares them with the weights the construction's role table
-promises, which are stated apart from its label blocks.  Corner positions
-are built only when some sum differs.
+promises, which are stated apart from its label blocks.  The labeling's
+shape fixes the plan those weights come from, so the audit takes no plan.
+Corner positions are built only when some sum differs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construct import ConstructionPlan, ExpectedCornerTable, expected_corner_table, plan_for
+from .construct import ExpectedCornerTable, expected_corner_table
 from .construct import PlanShapeMismatch  # re-exported: raised by audit_corners
 from .diagonals import CornerPos, decompose, diagonal_cells
 from .grid import GridDims, VertexRef
@@ -152,28 +153,24 @@ def verify(lab: Labeling) -> VerificationReport:
     )
 
 
-def audit_corners(lab: Labeling, plan: ConstructionPlan) -> CornerAuditReport:
+def audit_corners(lab: Labeling) -> CornerAuditReport:
     """Compare every corner's measured partial weight against the expected
-    table for the plan's rotation.  Clean for constructed labelings; a
+    table of the grid's own plan.  Clean for constructed labelings; a
     single label swap shows up as located mismatches, listed by diagonal,
     then step k, then HV before VH.
 
     The table describes the construction in its native orientation
     (n <= m), and a labeling for n > m is built as the transpose of the
     m x n one, which exchanges corner kinds.  So an n > m labeling is
-    audited as its transpose against the plan's variant for (m, n), and
-    its mismatches are reported in that orientation."""
+    audited as its transpose, and its mismatches are reported in that
+    orientation."""
     if lab.dims.n > lab.dims.m:
-        if plan != plan_for(plan.variant, lab.dims):
-            raise PlanShapeMismatch(
-                f"plan {plan} is not the canonical plan for {lab.dims.n}x{lab.dims.m}")
         lab = lab.transpose()
-        plan = plan_for(plan.variant, lab.dims)
-    table: ExpectedCornerTable = expected_corner_table(plan, lab.dims)
+    table: ExpectedCornerTable = expected_corner_table(lab.dims)
     hv, vh = corner_sums(lab)
     # row j-1 of each cell matrix is diagonal j: HV corner k sits at the
     # vertex of v_k, VH corner k at the vertex of h_k
-    h_cells, v_cells = diagonal_cells(decompose(lab.dims, list(plan.start_cols)))
+    h_cells, v_cells = diagonal_cells(decompose(lab.dims, list(table.plan.start_cols)))
     hv, vh = hv.ravel()[v_cells], vh.ravel()[h_cells]
     report = CornerAuditReport()
     if np.array_equal(hv, table.hv) and np.array_equal(vh, table.vh):

@@ -27,9 +27,11 @@ tests also use as oracles: `H`, `V`, `all_vertices`, `all_edges`,
 
 Only the shared value types come from the package: EdgeRef, VertexRef,
 GridDims with `dims` and `wrap`, CornerPos, Labeling, ConstructionPlan
-with the ODD_ODD and EVEN_EVEN plans, `plan_for` and `Unsupported`,
-RenderSpec, the error classes, and the search's config, outcome and
-restart helpers.
+with the ODD_ODD variant, `plan_for(dims)` for the plan a grid takes,
+`Unsupported`, RenderSpec, the error classes, and the search's config,
+outcome and restart helpers.  Unlike the package's, this module's
+`expected_corner_table(plan, dims)` and `audit_corners(lab, plan)` still
+take the plan, and refuse any plan other than `plan_for(dims)`.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from typing import Mapping
 import numpy as np
 
 from torusmagic.construct import (
-    EVEN_EVEN,
     ODD_ODD,
     ConstructionPlan,
     PlanShapeMismatch,
@@ -276,7 +277,7 @@ def construct_odd_odd(dims: GridDims) -> Labeling:
 
     l, d, q, lp = dims.l, dims.d, dims.q, dims.lp
     assert lp is not None and d % 2 == 1 and d >= 3
-    plan = plan_for(ODD_ODD, dims)
+    plan = plan_for(dims)
     writer = _Writer(dims)
     for diag in decompose(dims, list(plan.start_cols)):
         j = diag.index
@@ -299,7 +300,7 @@ def construct_even_even(dims: GridDims) -> Labeling:
         return construct_even_even(make_dims(dims.m, dims.n)).transpose()
 
     l, d, q = dims.l, dims.d, dims.q
-    plan = plan_for(EVEN_EVEN, dims)
+    plan = plan_for(dims)
     writer = _Writer(dims)
     for diag in decompose(dims, list(plan.start_cols)):
         j = diag.index
@@ -332,7 +333,7 @@ class ExpectedCornerTable:
 
 
 def expected_corner_table(plan: ConstructionPlan, dims: GridDims) -> ExpectedCornerTable:
-    if plan != plan_for(plan.variant, dims):
+    if plan != plan_for(dims):
         raise PlanShapeMismatch(f"plan {plan} is not the canonical plan for {dims.n}x{dims.m}")
     base, l, d = dims.q, dims.l, dims.d  # base = 2nm
     hv = {}

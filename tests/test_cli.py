@@ -2,7 +2,9 @@ import importlib
 import json
 import os
 import re
+import stat
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,7 +19,7 @@ from torusmagic.cli import (
     EXIT_VERDICT,
     main,
 )
-from torusmagic.construct import ODD_ODD, construct, plan_for
+from torusmagic.construct import construct, plan_for
 from torusmagic.grid import dims
 from torusmagic.labeling import Labeling
 from torusmagic.render import RenderSpec, render
@@ -46,8 +48,9 @@ def test_generate_then_verify_pipe(tmp_path, capsys):
 
 def generate_metadata(n, m):
     # what torusmagic generate records, spelled out
-    start_cols = plan_for(ODD_ODD, dims(min(n, m), max(n, m))).start_cols
-    return {"generator": "construct", "plan": {"variant": ODD_ODD, "start_cols": list(start_cols)},
+    plan = plan_for(dims(n, m))
+    return {"generator": "construct",
+            "plan": {"variant": plan.variant, "start_cols": list(plan.start_cols)},
             "constant": 4 * n * m + 2}
 
 
@@ -151,6 +154,27 @@ def test_audit_wrong_plan_is_usage_error(tmp_path, capsys):
     good.write_text(encode(construct(4, 6)))
     code, out, err = run(capsys, "audit", str(good), "--plan", "odd-odd")
     assert code == EXIT_ERROR
+
+
+@pytest.mark.parametrize("n,m", [(9, 15), (15, 9), (12, 8), (4, 6)])
+def test_audit_without_a_plan_uses_the_grids_own(tmp_path, capsys, n, m):
+    doc = tmp_path / "lab.json"
+    assert run(capsys, "generate", str(n), str(m), "--out", str(doc))[0] == EXIT_OK
+    clean = run(capsys, "audit", str(doc))
+    assert clean[0] == EXIT_OK
+    assert clean[1].startswith(f"corner audit clean: all {2 * n * m} corners match")
+    variant = json.loads(doc.read_text())["metadata"]["plan"]["variant"]
+    assert run(capsys, "audit", str(doc), "--plan", variant) == clean
+
+
+@pytest.mark.parametrize("plan", [[], ["--plan", "odd-odd"], ["--plan", "even-even"]],
+                         ids=["no-plan", "odd-odd", "even-even"])
+def test_audit_of_a_searched_grid_no_construction_covers_exits_one(tmp_path, capsys, plan):
+    doc = tmp_path / "found.json"
+    doc.write_text(encode(search(3, 4, SearchConfig(seed=11)).labeling))
+    code, out, err = run(capsys, "audit", str(doc), *plan)
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: no construction covers 3x4: mixed parity\n"
 
 
 def test_search_found_writes_document(tmp_path, capsys):
@@ -347,6 +371,55 @@ def test_render_refusals_leave_an_existing_out_file(tmp_path, capsys, monkeypatc
     assert dst.read_bytes() == b"an earlier figure\n"
 
 
+@pytest.mark.parametrize("command,module", [(["generate", "99", "153"], "serialize"),
+                                            (["render", "lab.json", "--format", "svg"], "render")],
+                         ids=["generate", "render"])
+def test_a_failed_write_leaves_an_existing_out_file(tmp_path, capsys, monkeypatch, command, module):
+    # the pieces go to a file beside --out, which replaces it only after the last one
+    (tmp_path / "lab.json").write_text(encode(construct(99, 153)))
+    dst = tmp_path / "out.txt"
+    dst.write_bytes(b"an earlier output\n")
+    target = importlib.import_module(f"torusmagic.{module}")
+    write_decimal, calls = target.write_decimal, []
+
+    def fail_after_the_first_band(*args):
+        if calls:
+            raise OSError("no space left")
+        calls.append(args)
+        write_decimal(*args)
+
+    monkeypatch.setattr(target, "write_decimal", fail_after_the_first_band)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *command, "--out", str(dst))
+    assert (code, out, err) == (EXIT_ERROR, "", "error: no space left\n")
+    assert len(calls) == 1
+    assert dst.read_bytes() == b"an earlier output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lab.json", "out.txt"]
+
+
+def test_out_is_created_with_the_mode_a_plain_open_gives(tmp_path, capsys):
+    plain = tmp_path / "plain.json"
+    with open(plain, "w"):
+        pass
+    dst = tmp_path / "lab.json"
+    assert run(capsys, "generate", "9", "15", "--out", str(dst))[0] == EXIT_OK
+    assert dst.stat().st_mode == plain.stat().st_mode
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_out_writes_a_pipe_in_place(tmp_path, capsys):
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    code = main(["generate", "9", "15", "--out", str(pipe)])
+    reader.join(timeout=30)
+    assert code == EXIT_OK and not reader.is_alive()
+    assert received == [encode(construct(9, 15), metadata=generate_metadata(9, 15)).encode()]
+    assert stat.S_ISFIFO(pipe.stat().st_mode)
+
+
 def test_render_to_a_directory_fails_before_any_band_is_woven(tmp_path, capsys, monkeypatch):
     src = tmp_path / "lab.json"
     src.write_text(encode(construct(9, 15)))
@@ -430,6 +503,13 @@ def test_search_zero_node_budget_exits_one(capsys):
     assert code == EXIT_ERROR
     assert out == ""
     assert err == "error: budgets must be positive\n"
+
+
+def test_search_defaults_are_the_configs():
+    cli = importlib.import_module("torusmagic.cli")
+    args = cli._build_parser().parse_args(["search", "3", "4"])
+    parsed = SearchConfig(node_budget=args.node_budget, time_budget=args.time_budget, seed=args.seed)
+    assert parsed == SearchConfig()
 
 
 def test_verify_non_utf8_file_exits_one(tmp_path, capsys):

@@ -23,7 +23,7 @@ GOLDEN_V = [[12, 18, 14], [13, 10, 17], [16, 15, 11]]
 
 
 def diag_labels(lab: Labeling, j: int):
-    plan = plan_for(ODD_ODD if lab.dims.n % 2 else EVEN_EVEN, lab.dims)
+    plan = plan_for(lab.dims)
     rows, h_cols, v_cols = decompose(lab.dims, list(plan.start_cols))[j - 1].indices()
     return tuple(lab.h[rows, h_cols].tolist()), tuple(lab.v[rows, v_cols].tolist())
 
@@ -51,17 +51,15 @@ def test_4_4_diagonal_sequences():
 def test_odd_odd_rejects_wrong_shapes():
     coprime = construct(3, 5)
     assert isinstance(coprime, Unsupported) and coprime.reason == "coprime odd"
-    with pytest.raises(PlanShapeMismatch):
-        plan_for(ODD_ODD, dims(3, 5))
-    with pytest.raises(PlanShapeMismatch):
-        plan_for(ODD_ODD, dims(4, 4))
+    with pytest.raises(PlanShapeMismatch, match="coprime odd"):
+        plan_for(dims(3, 5))
 
 
 def test_even_even_rejects_odd():
     mixed = construct(3, 4)
     assert isinstance(mixed, Unsupported) and mixed.reason == "mixed parity"
-    with pytest.raises(PlanShapeMismatch):
-        plan_for(EVEN_EVEN, dims(3, 4))
+    with pytest.raises(PlanShapeMismatch, match="mixed parity"):
+        plan_for(dims(3, 4))
 
 
 def test_dispatch():
@@ -85,27 +83,42 @@ def test_transposed_shapes_are_supermagic():
 
 
 def test_plan_start_columns():
-    # diagonal 1 starts at column d+1 (wrapped), the rest at their index
-    assert plan_for(ODD_ODD, dims(3, 9)).start_cols == (4, 2, 3)
-    assert plan_for(ODD_ODD, dims(3, 3)).start_cols == (1, 2, 3)
-    assert plan_for(EVEN_EVEN, dims(4, 6)).start_cols == (3, 2)
-    assert plan_for(EVEN_EVEN, dims(4, 4)).start_cols == (1, 2, 3, 4)
+    # diagonal 1 starts at column d+1 (wrapped), the rest at their index;
+    # the parities pick the variant, and n > m takes the plan for (m, n)
+    assert plan_for(dims(3, 9)) == ConstructionPlan(ODD_ODD, (4, 2, 3))
+    assert plan_for(dims(9, 3)) == ConstructionPlan(ODD_ODD, (4, 2, 3))
+    assert plan_for(dims(3, 3)) == ConstructionPlan(ODD_ODD, (1, 2, 3))
+    assert plan_for(dims(4, 6)) == ConstructionPlan(EVEN_EVEN, (3, 2))
+    assert plan_for(dims(4, 4)) == ConstructionPlan(EVEN_EVEN, (1, 2, 3, 4))
 
 
-def test_plan_shape_mismatch():
-    with pytest.raises(PlanShapeMismatch):
-        plan_for(ODD_ODD, dims(4, 4))
-    with pytest.raises(PlanShapeMismatch):
-        plan_for(EVEN_EVEN, dims(3, 3))
-    with pytest.raises(PlanShapeMismatch):
-        plan_for(ODD_ODD, dims(3, 5))  # gcd 1
-    with pytest.raises(PlanShapeMismatch):
-        plan_for("spiral", dims(3, 3))
+def test_one_coverage_rule():
+    # construct refuses a shape exactly when plan_for does, for the same
+    # reason, and a shape and its transpose share their plan
+    for n in range(3, 31):
+        for m in range(3, 31):
+            result = construct(n, m)
+            try:
+                plan = plan_for(dims(n, m))
+            except PlanShapeMismatch as exc:
+                assert isinstance(result, Unsupported)
+                assert str(exc).endswith(f": {result.reason}")
+                with pytest.raises(PlanShapeMismatch):
+                    plan_for(dims(m, n))
+                continue
+            assert isinstance(result, Labeling)
+            assert plan == plan_for(dims(m, n))
+            assert plan.variant == (ODD_ODD if n % 2 else EVEN_EVEN)
+
+
+def test_uncovered_grid_has_no_corner_table():
+    with pytest.raises(PlanShapeMismatch, match="mixed parity"):
+        expected_corner_table(dims(3, 4))
 
 
 def test_expected_corner_table_3_3():
     d = dims(3, 3)
-    table = expected_corner_table(plan_for(ODD_ODD, d), d)
+    table = expected_corner_table(d)
     # five possible partial weights around 2nm = 18; row j-1 is diagonal j
     assert table.hv[1, 2] == 21  # HV k=3: 2nm+l, shifted diagonal
     assert table.vh[2, 2] == 17  # VH k=3: 2nm-l+2, interleaved diagonal
@@ -117,8 +130,9 @@ def test_expected_corner_table_3_3():
 def test_expected_corner_table_matches_actual_labels():
     d = dims(3, 3)
     lab = construct(3, 3)
-    plan = plan_for(ODD_ODD, d)
-    table = expected_corner_table(plan, d)
+    plan = plan_for(d)
+    table = expected_corner_table(d)
+    assert table.plan == plan
     diag2, diag3 = decompose(d, list(plan.start_cols))[1:]
     rows, h_cols, v_cols = diag2.indices()
     h, v = lab.h[rows, h_cols], lab.v[rows, v_cols]
@@ -128,12 +142,6 @@ def test_expected_corner_table_matches_actual_labels():
     assert v[1] + h[2] == table.vh[2, 2] == 17  # v_2 + h_3 = 10 + 7
 
 
-def test_expected_corner_table_rejects_noncanonical_plan():
-    d = dims(3, 3)
-    with pytest.raises(PlanShapeMismatch):
-        expected_corner_table(ConstructionPlan(ODD_ODD, (1, 2)), d)
-
-
 def test_corner_seam_sums_to_constant():
     # the HV entry at a vertex (from its diagonal) plus the VH entry
     # (from the successor diagonal) must give the magic constant; HV
@@ -141,8 +149,8 @@ def test_corner_seam_sums_to_constant():
     # (rows, h_cols)
     for n, m in [(3, 9), (5, 5), (4, 4), (4, 6), (15, 21)]:
         d = dims(n, m)
-        plan = plan_for(ODD_ODD if n % 2 else EVEN_EVEN, d)
-        table = expected_corner_table(plan, d)
+        plan = plan_for(d)
+        table = expected_corner_table(d)
         base = d.q
         assert set(table.entries.values()) <= {
             base - d.l + 2, base, base + 1, base + 2, base + d.l

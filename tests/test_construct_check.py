@@ -15,8 +15,6 @@ import numpy as np
 import pytest
 
 from torusmagic.construct import (
-    EVEN_EVEN,
-    ODD_ODD,
     ConstructionError,
     _check_bijection,
     construct,
@@ -115,17 +113,16 @@ TURNED = [(role, n, m) for role in ("plain", "rotated", "shifted", "interleaved"
 
 @pytest.mark.parametrize("role,n,m", TURNED)
 def test_corner_weights_are_not_derived_from_the_blocks(monkeypatch, role, n, m):
-    variant = ODD_ODD if n % 2 else EVEN_EVEN
-    native = dims(min(n, m), max(n, m))
-    rows = construct_module._role_rows(variant, native.d)[role]
-    role_diagonals = set(range(1, native.d + 1)[rows])
-    promised = expected_corner_table(plan_for(variant, native), native)
+    d = dims(n, m)
+    rows = construct_module._role_rows(plan_for(d).variant, d.d)[role]
+    role_diagonals = set(range(1, d.d + 1)[rows])
+    promised = expected_corner_table(d)
     monkeypatch.setitem(construct_module._ROLES, role,
                         _turned_horizontals(construct_module._ROLES[role]))
     lab = construct(n, m)
     _check_bijection(lab.h, lab.v, lab.dims.q)
     assert not verify(lab).is_supermagic
-    table = expected_corner_table(plan_for(variant, native), native)
+    table = expected_corner_table(d)
     assert np.array_equal(table.hv, promised.hv) and np.array_equal(table.vh, promised.vh)
-    report = audit_corners(lab, plan_for(variant, lab.dims))
+    report = audit_corners(lab)
     assert {pos.diag for pos, _, _ in report.mismatches} == role_diagonals

@@ -4,7 +4,8 @@ per-EdgeRef reference in scalar_reference.py.
 Every verdict field is compared: is_bijection, duplicate_or_missing, the
 weights, constant, is_supermagic, bad_vertices and the full mismatch list.
 An n > m labeling is audited as its transpose, so its reference audit is
-the scalar audit of the transpose against the plan for (m, n).
+the scalar audit of the transpose against the plan for (m, n), which is
+the plan for (n, m) too.
 """
 
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_reference as ref
-from torusmagic.construct import EVEN_EVEN, ODD_ODD, construct, expected_corner_table, plan_for
+from torusmagic.construct import construct, expected_corner_table, plan_for
 from torusmagic.diagonals import decompose
 from torusmagic.grid import VertexRef, dims
 from torusmagic.labeling import Labeling
@@ -23,10 +24,6 @@ from torusmagic.verify import audit_corners, verify
 CONSTRUCTIBLE = [(n, m) for n in range(3, 28) for m in range(3, 28)
                  if (n % 2 == m % 2 == 1 and math.gcd(n, m) > 1) or n % 2 == m % 2 == 0]
 SMALL = [(n, m) for n, m in CONSTRUCTIBLE if n * m <= 120]
-
-
-def variant_of(lab):
-    return ODD_ODD if lab.dims.n % 2 else EVEN_EVEN
 
 
 def native_of(lab):
@@ -50,10 +47,9 @@ def assert_same_verdict(lab):
 
 
 def assert_same_audit(lab):
-    variant = variant_of(lab)
     native = native_of(lab)
-    expected = ref.audit_corners(native, plan_for(variant, native.dims)).mismatches
-    assert audit_corners(lab, plan_for(variant, lab.dims)).mismatches == expected
+    expected = ref.audit_corners(native, plan_for(native.dims)).mismatches
+    assert audit_corners(lab).mismatches == expected
 
 
 @st.composite
@@ -87,10 +83,8 @@ def test_constructible_shapes_match_bit_exact(n, m):
     assert np.array_equal(lab.h, old.h) and np.array_equal(lab.v, old.v)
     assert_same_verdict(lab)
     assert_same_audit(lab)
-    if n <= m:
-        plan = plan_for(variant_of(lab), lab.dims)
-        assert expected_corner_table(plan, lab.dims).entries == \
-            ref.expected_corner_table(plan, lab.dims).entries
+    assert expected_corner_table(lab.dims).entries == \
+        ref.expected_corner_table(plan_for(lab.dims), lab.dims).entries
 
 
 @settings(max_examples=80, deadline=None)
@@ -135,7 +129,7 @@ def test_swapping_a_corner_pair_leaves_that_kind_clean(n, m, kind):
     # sum of its kind, so only corners of the other kind can mismatch
     lab = construct(n, m)
     native = native_of(lab)
-    plan = plan_for(variant_of(native), native.dims)
+    plan = plan_for(native.dims)
     rows, h_cols, v_cols = decompose(native.dims, list(plan.start_cols))[0].indices()
     k = 2  # HV corner k pairs h_k with v_k; VH corner k pairs v_{k-1} with h_k
     cells = [("h", rows[k], h_cols[k]),
@@ -143,7 +137,7 @@ def test_swapping_a_corner_pair_leaves_that_kind_clean(n, m, kind):
     swapped = relabel(native, [(cells[0], label_at(native, cells[1])),
                                (cells[1], label_at(native, cells[0]))])
     swapped = oriented_like(swapped, lab)
-    mismatches = audit_corners(swapped, plan_for(variant_of(lab), lab.dims)).mismatches
+    mismatches = audit_corners(swapped).mismatches
     assert mismatches and kind not in {pos.kind for pos, _, _ in mismatches}
     assert_same_audit(swapped)
 
@@ -179,9 +173,8 @@ def test_large_construction_is_bit_exact(large):
 @pytest.mark.slow
 def test_large_corner_table_matches(large):
     native = native_of(large[0])
-    plan = plan_for(variant_of(native), native.dims)
-    assert expected_corner_table(plan, native.dims).entries == \
-        ref.expected_corner_table(plan, native.dims).entries
+    assert expected_corner_table(native.dims).entries == \
+        ref.expected_corner_table(plan_for(native.dims), native.dims).entries
 
 
 @pytest.mark.slow
@@ -189,7 +182,7 @@ def test_large_label_swap_is_located_like_the_reference(large):
     lab = large[0]
     a, b = ("h", 0, 0), ("v", lab.dims.n // 2, lab.dims.m // 3)
     swapped = relabel(lab, [(a, label_at(lab, b)), (b, label_at(lab, a))])
-    assert audit_corners(swapped, plan_for(variant_of(lab), lab.dims)).mismatches
+    assert audit_corners(swapped).mismatches
     assert_same_audit(swapped)
 
 
@@ -199,12 +192,12 @@ def test_large_turned_block_is_located_like_the_reference(large):
     # still a bijection, but every corner of that diagonal may be off
     lab = large[0]
     native = native_of(lab)
-    plan = plan_for(variant_of(native), native.dims)
+    plan = plan_for(native.dims)
     j = native.dims.d - 1
     rows, h_cols, _ = decompose(native.dims, list(plan.start_cols))[j - 1].indices()
     h = native.h.copy()
     h[rows, h_cols] = np.roll(h[rows, h_cols], 1)
     turned = oriented_like(Labeling(native.dims, h, native.v.copy()), lab)
-    mismatches = audit_corners(turned, plan_for(variant_of(lab), lab.dims)).mismatches
+    mismatches = audit_corners(turned).mismatches
     assert {pos.diag for pos, _, _ in mismatches} == {j}
     assert_same_audit(turned)

@@ -4,14 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import scalar_reference as ref
 from scalar_reference import H, V, all_edges, all_vertices, incident_edges, label, swapped
-from torusmagic.construct import (
-    EVEN_EVEN,
-    ODD_ODD,
-    ConstructionPlan,
-    PlanShapeMismatch,
-    construct,
-    plan_for,
-)
+from torusmagic.construct import PlanShapeMismatch, construct
 from torusmagic.grid import VertexRef, dims
 from torusmagic.labeling import DomainMismatch, Labeling
 from torusmagic.verify import (
@@ -145,18 +138,16 @@ def test_random_label_swap_breaks_supermagic(rng):
 
 
 def test_audit_constructed_labelings_clean():
-    cases = [(3, 3, ODD_ODD), (3, 9, ODD_ODD), (9, 15, ODD_ODD), (5, 5, ODD_ODD),
-             (4, 4, EVEN_EVEN), (4, 6, EVEN_EVEN), (8, 12, EVEN_EVEN)]
-    for n, m, variant in cases:
+    for n, m in [(3, 3), (3, 9), (9, 15), (5, 5), (4, 4), (4, 6), (8, 12)]:
         lab = construct(n, m)
-        report = audit_corners(lab, plan_for(variant, lab.dims))
+        report = audit_corners(lab)
         assert report.clean, f"({n},{m}) mismatches: {report.mismatches[:3]}"
 
 
 def test_audit_locates_a_swap():
     lab = construct(3, 3)
     tampered = swapped(lab, H(1, 1), V(2, 2))
-    report = audit_corners(tampered, plan_for(ODD_ODD, lab.dims))
+    report = audit_corners(tampered)
     assert not report.clean
     for pos, expected, actual in report.mismatches:
         assert expected != actual
@@ -170,29 +161,26 @@ def test_verify_shape_guard():
         Labeling(dims(3, 4), lab.h, lab.v)
 
 
-@pytest.mark.parametrize("n,m,variant", [(15, 9, ODD_ODD), (9, 3, ODD_ODD), (12, 8, EVEN_EVEN)])
-def test_audit_transposed_shapes_clean(n, m, variant):
+@pytest.mark.parametrize("n,m", [(15, 9), (9, 3), (12, 8)])
+def test_audit_transposed_shapes_clean(n, m):
     lab = construct(n, m)
     assert (lab.dims.n, lab.dims.m) == (n, m)
-    report = audit_corners(lab, plan_for(variant, lab.dims))
+    report = audit_corners(lab)
     assert report.clean, report.mismatches[:3]
 
 
 def test_audit_transposed_shape_locates_a_swap():
     # mismatches of an n > m labeling are those of its transpose
     lab = swapped(construct(15, 9), H(2, 3), V(7, 1))
-    direct = audit_corners(lab, plan_for(ODD_ODD, lab.dims))
-    native = lab.transpose()
-    assert direct.mismatches == audit_corners(native, plan_for(ODD_ODD, native.dims)).mismatches
+    direct = audit_corners(lab)
+    assert direct.mismatches == audit_corners(lab.transpose()).mismatches
     assert 1 <= len(direct.mismatches) <= 4
 
 
-def test_audit_transposed_shape_checks_the_plan():
-    lab = construct(9, 3)
-    with pytest.raises(PlanShapeMismatch):
-        audit_corners(lab, plan_for(ODD_ODD, dims(3, 9)))  # start columns of the 3 x 9 plan
-    with pytest.raises(PlanShapeMismatch):
-        audit_corners(construct(12, 8), ConstructionPlan(ODD_ODD, (1, 2, 3, 4)))
+def test_audit_refuses_a_grid_no_construction_covers():
+    flat = np.arange(1, 25).reshape(2, 3, 4)
+    with pytest.raises(PlanShapeMismatch, match="mixed parity"):
+        audit_corners(Labeling(dims(3, 4), flat[0], flat[1]))
 
 
 def test_verify_report_keeps_the_weight_matrix():
@@ -251,7 +239,7 @@ def test_corner_sums_are_exact_past_the_int64_range():
     lab = Labeling(d, big, big)
     hv, vh = corner_sums(lab)
     assert hv.tolist() == vh.tolist() == [[2**63] * 3] * 3
-    report = audit_corners(lab, plan_for(ODD_ODD, d))
+    report = audit_corners(lab)
     assert len(report.mismatches) == 2 * 9
     assert all(type(actual) is int and actual == 2**63 for _, _, actual in report.mismatches)
 
