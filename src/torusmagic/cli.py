@@ -65,25 +65,27 @@ def _write_data(pieces: Iterable[str], out: str | None) -> None:
     """Write the pieces of a text to stdout (out None or "-") or to the file
     out, as UTF-8.  A regular file out is whole or absent: the pieces go to
     a file beside it, renamed to out after the last piece and removed if one
-    fails.  Devices and pipes are written in place.
+    fails.  Devices and pipes are written in place.  A symbolic link is
+    followed, so the file it names is replaced and the link kept.
 
     Each piece is written whole, as it is made, through one open file, so
     a document or figure, which can run to tens of megabytes, is never
     whole in memory: the CLI holds one piece, a band of about 4,096 fields
     or elements, and its encoded copy.
     """
-    in_place = out in (None, "-") or (os.path.exists(out) and not os.path.isfile(out))
-    partial = None if in_place else f"{out}.{os.getpid()}.partial"
-    stream = (nullcontext(sys.stdout) if out in (None, "-")
+    target = None if out in (None, "-") else os.path.realpath(out)
+    in_place = target is None or (os.path.exists(target) and not os.path.isfile(target))
+    partial = None if in_place else f"{target}.{os.getpid()}.partial"
+    stream = (nullcontext(sys.stdout) if target is None
               else open(partial or out, "w", encoding="utf-8"))  # a directory fails here
     try:
         with stream as sink:
             for text in pieces:
                 sink.write(text)
         if partial:
-            if os.path.exists(out):  # ext4 writes back a file renamed over another in the call
-                os.unlink(out)
-            os.replace(partial, out)
+            if os.path.exists(target):  # ext4 writes back a file renamed over another in the call
+                os.unlink(target)
+            os.replace(partial, target)
     except BaseException:
         if partial:
             os.unlink(partial)

@@ -36,6 +36,12 @@ order.  A first-solution search cuts the tree every few thousand nodes
 where the walk has got to; an enumeration cuts it once, at its first
 decision.
 
+A run returns its solutions as rows of labels, which is all that crosses
+a worker's pipe, and the calling process checks them, whichever process
+found them: a search verifies the one labeling it returns, and an
+enumeration stacks its rows into one array and checks every row at once
+with the verifier's batched check.  Only then are the rows made Labelings.
+
 Symmetry is broken only by pinning label 1: translations can always move
 the edge labeled 1 to position (1,1), so the top level tries f(H(1,1))=1
 and, when n differs from m (no automorphism exchanges orientations then),
@@ -61,7 +67,7 @@ import numpy as np
 
 from .grid import EdgeRef, GridDims, TorusMagicError, dims as make_dims
 from .labeling import Labeling
-from .verify import forced_constant, verify
+from .verify import _supermagic_rows, forced_constant, verify
 
 FOUND = "found"
 EXHAUSTED = "exhausted"
@@ -186,10 +192,6 @@ class PartialLabeling:
             for e, value in sorted(assignments.items(), key=lambda kv: kv[0].sort_key()):
                 self.assign(e, value)
 
-    @property
-    def unassigned(self) -> int:
-        return self.dims.q - len(self.trail)
-
     def edge_index(self, e: EdgeRef) -> int:
         if not (1 <= e.i <= self.dims.n and 1 <= e.j <= self.dims.m):
             raise TorusMagicError(f"{e} is not an edge of C_{self.dims.n} x C_{self.dims.m}")
@@ -220,14 +222,6 @@ class PartialLabeling:
             self.vcnt[v] -= 1
         self.trail.append(idx)
 
-    def to_labeling(self) -> Labeling:
-        if self.unassigned:
-            raise TorusMagicError("labeling is not total yet")
-        n, m, nm = self.dims.n, self.dims.m, self.nm
-        flat = np.asarray(self.label, dtype=np.int64)
-        return Labeling(self.dims, flat[:nm].reshape(n, m).copy(),
-                        flat[nm:].reshape(n, m).copy())
-
 
 # binary digits '0'/'1' to the bytes 0/1, so they can select from a range
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -235,9 +229,10 @@ _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadline: float,
          rng=None, find_all: bool = False, piece: tuple[tuple, int] | None = None,
-         split: bool = False) -> tuple[str, list[Labeling], list[tuple]]:
+         split: bool = False) -> tuple[str, list[list[int]], list[tuple]]:
     """One depth-first run over a PartialLabeling: (status, solutions,
-    rest).  Status is _CUT when the run stops at `node_limit`.
+    rest).  Each solution is a row of its q labels, as the state's `label`
+    holds them.  Status is _CUT when the run stops at `node_limit`.
 
     The tree is walked with an explicit stack of frames, one per decision
     level: (edge, its endpoints, candidate iterator, trail mark, pool and
@@ -264,7 +259,7 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
     shuffle = None if rng is None else rng.shuffle
     nodes, propagations, max_depth = stats.nodes, stats.propagations, stats.max_depth
     stack: list[tuple] = []
-    solutions: list[Labeling] = []
+    solutions: list[list[int]] = []
     status = EXHAUSTED
     queue = [] if piece else list(range(state.nm))  # the root checks every vertex
     # A node's bounds scan visits all nm vertices, so read the clock about
@@ -385,7 +380,7 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
         else:
             if len(stack) > max_depth:
                 max_depth = len(stack)
-            solutions.append(state.to_labeling())
+            solutions.append(label[:])
             if not find_all:
                 status = FOUND
                 break
@@ -465,6 +460,14 @@ def _derived_seed(seed: int, *parts: int) -> int:
     return value
 
 
+def _labelings(dims: GridDims, rows: np.ndarray) -> list[Labeling]:
+    """The labelings of a (k, q) block of label rows, in order, each as
+    (n, m) views of its row."""
+    k, n, m, nm = len(rows), dims.n, dims.m, dims.n * dims.m
+    return [Labeling(dims, h, v) for h, v in zip(rows[:, :nm].reshape(k, n, m),
+                                                 rows[:, nm:].reshape(k, n, m))]
+
+
 def _check_found(labeling: Labeling) -> None:
     # run in the calling process, whichever process found the labeling
     report = verify(labeling)
@@ -516,10 +519,12 @@ def _run_specs(cfg: SearchConfig, branch: int, offset: int, deadline: float):
 
 
 def _one_run(dims: GridDims, base: Mapping[EdgeRef, int], deadline: float, find_all: bool,
-             budget: int, spec: tuple) -> tuple[str, list[Labeling], SearchStats, list[tuple]]:
-    """One run from its spec: (status, solutions, stats, rest), its nodes
-    counted from its own start and rest the specs of the pieces it left
-    when a window short of the node budget cut it, each with that window.
+             budget: int, spec: tuple) -> tuple[str, list[list[int]], SearchStats, list[tuple]]:
+    """One run from its spec: (status, solutions, stats, rest), each
+    solution a plain row of labels, which is all that crosses a worker's
+    pipe; its nodes counted from its own start and rest the specs of the
+    pieces it left when a window short of the node budget cut it, each
+    with that window.
 
     A spec without a piece walks the whole tree from `base`.  A piece is
     (a trail as (edge, label) pairs, the length of its part that reaches
@@ -638,8 +643,9 @@ def _results(one_run, pieces: list[tuple], specs, size: int, deadline: float):
 
 def _run_branch(dims: GridDims, base: Mapping[EdgeRef, int], cfg: SearchConfig,
                 stats: SearchStats, deadline: float, branch: int, size: int,
-                find_all: bool = False) -> tuple[str, list[Labeling]]:
-    """(status, solutions) of one pinned branch, its counters added to stats.
+                find_all: bool = False) -> tuple[str, list[list[int]]]:
+    """(status, solution rows) of one pinned branch, its counters added to
+    stats.
 
     A seeded branch is its Luby runs, which go on while each fills its
     window.  An unseeded tree is pieces, which go on while each is refuted
@@ -710,8 +716,9 @@ def search(n: int, m: int, cfg: SearchConfig | None = None) -> SearchOutcome:
         status, solutions = _run_branch(d, pin, cfg, stats, deadline, branch, size)
         if status != EXHAUSTED:
             break
-    labeling = solutions[0] if solutions else None
-    if labeling is not None:
+    labeling = None
+    if solutions:
+        [labeling] = _labelings(d, np.array(solutions[:1], dtype=np.int64))
         _check_found(labeling)
     stats.elapsed = time.perf_counter() - start
     return SearchOutcome(status=status, labeling=labeling, stats=stats)
@@ -723,16 +730,20 @@ def enumerate_completions(dims: GridDims, assignments: Mapping[EdgeRef, int],
     breaking, so the enumeration is the complete solution set).  It walks
     one tree in ascending order, so it takes no seed; with more than one
     worker the tree is split at its first decision, one piece per
-    candidate, and the solutions come in the order of the one walk."""
+    candidate, and the solutions come in the order of the one walk.  They
+    are checked in the calling process, all in one batch, before they are
+    returned."""
     cfg = cfg or SearchConfig()
     if cfg.seed is not None:
         raise TorusMagicError("a find-all run is one ascending run and cannot restart: "
                               "it takes no seed")
     stats = SearchStats()
     start = time.perf_counter()
-    status, solutions = _run_branch(dims, assignments, cfg, stats,
-                                    start + cfg.time_budget, 0, pool_size(), find_all=True)
-    for solution in solutions:
-        _check_found(solution)
+    status, rows = _run_branch(dims, assignments, cfg, stats,
+                               start + cfg.time_budget, 0, pool_size(), find_all=True)
+    block = np.array(rows, dtype=np.int64).reshape(len(rows), dims.q)
+    if not _supermagic_rows(dims, block).all():
+        raise RuntimeError("internal defect: search produced a non-supermagic labeling")
+    solutions = _labelings(dims, block)
     stats.elapsed = time.perf_counter() - start
     return solutions, SearchOutcome(status=status, labeling=None, stats=stats)

@@ -9,7 +9,11 @@ c = q(q+1)/nm = 4nm+2.
 Every vertex weight is the sum of the two corner sums the vertex hosts:
 the HV sum H(i,j-1) + V(i,j) and the VH sum V(i-1,j) + H(i,j).
 `corner_sums` computes both matrices exactly, and `weight_matrix` adds
-them.  The corner audit checks the finer decomposition the constructions
+them.  The same arithmetic over a stack of label rows decides a batch of
+labelings at once: `_supermagic_rows`, which the search runs on all the
+solutions of an enumeration in one pass.
+
+The corner audit checks the finer decomposition the constructions
 guarantee: it gathers every diagonal's HV and VH sums out of those
 matrices at once, through the (d, l) cell matrices of `diagonal_cells`,
 and compares them with the weights the construction's role table
@@ -78,41 +82,64 @@ def forced_constant(dims: GridDims) -> int:
 _INT64_SAFE_LABEL = (2**63 - 1) // 4
 
 
-def _exact_labels(lab: Labeling) -> tuple[np.ndarray, np.ndarray]:
+def _exact_labels(lab: Labeling, high: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """h and v in a dtype that sums four labels exactly: int64 when every
     label is at most _INT64_SAFE_LABEL (an int64 labeling is not copied),
-    otherwise Python ints in object arrays."""
+    otherwise Python ints in object arrays.  `high` is the largest label,
+    read here unless the caller has read it already."""
     h, v = lab.h, lab.v
-    if max(int(h.max()), int(v.max())) <= _INT64_SAFE_LABEL:
+    if high is None:
+        high = max(int(h.max()), int(v.max()))
+    if high <= _INT64_SAFE_LABEL:
         return h.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
     return h.astype(object), v.astype(object)
+
+
+def _corner_sums(h: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the last two axes are the grid's rows and columns; any before them
+    # index a stack of labelings
+    hv = v.copy()
+    hv[..., 1:] += h[..., :-1]
+    hv[..., 0] += h[..., -1]
+    vh = h.copy()
+    vh[..., 1:, :] += v[..., :-1, :]
+    vh[..., 0, :] += v[..., -1, :]
+    return hv, vh
 
 
 def corner_sums(lab: Labeling) -> tuple[np.ndarray, np.ndarray]:
     """The two corner sums hosted at every vertex, as (HV, VH) matrices:
     entry (i-1, j-1) of HV is H(i,j-1) + V(i,j), and of VH is
     V(i-1,j) + H(i,j).  Exact, in the dtype of _exact_labels."""
-    h, v = _exact_labels(lab)
-    hv = v.copy()
-    hv[:, 1:] += h[:, :-1]
-    hv[:, 0] += h[:, -1]
-    vh = h.copy()
-    vh[1:] += v[:-1]
-    vh[0] += v[-1]
-    return hv, vh
+    return _corner_sums(*_exact_labels(lab))
 
 
-def weight_matrix(lab: Labeling) -> np.ndarray:
+def weight_matrix(lab: Labeling, *, high: int | None = None) -> np.ndarray:
     """All vertex weights at once: entry (i-1, j-1) is w(x_{ij}), the sum
     of H(i,j), H(i,j-1), V(i,j) and V(i-1,j): the HV plus the VH corner
     sum hosted at x_{ij}.
 
     The weights are exact: int64 when every label is at most
-    _INT64_SAFE_LABEL, otherwise Python ints in an object array.
+    _INT64_SAFE_LABEL, otherwise Python ints in an object array.  `high`,
+    the largest label, spares reading it again when the caller has.
     """
-    hv, vh = corner_sums(lab)
+    hv, vh = _corner_sums(*_exact_labels(lab, high))
     hv += vh
     return hv
+
+
+def _supermagic_rows(dims: GridDims, rows: np.ndarray) -> np.ndarray:
+    """Whether each row of a (k, q) int64 stack of labels, laid out as
+    `Labeling.labels` lists them, is supermagic: a bijection onto {1..q}
+    with every vertex weight 4nm+2.  One boolean per row, from the corner
+    sums `verify` adds.  A row whose weights could wrap in int64 holds a
+    label above q, so it fails the bijection whatever its weights read."""
+    k, nm = len(rows), dims.n * dims.m
+    is_bijection = (np.sort(rows, axis=1) == np.arange(1, dims.q + 1)).all(axis=1)
+    hv, vh = _corner_sums(rows[:, :nm].reshape(k, dims.n, dims.m),
+                          rows[:, nm:].reshape(k, dims.n, dims.m))
+    hv += vh
+    return is_bijection & (hv == forced_constant(dims)).all(axis=(1, 2))
 
 
 def verify(lab: Labeling) -> VerificationReport:
@@ -129,17 +156,18 @@ def verify(lab: Labeling) -> VerificationReport:
     if flat.min() < 1:
         raise DomainMismatch("labels must be positive integers")
 
-    high = flat.max()
+    high = int(flat.max())
     small = flat if high <= d.q else flat[flat <= d.q]
     # bincount counts intp; numpy 1.x refuses a uint64 array
     counts = np.bincount(small.astype(np.intp, copy=False), minlength=d.q + 1)
-    offending = (np.flatnonzero(counts[1:] != 1) + 1).tolist()
+    # no label is 0, so label 0 heads the list of counts other than 1
+    offending = np.flatnonzero(counts != 1)[1:].tolist()
     if high > d.q:
         # labels above q are offending whatever their count
         offending += np.unique(flat[flat > d.q]).tolist()
     is_bijection = not offending
 
-    w = weight_matrix(lab)
+    w = weight_matrix(lab, high=high)
     first = int(w.flat[0])
     constant = first if (w == first).all() else None
     # bijection + uniformity already force constant = 4nm+2; the explicit

@@ -397,6 +397,33 @@ def test_a_failed_write_leaves_an_existing_out_file(tmp_path, capsys, monkeypatc
     assert sorted(p.name for p in tmp_path.iterdir()) == ["lab.json", "out.txt"]
 
 
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symbolic links")
+def test_out_through_a_symbolic_link_replaces_the_file_it_names(tmp_path, capsys, monkeypatch):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_bytes(b"an earlier document\n")
+    link.symlink_to(target)
+    assert run(capsys, "generate", "3", "3", "--out", str(link))[0] == EXIT_OK
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == encode(construct(3, 3), metadata=generate_metadata(3, 3))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+    # a write that fails after the first band leaves the file the link names as it was
+    serialize, calls = importlib.import_module("torusmagic.serialize"), []
+    write_decimal, before = serialize.write_decimal, target.read_bytes()
+
+    def fail_after_the_first_band(*args):
+        if calls:
+            raise OSError("no space left")
+        calls.append(args)
+        write_decimal(*args)
+
+    monkeypatch.setattr(serialize, "write_decimal", fail_after_the_first_band)
+    code, out, err = run(capsys, "generate", "99", "153", "--out", str(link))
+    assert (code, out, err, len(calls)) == (EXIT_ERROR, "", "error: no space left\n", 1)
+    assert link.is_symlink() and target.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+
 def test_out_is_created_with_the_mode_a_plain_open_gives(tmp_path, capsys):
     plain = tmp_path / "plain.json"
     with open(plain, "w"):

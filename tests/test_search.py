@@ -252,11 +252,60 @@ def test_a_pooled_search_verifies_its_labeling_in_the_calling_process(pools, mon
     assert calls == [os.getpid()]
 
 
-def test_enumerate_completions_verifies_each_solution_once(monkeypatch):
-    calls = counted_verify(monkeypatch)
+def counted_batches(monkeypatch):
+    """(process, stack shape) of each batched check search makes, in this
+    process only."""
+    search_module = importlib.import_module("torusmagic.search")
+    check, calls = search_module._supermagic_rows, []
+
+    def counted(d, rows):
+        calls.append((os.getpid(), rows.shape))
+        return check(d, rows)
+
+    monkeypatch.setattr(search_module, "_supermagic_rows", counted)
+    return calls
+
+
+def test_enumerate_completions_verifies_each_solution_once(pools, monkeypatch):
+    # the workers find the 40 solutions; the calling process checks all of
+    # them once, in one batch, and calls verify on none
+    calls, batches = counted_verify(monkeypatch), counted_batches(monkeypatch)
     solutions, out = enumerate_completions(dims(3, 3), {H(1, 1): 1, V(1, 1): 2})
-    assert out.status == EXHAUSTED and solutions
-    assert len(calls) == len(solutions)
+    assert out.status == EXHAUSTED and len(solutions) == 40 and len(pools) == 1
+    assert batches == [(os.getpid(), (40, 18))]
+    assert calls == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("spoil", ["swap", "duplicate"])
+def test_a_corrupted_solution_row_is_an_internal_defect(pools, monkeypatch, cpus, spoil):
+    # one of the 40 rows is spoilt where it is found, in a worker on two
+    # CPUs; the caller's batched check refuses the whole enumeration
+    pins = {H(1, 1): 1, V(1, 1): 2}
+    solutions, _ = enumerate_completions(dims(3, 3), pins)
+    target = solutions[17].labels().tolist()
+    search_module = importlib.import_module("torusmagic.search")
+    engine, spoilt = search_module._run, []
+
+    def spoiling(state, stats, **kwargs):
+        status, rows, rest = engine(state, stats, **kwargs)
+        for row in rows:
+            if row == target:
+                if spoil == "swap":
+                    row[3], row[5] = row[5], row[3]
+                else:
+                    row[3] = row[5]
+                spoilt.append(os.getpid())
+        return status, rows, rest
+
+    monkeypatch.setattr(search_module, "_run", spoiling)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    pools.clear()
+    with pytest.raises(RuntimeError, match="internal defect: search produced a non-supermagic"):
+        enumerate_completions(dims(3, 3), pins)
+    assert len(pools) == cpus - 1
+    assert spoilt == ([os.getpid()] if cpus == 1 else [])  # a worker's list is its own
+    assert multiprocessing.active_children() == []
 
 
 def fail():
@@ -426,7 +475,7 @@ def test_partial_labeling_guards():
     with pytest.raises(TorusMagicError):
         partial.assign(V(0, 1), 2)  # off the grid, not V(3,1)
     # the refused calls changed nothing
-    assert partial.unassigned == 17
+    assert partial.label.count(0) == 17
     assert not partial.is_free(1) and partial.is_free(2)
     with pytest.raises(TorusMagicError):
         enumerate_completions(dims(3, 3), {H(1, 1): 1, H(4, 1): 2})

@@ -7,7 +7,9 @@ from scalar_reference import H, V, all_edges, all_vertices, incident_edges, labe
 from torusmagic.construct import PlanShapeMismatch, construct
 from torusmagic.grid import VertexRef, dims
 from torusmagic.labeling import DomainMismatch, Labeling
+from torusmagic.search import enumerate_completions
 from torusmagic.verify import (
+    _supermagic_rows,
     audit_corners,
     corner_sums,
     forced_constant,
@@ -267,3 +269,75 @@ def test_corner_sums_match_the_scalar_reference(lab):
     w = weight_matrix(lab)
     assert np.array_equal(w, hv + vh)
     assert w.tolist() == [[a + b for a, b in row] for row in expected]
+
+
+SOLUTIONS = {}
+
+
+def solution_rows(n, m):
+    """Supermagic labelings of C_n x C_m as label rows: the 40 completions
+    of (3,3) with H(1,1)=1 and V(1,1)=2, or one construction otherwise."""
+    if (n, m) not in SOLUTIONS:
+        if (n, m) == (3, 3):
+            found, _ = enumerate_completions(dims(3, 3), {H(1, 1): 1, V(1, 1): 2})
+        else:
+            found = [construct(n, m)]
+        SOLUTIONS[n, m] = np.stack([lab.labels() for lab in found])
+    return SOLUTIONS[n, m]
+
+
+@st.composite
+def label_stacks(draw):
+    """A (k, q) stack of label rows on one shape, each a solution left
+    alone, with two labels swapped, with one label duplicated over
+    another, with one label set to 0 or q + 1, or with every H label one
+    more and every V label one less, which keeps every weight.
+    Non-square shapes catch H and V read in the wrong layout."""
+    n, m = draw(st.sampled_from([(3, 3), (3, 3), (4, 6), (6, 4), (3, 9), (9, 15)]))
+    solutions, q = solution_rows(n, m), 2 * n * m
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = solutions[draw(st.integers(0, len(solutions) - 1))].copy()
+        i, j = draw(st.integers(0, q - 1)), draw(st.integers(0, q - 1))
+        change = draw(st.sampled_from(["none", "swap", "duplicate", "zero", "above q", "shift"]))
+        if change == "shift":
+            row += np.repeat([1, -1], q // 2)
+        elif change == "swap":
+            row[i], row[j] = row[j], row[i]
+        elif change == "duplicate":
+            row[i] = row[j]
+        elif change != "none":
+            row[i] = 0 if change == "zero" else q + 1
+        rows.append(row)
+    return dims(n, m), np.stack(rows)
+
+
+def verdict(d, row):
+    # verify refuses a label of 0 outright; such a row is not supermagic
+    nm = d.n * d.m
+    try:
+        lab = Labeling(d, row[:nm].reshape(d.n, d.m), row[nm:].reshape(d.n, d.m))
+    except DomainMismatch:
+        return False
+    return verify(lab).is_supermagic
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_stacks())
+def test_the_batched_check_agrees_with_verify(stack):
+    d, rows = stack
+    batch = _supermagic_rows(d, rows)
+    assert batch.shape == (len(rows),) and batch.dtype == bool
+    assert batch.tolist() == [verdict(d, row) for row in rows]
+
+
+def test_the_batched_check_rejects_exactly_the_spoilt_rows():
+    rows = solution_rows(3, 3).copy()
+    assert _supermagic_rows(dims(3, 3), rows).all() and len(rows) == 40
+    rows[5, 3] = rows[5, 4]  # a duplicated label
+    rows[9, [0, 17]] = rows[9, [17, 0]]  # a single swap
+    rows[30, 2] = 19  # a label above q
+    rows[33] += np.repeat([1, -1], 9)  # every weight still 38
+    assert (weight_matrix(Labeling(dims(3, 3), *rows[33].reshape(2, 3, 3))) == 38).all()
+    assert np.flatnonzero(~_supermagic_rows(dims(3, 3), rows)).tolist() == [5, 9, 30, 33]
+    assert _supermagic_rows(dims(3, 3), rows[:0]).shape == (0,)
