@@ -73,10 +73,12 @@ def _write_data(pieces: Iterable[str], out: str | None) -> None:
     whole in memory: the CLI holds one piece, a band of about 4,096 fields
     or elements, and its encoded copy.
     """
-    target = None if out in (None, "-") else os.path.realpath(out)
-    in_place = target is None or (os.path.exists(target) and not os.path.isfile(target))
+    in_place = out in (None, "-") or (os.path.exists(out) and not os.path.isfile(out))
+    # a link to a pipe resolves to no path (/proc/<pid>/fd/pipe:[N]), so
+    # only a file written beside its target is resolved
+    target = None if in_place else os.path.realpath(out)
     partial = None if in_place else f"{target}.{os.getpid()}.partial"
-    stream = (nullcontext(sys.stdout) if target is None
+    stream = (nullcontext(sys.stdout) if out in (None, "-")
               else open(partial or out, "w", encoding="utf-8"))  # a directory fails here
     try:
         with stream as sink:

@@ -82,15 +82,12 @@ def forced_constant(dims: GridDims) -> int:
 _INT64_SAFE_LABEL = (2**63 - 1) // 4
 
 
-def _exact_labels(lab: Labeling, high: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _exact_labels(lab: Labeling) -> tuple[np.ndarray, np.ndarray]:
     """h and v in a dtype that sums four labels exactly: int64 when every
     label is at most _INT64_SAFE_LABEL (an int64 labeling is not copied),
-    otherwise Python ints in object arrays.  `high` is the largest label,
-    read here unless the caller has read it already."""
+    otherwise Python ints in object arrays."""
     h, v = lab.h, lab.v
-    if high is None:
-        high = max(int(h.max()), int(v.max()))
-    if high <= _INT64_SAFE_LABEL:
+    if max(int(h.max()), int(v.max())) <= _INT64_SAFE_LABEL:
         return h.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
     return h.astype(object), v.astype(object)
 
@@ -114,16 +111,15 @@ def corner_sums(lab: Labeling) -> tuple[np.ndarray, np.ndarray]:
     return _corner_sums(*_exact_labels(lab))
 
 
-def weight_matrix(lab: Labeling, *, high: int | None = None) -> np.ndarray:
+def weight_matrix(lab: Labeling) -> np.ndarray:
     """All vertex weights at once: entry (i-1, j-1) is w(x_{ij}), the sum
     of H(i,j), H(i,j-1), V(i,j) and V(i-1,j): the HV plus the VH corner
     sum hosted at x_{ij}.
 
     The weights are exact: int64 when every label is at most
-    _INT64_SAFE_LABEL, otherwise Python ints in an object array.  `high`,
-    the largest label, spares reading it again when the caller has.
+    _INT64_SAFE_LABEL, otherwise Python ints in an object array.
     """
-    hv, vh = _corner_sums(*_exact_labels(lab, high))
+    hv, vh = corner_sums(lab)
     hv += vh
     return hv
 
@@ -167,7 +163,7 @@ def verify(lab: Labeling) -> VerificationReport:
         offending += np.unique(flat[flat > d.q]).tolist()
     is_bijection = not offending
 
-    w = weight_matrix(lab, high=high)
+    w = weight_matrix(lab)
     first = int(w.flat[0])
     constant = first if (w == first).all() else None
     # bijection + uniformity already force constant = 4nm+2; the explicit

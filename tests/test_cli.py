@@ -424,6 +424,25 @@ def test_out_through_a_symbolic_link_replaces_the_file_it_names(tmp_path, capsys
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_out_to_a_pipe_through_dev_fd_is_written_in_place(tmp_path, capsys):
+    # /dev/fd/N, as bash process substitution hands it over, is a link whose
+    # target for a pipe is no path; the document must go down the pipe
+    r, w = os.pipe()
+    received = []
+    reader = threading.Thread(target=lambda: received.append(os.fdopen(r, "rb").read()))
+    reader.start()
+    try:
+        code, out, err = run(capsys, "generate", "99", "153", "--out", f"/dev/fd/{w}")
+    finally:
+        os.close(w)
+        reader.join()
+    assert (code, out, err) == (EXIT_OK, "", "")
+    document = encode(construct(99, 153), metadata=generate_metadata(99, 153))
+    assert received == [document.encode()]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_out_is_created_with_the_mode_a_plain_open_gives(tmp_path, capsys):
     plain = tmp_path / "plain.json"
     with open(plain, "w"):
