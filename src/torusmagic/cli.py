@@ -94,10 +94,6 @@ def _write_data(pieces: Iterable[str], out: str | None) -> None:
         raise
 
 
-def _load_labeling(path: str):
-    return decode(_read_text(path))
-
-
 def _cmd_generate(args) -> int:
     result = construct(args.n, args.m)
     if isinstance(result, Unsupported):
@@ -116,7 +112,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    lab = _load_labeling(args.file)
+    lab = decode(_read_text(args.file))
     report = verify(lab)
     d = lab.dims
     print(f"grid: C_{d.n} x C_{d.m}, {d.q} edges, required constant {forced_constant(d)}")
@@ -134,7 +130,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    lab = _load_labeling(args.file)
+    lab = decode(_read_text(args.file))
     if args.plan not in (None, plan_for(lab.dims).variant):
         raise PlanShapeMismatch(f"--plan {args.plan} does not build {lab.dims.n}x{lab.dims.m}")
     report = audit_corners(lab)

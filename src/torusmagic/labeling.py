@@ -50,8 +50,10 @@ class Labeling:
                 raise DomainMismatch(f"labels must be below 2**63, got {int(matrix.max())}")
 
     def labels(self) -> np.ndarray:
-        """All q labels as a flat array (H block then V block, row-major)."""
-        return np.concatenate([self.h.ravel(), self.v.ravel()])
+        """All q labels as a flat int64 array (H block then V block,
+        row-major).  Every label is below 2**63, so int64 holds each one
+        exactly, where numpy would join int64 and uint64 blocks as float64."""
+        return np.concatenate([self.h.ravel(), self.v.ravel()], dtype=np.int64)
 
     def transpose(self) -> "Labeling":
         """The same labeling on C_m x C_n: rows and columns swap roles,

@@ -1,5 +1,10 @@
 import pytest
 
+# scalar_reference is a helper, not a test module, so pytest would leave
+# its asserts as they are and python -O would strip its guards; rewritten,
+# they raise under -O too
+pytest.register_assert_rewrite("scalar_reference")
+
 _acceptance_lines: list[str] = []
 
 

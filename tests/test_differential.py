@@ -87,6 +87,17 @@ def test_constructible_shapes_match_bit_exact(n, m):
         ref.expected_corner_table(plan_for(lab.dims), lab.dims).entries
 
 
+def test_the_reference_writer_keeps_its_guards():
+    # the conftest has pytest rewrite scalar_reference's asserts, so its
+    # write-once guards still raise under python -O
+    writer = ref._Writer(dims(3, 3))
+    writer._put(ref.H(1, 1), 1)
+    with pytest.raises(AssertionError, match="double write at H"):
+        writer._put(ref.H(1, 1), 2)
+    with pytest.raises(AssertionError, match="label 19 out of range"):
+        writer._put(ref.V(1, 1), 19)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_single_label_swaps(data):

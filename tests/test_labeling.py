@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,28 @@ def test_items_covers_all_edges_in_canonical_order():
 def test_labels_flat_order():
     lab = tiny()
     assert lab.labels().tolist() == list(range(1, 19))
+
+
+@pytest.mark.parametrize("h_dtype,v_dtype", [(np.int64, np.uint64), (np.uint64, np.int64),
+                                             (np.int32, np.uint16), (np.uint64, np.uint64)])
+def test_labels_are_int64_whatever_the_matrices_hold(h_dtype, v_dtype):
+    lab = tiny()
+    flat = Labeling(lab.dims, lab.h.astype(h_dtype), lab.v.astype(v_dtype)).labels()
+    assert flat.dtype == np.int64 and flat.tolist() == list(range(1, 19))
+
+
+def test_labels_of_an_int64_labeling_allocate_one_array():
+    # verify calls labels() on every check, so an int64 labeling is
+    # joined into its result and not cast through a second array
+    lab = Labeling(dims(200, 200), np.ones((200, 200), dtype=np.int64),
+                   np.ones((200, 200), dtype=np.int64))
+    tracemalloc.start()
+    try:
+        flat = lab.labels()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert flat.nbytes <= peak < 1.5 * flat.nbytes
 
 
 def test_transpose_maps_h_to_v():

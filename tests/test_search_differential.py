@@ -28,6 +28,7 @@ from torusmagic.search import (
     enumerate_completions,
     search,
 )
+from torusmagic.verify import verify
 
 
 pytestmark = pytest.mark.usefixtures("pools")
@@ -81,7 +82,7 @@ def test_luby_budget_cut_counts_only_the_restarts_that_start(pools, budget, runs
 
 def searched(shape, cfg):
     out = search(*shape, cfg)
-    return summary(out), [out.labeling]
+    return summary(out), [] if out.labeling is None else [out.labeling]
 
 
 def enumerated(pins, cfg):
@@ -104,8 +105,8 @@ WORKER_CASES = {
     "3x4-time-budget": (searched, (3, 4), dataclasses.replace(LUBY, seed=1, time_budget=1e-9)),
     "3x4-endless-time-budget": (searched, (3, 4),
                                 dataclasses.replace(LUBY, seed=1, time_budget=float("inf"))),
-    "3x4-ascending": (searched, (3, 4), SearchConfig()),
-    "3x5-ascending": (searched, (3, 5), SearchConfig()),
+    "3x6-seed1": (searched, (3, 6), dataclasses.replace(LUBY, seed=1)),
+    **{f"3x{m}-ascending": (searched, (3, m), SearchConfig()) for m in (3, 4, 5)},
     # cut where the first piece's window ends, one node into its pieces,
     # inside them, one node short of the labeling and at it
     **{f"3x5-ascending-budget{budget}": (searched, (3, 5), SearchConfig(node_budget=budget))
@@ -122,15 +123,22 @@ WORKER_CASES = {
     "3x3-forced-root-budget1": (enumerated, {EdgeRef("H", 1, 1): 1, EdgeRef("H", 1, 3): 9,
                                             EdgeRef("V", 1, 1): 12}, SearchConfig(node_budget=1)),
 }
-# (status, nodes[, propagations]) where the case pins them
+# (status, nodes[, restarts[, solutions[, propagations]]]) where the case
+# pins them; a search's solutions are its one labeling, if it found one
 WORKER_PINS = {
+    "3x3-ascending": (FOUND, 367, 0, 1),
+    "3x4-ascending": (FOUND, 129_091, 0, 1),
+    "3x5-ascending": (FOUND, 471_804, 0, 1),
+    "3x6-seed1": (FOUND, 656_723, 62, 1),
     "3x4-time-budget": (BUDGET_EXCEEDED, 0),  # the clock is read before the first run
     **{f"3x5-ascending-budget{budget}": (BUDGET_EXCEEDED, budget)
        for budget in (4_096, 4_097, 100_000, 471_803)},
     "3x5-ascending-budget471804": (FOUND, 471_804),
+    "3x3-all-x9": (EXHAUSTED, 113_394, 0, 455),
+    "3x3-all-x9-budget40000": (BUDGET_EXCEEDED, 40_000, 0, 150),
     "3x3-all-x9-boundary": (BUDGET_EXCEEDED, 30_917),
-    "3x3-all-x9-last-boundary": (EXHAUSTED, 113_394),
-    "3x3-forced-root-budget1": (BUDGET_EXCEEDED, 1, 1),
+    "3x3-all-x9-last-boundary": (EXHAUSTED, 113_394, 0, 455),
+    "3x3-forced-root-budget1": (BUDGET_EXCEEDED, 1, 0, 0, 1),
 }
 
 
@@ -146,8 +154,10 @@ def test_worker_counts_give_identical_searches(pools, monkeypatch, case):
     assert bool(pools) == bool(two[1])  # a pool ran the second search's nodes
     assert one == two
     assert one_found == two_found
+    assert all(verify(labeling).is_supermagic for labeling in two_found)
+    status, nodes, propagations, restarts, _, _ = two
     pin = WORKER_PINS.get(case, ())
-    assert two[:len(pin)] == pin
+    assert (status, nodes, restarts, len(two_found), propagations)[:len(pin)] == pin
 
 
 @pytest.mark.parametrize("budget", [1, 1_000, 50_000])
@@ -259,4 +269,4 @@ def test_search_runs_under_a_low_recursion_limit():
         sys.setrecursionlimit(limit)
     # a recursive engine needs a frame per level: 271 levels here
     assert deep.status == BUDGET_EXCEEDED and deep.stats.max_depth > 200
-    assert found.status == FOUND and found.stats.nodes == 129_091
+    assert (found.status, found.stats.nodes) == WORKER_PINS["3x4-ascending"][:2]

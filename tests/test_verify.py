@@ -234,6 +234,17 @@ def test_verify_agrees_across_integer_dtypes(dtype):
         assert verify(Labeling(dims(3, 3), labels, labels)).constant == 2**32
 
 
+def test_verify_reports_labels_of_mixed_dtypes_exactly():
+    # an int64 h and a uint64 v join as int64, not as float64, which
+    # would round a label above 2**53 and report it as a float
+    h = np.arange(1, 10, dtype=np.int64).reshape(3, 3)
+    v = np.arange(10, 19, dtype=np.uint64).reshape(3, 3)
+    v[0, 0] = 2**53 + 1
+    report = verify(Labeling(dims(3, 3), h, v))
+    assert report.duplicate_or_missing == [10, 2**53 + 1]
+    assert all(type(x) is int for x in report.duplicate_or_missing)
+
+
 def test_corner_sums_are_exact_past_the_int64_range():
     # every corner of nine labels of 2**62 sums to 2**63, one past int64
     d = dims(3, 3)
