@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 
@@ -62,6 +63,7 @@ def dims(n: int, m: int) -> GridDims:
     for x in (n, m):
         if isinstance(x, bool) or not isinstance(x, numbers.Integral):
             raise TorusMagicError(f"n and m must be integers, got ({n!r}, {m!r})")
+    n, m = operator.index(n), operator.index(m)  # a numpy integer would overflow
     if n < 3 or m < 3:
         raise DimensionTooSmall(f"need n, m >= 3, got ({n}, {m})")
     d = math.gcd(n, m)

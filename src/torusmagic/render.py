@@ -16,10 +16,10 @@ edges, vertices; DOT: vertices, H edges, V edges) and a footer.  Each
 element is a template whose fields are literals, per-row strings (i, y),
 per-column strings (j, x) or per-cell values (a label, a weight, a corner
 sum, a colour looked up by diagonal index).  `_weave` writes a template
-over its grid a band of rows at a time: every field goes into a list of
-pieces with one slice assignment, `parts[t::k] = ...`, and one
-`"".join` makes the band's text.  Only one band's pieces and cell
-strings are alive at a time.  A band's numbers are written by
+over its grid in serialize's bands of rows, of the size encode and decode
+use: every field goes into a list of pieces with one slice assignment,
+`parts[t::k] = ...`, and one `"".join` makes the band's text.  Only one
+band's pieces and cell strings are alive at a time.  A band's numbers are written by
 serialize's write_decimal into one byte grid, a space after each, and
 one decode and one split make their strings; only sums past int64, held
 as Python ints, are formatted by str.  Colours and wrap stubs are taken
@@ -44,7 +44,7 @@ import numpy as np
 
 from .grid import GridDims, TorusMagicError
 from .labeling import Labeling
-from .serialize import write_decimal
+from .serialize import bands, write_decimal
 from .verify import corner_sums, weight_matrix
 
 _FORMATS = ("dot", "svg")
@@ -127,9 +127,6 @@ _LITERAL, _PER_ROW, _PER_COL, _PER_CELL = range(4)
 
 _FIELD = re.compile(r"\{(\w+)\}")
 
-# Elements per band: a band's pieces and cell strings take a few hundred kB.
-_BAND_CELLS = 4096
-
 
 def _row(values) -> tuple[int, list[str]]:
     return _PER_ROW, list(map(str, values))
@@ -210,11 +207,10 @@ def _weave(template: str, fields: dict, n: int, m: int) -> Iterator[str]:
     """
     slots = _slots(template, fields)
     k = len(slots)
-    band = max(1, _BAND_CELLS // m)
     parts: list[str] = []
-    for r0 in range(0, n, band):
-        r1 = min(n, r0 + band)
-        count = (r1 - r0) * m
+    for rows in bands(n, m):
+        height = rows.stop - rows.start
+        count = height * m
         if len(parts) != k * count:
             # literal and column slots are the same in every band of this height
             parts = [""] * (k * count)
@@ -222,15 +218,15 @@ def _weave(template: str, fields: dict, n: int, m: int) -> Iterator[str]:
                 if kind == _LITERAL:
                     parts[t::k] = repeat(value, count)
                 elif kind == _PER_COL:
-                    parts[t::k] = value * (r1 - r0)
+                    parts[t::k] = value * height
         cells: dict[str, list[str]] = {}
         for t, (kind, value) in enumerate(slots):
             if kind == _PER_ROW:
-                parts[t::k] = chain.from_iterable(map(repeat, value[r0:r1], repeat(m)))
+                parts[t::k] = chain.from_iterable(map(repeat, value[rows], repeat(m)))
             elif kind == _PER_CELL:
                 if value not in cells:
                     matrix, table = fields[value][1]
-                    cells[value] = _cell_strings(matrix[r0:r1].ravel(), table)
+                    cells[value] = _cell_strings(matrix[rows].ravel(), table)
                 parts[t::k] = cells[value]
         yield "".join(parts)
 

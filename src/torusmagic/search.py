@@ -462,17 +462,11 @@ def _derived_seed(seed: int, *parts: int) -> int:
 
 def _labelings(dims: GridDims, rows: np.ndarray) -> list[Labeling]:
     """The labelings of a (k, q) block of label rows, in order, each as
-    (n, m) views of its row."""
-    k, n, m, nm = len(rows), dims.n, dims.m, dims.n * dims.m
-    return [Labeling(dims, h, v) for h, v in zip(rows[:, :nm].reshape(k, n, m),
-                                                 rows[:, nm:].reshape(k, n, m))]
+    (n, m) views of its row: the H block, then the V block."""
+    return [Labeling(dims, h, v) for h, v in rows.reshape(len(rows), 2, dims.n, dims.m)]
 
 
-def _check_found(labeling: Labeling) -> None:
-    # run in the calling process, whichever process found the labeling
-    report = verify(labeling)
-    if not report.is_supermagic or report.constant != forced_constant(labeling.dims):
-        raise RuntimeError("internal defect: search produced a non-supermagic labeling")
+_DEFECT = "internal defect: search produced a non-supermagic labeling"
 
 
 def _pins(dims: GridDims) -> list[dict[EdgeRef, int]]:
@@ -719,7 +713,9 @@ def search(n: int, m: int, cfg: SearchConfig | None = None) -> SearchOutcome:
     labeling = None
     if solutions:
         [labeling] = _labelings(d, np.array(solutions[:1], dtype=np.int64))
-        _check_found(labeling)
+        # in the calling process, whichever process found the labeling
+        if not verify(labeling).is_supermagic:
+            raise RuntimeError(_DEFECT)
     stats.elapsed = time.perf_counter() - start
     return SearchOutcome(status=status, labeling=labeling, stats=stats)
 
@@ -743,7 +739,7 @@ def enumerate_completions(dims: GridDims, assignments: Mapping[EdgeRef, int],
                                start + cfg.time_budget, 0, pool_size(), find_all=True)
     block = np.array(rows, dtype=np.int64).reshape(len(rows), dims.q)
     if not _supermagic_rows(dims, block).all():
-        raise RuntimeError("internal defect: search produced a non-supermagic labeling")
+        raise RuntimeError(_DEFECT)
     solutions = _labelings(dims, block)
     stats.elapsed = time.perf_counter() - start
     return solutions, SearchOutcome(status=status, labeling=None, stats=stats)

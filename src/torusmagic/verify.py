@@ -130,10 +130,9 @@ def _supermagic_rows(dims: GridDims, rows: np.ndarray) -> np.ndarray:
     with every vertex weight 4nm+2.  One boolean per row, from the corner
     sums `verify` adds.  A row whose weights could wrap in int64 holds a
     label above q, so it fails the bijection whatever its weights read."""
-    k, nm = len(rows), dims.n * dims.m
     is_bijection = (np.sort(rows, axis=1) == np.arange(1, dims.q + 1)).all(axis=1)
-    hv, vh = _corner_sums(rows[:, :nm].reshape(k, dims.n, dims.m),
-                          rows[:, nm:].reshape(k, dims.n, dims.m))
+    blocks = rows.reshape(len(rows), 2, dims.n, dims.m)  # H, then V
+    hv, vh = _corner_sums(blocks[:, 0], blocks[:, 1])
     hv += vh
     return is_bijection & (hv == forced_constant(dims)).all(axis=(1, 2))
 
@@ -154,7 +153,8 @@ def verify(lab: Labeling) -> VerificationReport:
 
     high = int(flat.max())
     small = flat if high <= d.q else flat[flat <= d.q]
-    # bincount counts intp; numpy 1.x refuses a uint64 array
+    # labels() is int64 and bincount counts intp: no copy where intp is
+    # int64, and a host with a 32-bit intp refuses int64 uncast
     counts = np.bincount(small.astype(np.intp, copy=False), minlength=d.q + 1)
     # no label is 0, so label 0 heads the list of counts other than 1
     offending = np.flatnonzero(counts != 1)[1:].tolist()

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -48,6 +49,12 @@ def test_dims_rejects_short_cycles(n, m):
 def test_dims_rejects_non_integers(n, m):
     with pytest.raises(TorusMagicError, match="^n and m must be integers"):
         dims(n, m)
+
+
+def test_dims_stores_numpy_integers_as_ints():
+    d = dims(np.int64(3), np.uint16(5))
+    assert d == dims(3, 5)
+    assert all(type(getattr(d, f)) is int for f in ("n", "m", "l", "d", "q", "lp"))
 
 
 @given(small_sizes, small_sizes)

@@ -29,7 +29,7 @@ import scalar_reference as ref
 from torusmagic.construct import construct
 from torusmagic.grid import EdgeRef, VertexRef, dims
 from torusmagic.labeling import Labeling
-from torusmagic.render import RenderSpec, render
+from torusmagic.render import RenderSpec, render, render_pieces
 from torusmagic.cli import main
 from torusmagic.serialize import (ParseError, ShapeError, _decode_canonical, _decode_json, decode,
                                   encode)
@@ -68,22 +68,26 @@ def test_render_matches_reference_on_random_labelings(n, m, seed):
         assert render(lab, spec).encode() == ref.render(lab, spec).encode()
 
 
+# render weaves its figure in serialize's bands
 @pytest.mark.parametrize("fmt,annotate", [("svg", "weights"), ("dot", "corners")])
 def test_render_matches_reference_across_bands(fmt, annotate):
-    render_module = importlib.import_module("torusmagic.render")
+    serialize_module = importlib.import_module("torusmagic.serialize")
     n, m = 131, 63  # bands of 65, 65 and 1 rows
-    assert 2 * render_module._BAND_CELLS < n * m < 3 * render_module._BAND_CELLS
+    assert 2 * serialize_module._BAND_CELLS < n * m < 3 * serialize_module._BAND_CELLS
     lab = shuffled(n, m, seed=5)
     spec = RenderSpec(format=fmt, annotate=annotate, highlight_diagonals=True)
     assert render(lab, spec).encode() == ref.render(lab, spec).encode()
 
 
 def test_render_matches_reference_in_short_bands(monkeypatch):
-    render_module = importlib.import_module("torusmagic.render")
-    monkeypatch.setattr(render_module, "_BAND_CELLS", 200)  # 3 rows a band, then 2
+    serialize_module = importlib.import_module("torusmagic.serialize")
+    monkeypatch.setattr(serialize_module, "_BAND_CELLS", 200)  # 3 rows a band, then 2
     lab = shuffled(41, 63, seed=7)
     for spec in SPECS:
         assert render(lab, spec).encode() == ref.render(lab, spec).encode()
+    # a header, 14 bands in each of three grids, and a footer
+    spec = RenderSpec(format="svg")
+    assert len(list(render_pieces(lab, spec))) == 2 + 3 * 14
 
 
 @pytest.mark.parametrize("n,m", SHAPES)

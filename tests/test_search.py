@@ -25,6 +25,7 @@ from torusmagic.search import (
     PartialLabeling,
     SearchConfig,
     SearchTooLarge,
+    _labelings,
     _luby,
     enumerate_completions,
     pool_size,
@@ -275,6 +276,33 @@ def test_enumerate_completions_verifies_each_solution_once(pools, monkeypatch):
     assert out.status == EXHAUSTED and len(solutions) == 40 and len(pools) == 1
     assert batches == [(os.getpid(), (40, 18))]
     assert calls == []
+
+
+def test_numpy_integer_dimensions_search_as_ints():
+    out = search(np.int64(3), np.int64(4))
+    assert (out.status, out.stats.nodes) == WORKER_PINS["3x4-ascending"][:2]
+    assert verify(out.labeling).is_supermagic
+    solutions, out = enumerate_completions(dims(np.int64(3), 3), {H(1, 1): 1, V(1, 1): 2})
+    assert (len(solutions), out.stats.nodes) == (40, 7_906)
+    # the pool holds bits 1..q, past int64 from q = 63 on
+    assert bin(PartialLabeling(dims(np.int64(6), 6)).pool).count("1") == 72
+
+
+def test_a_found_labeling_that_fails_verify_is_an_internal_defect(monkeypatch):
+    # search checks what it found through the module's verify
+    search_module = importlib.import_module("torusmagic.search")
+    monkeypatch.setattr(search_module, "verify", lambda lab: SimpleNamespace(is_supermagic=False))
+    with pytest.raises(RuntimeError, match="internal defect: search produced a non-supermagic"):
+        search(3, 3)
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (3, 5), (5, 3), (4, 6)])
+def test_label_rows_split_into_the_labelings_they_list(n, m):
+    # a row is Labeling.labels(): the H block, then the V block
+    d = dims(n, m)
+    rng = np.random.default_rng(n * m)
+    labs = [Labeling(d, *rng.permutation(d.q).reshape(2, n, m) + 1) for _ in range(4)]
+    assert _labelings(d, np.stack([lab.labels() for lab in labs])) == labs
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
