@@ -42,7 +42,8 @@ class Labeling:
             raise DomainMismatch(
                 f"labels must have an integer dtype, got {self.h.dtype} and {self.v.dtype}"
             )
-        if (self.h < 1).any() or (self.v < 1).any():
+        # one reduction per matrix; an empty one has no label to refuse
+        if self.h.min(initial=1) < 1 or self.v.min(initial=1) < 1:
             raise DomainMismatch("labels must be positive integers")
         # decode refuses labels of 2**63 and more, which only uint64 holds
         for matrix in (self.h, self.v):

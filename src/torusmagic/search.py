@@ -110,8 +110,13 @@ class SearchConfig:
             raise TorusMagicError(f"time_budget must be a number, got {self.time_budget!r}")
         if not (self.node_budget > 0 and self.time_budget > 0):  # NaN fails too
             raise TorusMagicError("budgets must be positive")
-        if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(self.seed, int)):
+        if self.seed is not None and (isinstance(self.seed, bool)
+                                      or not isinstance(self.seed, numbers.Integral)):
             raise TorusMagicError(f"seed must be an integer or None, got {self.seed!r}")
+        # numpy integers to ints, so that equal configs compare and hash equal
+        object.__setattr__(self, "node_budget", operator.index(self.node_budget))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", operator.index(self.seed))
         implied = ("ascending", "none") if self.seed is None else ("random", "luby")
         if value_order not in (None, implied[0]) or restart_policy not in (None, implied[1]):
             raise TorusMagicError(f"seed={self.seed!r} means value_order={implied[0]!r} and "
@@ -227,6 +232,19 @@ class PartialLabeling:
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _shuffle(values: list, getrandbits) -> None:
+    """random.Random(seed).shuffle(values), with `getrandbits` the bound
+    method of that Random: its Fisher-Yates walk and rejection draws
+    inlined, as CPython's shuffle and _randbelow_with_getrandbits make
+    them, so the seeded candidate order is the standard library's."""
+    for i in range(len(values) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        values[i], values[j] = values[j], values[i]
+
+
 def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadline: float,
          rng=None, find_all: bool = False, piece: tuple[tuple, int] | None = None,
          split: bool = False) -> tuple[str, list[list[int]], list[tuple]]:
@@ -236,10 +254,19 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
 
     The tree is walked with an explicit stack of frames, one per decision
     level: (edge, its endpoints, candidate iterator, trail mark, pool and
-    mirrored pool at the mark, end of its candidate range).  Resuming a
-    frame undoes the trail to its mark and restores both pools from it.
-    Candidates are tried in ascending order, or shuffled by rng when one
-    is given.
+    mirrored pool at the mark, end of its candidate range, forced-label
+    mask, forced endpoint, its partner edge and that edge's far end).
+    Resuming a frame undoes the trail to its mark and restores both pools
+    from it.  Candidates are tried in ascending order, or in the order
+    rng.shuffle would give when an rng is given.
+
+    When the edge leaves an endpoint (b, else a) with one open edge, that
+    is the forced endpoint: a candidate x forces its partner edge to its
+    need w minus x.  The mask has bit x set when x and w - x are free and
+    differ, so a clear bit refutes x as the propagation's first pops
+    would (forced-used); it is -1 when no endpoint is forced.  Entering
+    x sets the partner edge too, and propagation goes on from where
+    those pops leave it.
 
     With `piece` = (key, stop) the state is a node that a walk of the
     whole tree has already entered, key being the candidate indices on
@@ -256,12 +283,14 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
     label, need, vcnt, trail = state.label, state.need, state.vcnt, state.trail
     ends, vert_edges, rank = state.edge_verts, state.vert_edges, state.rank
     pool, rpool = state.pool, state.rpool
-    shuffle = None if rng is None else rng.shuffle
+    getrandbits = None if rng is None else rng.getrandbits
     nodes, propagations, max_depth = stats.nodes, stats.propagations, stats.max_depth
+    forced_used = 0  # refutations in the resume loop, added to prunes at exit
     stack: list[tuple] = []
     solutions: list[list[int]] = []
     status = EXHAUSTED
     queue = [] if piece else list(range(state.nm))  # the root checks every vertex
+    popped: list[int] = []
     # A node's bounds scan visits all nm vertices, so read the clock about
     # every 2**15 vertex visits, and at most every 1,024 nodes.
     clock_mask = (1 << max(0, min(10, (32768 // state.nm).bit_length() - 1))) - 1
@@ -269,7 +298,6 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
         # Propagate the last assignment: a vertex with one open edge
         # forces its label, a closed vertex must sum to c.
         rule = None
-        popped = []
         while queue:
             v = queue.pop()
             popped.append(v)
@@ -295,8 +323,8 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
                 vcnt[fb] -= 1
                 trail.append(f)
                 propagations += 1
-                queue.append(fa)
-                queue.append(fb)
+                # v is closed with need 0 now: only the far end can fail
+                queue.append(fb if fa == v else fa)
             elif not r and need[v]:
                 rule = "closed-sum"
                 break
@@ -370,13 +398,28 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
                 digits = bin(pool >> lo & ((2 << (hi - lo)) - 1))[:1:-1]
                 values = list(compress(range(lo, hi + 1),
                                        digits.encode().translate(_DIGIT_BITS)))
-                if shuffle is not None:
-                    shuffle(values)
+                if getrandbits is not None:
+                    _shuffle(values, getrandbits)
             stop = len(values)
             if piece and not stack:
                 stop = piece[1]
                 values = values[piece[0][-1]:stop]
-            stack.append((e, a, b, iter(values), len(trail), pool, rpool, stop))
+            # The forced endpoint, b before a as propagation pops them; the
+            # candidate range keeps its partner's label w - x within 1..q.
+            fv = b if vcnt[b] == 2 else a if vcnt[a] == 2 else -1
+            if fv < 0:
+                ok, g, o = -1, -1, -1
+            else:
+                w = need[fv]
+                ok = pool & (rpool >> (q2 - w))
+                if not w & 1:
+                    ok &= ~(1 << (w >> 1))
+                for g in vert_edges[fv]:
+                    if g != e and not label[g]:
+                        break
+                ga, gb = ends[g]
+                o = gb if ga == fv else ga
+            stack.append((e, a, b, iter(values), len(trail), pool, rpool, stop, ok, fv, g, o))
         else:
             if len(stack) > max_depth:
                 max_depth = len(stack)
@@ -385,14 +428,14 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
                 status = FOUND
                 break
 
-        # Resume the deepest frame with its next candidate that the
-        # endpoint checks do not refute.  They replay the first pops of
-        # the propagation (endpoint b, then a if b forced nothing)
-        # before any state changes.  The candidate range closes an
-        # endpoint exactly and keeps a forced label within 1..q, so the
-        # one rule that can refute here is a forced label in use.
+        # Resume the deepest frame with its next candidate that its mask
+        # does not refute.  The mask replays the first pops of the
+        # propagation (endpoint b, then a if b forced nothing) before
+        # any state changes.  The candidate range closes an endpoint
+        # exactly and keeps a forced label within 1..q, so the one rule
+        # that can refute here is a forced label in use.
         while stack:
-            e, a, b, values, mark, pool, rpool, _ = stack[-1]
+            e, a, b, values, mark, pool, rpool, _, ok, fv, g, o = stack[-1]
             while len(trail) > mark:
                 f = trail.pop()
                 x = label[f]
@@ -410,15 +453,9 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
                 if not nodes & clock_mask and time.perf_counter() > deadline:
                     status = BUDGET_EXCEEDED
                     break
-                y = need[b] - x
-                if vcnt[b] == 2:
-                    if y != x and pool >> y & 1:
-                        break  # b forces a free label: propagate in full
-                else:
-                    y = need[a] - x
-                    if vcnt[a] != 2 or y != x and pool >> y & 1:
-                        break
-                prunes["forced-used"] = prunes.get("forced-used", 0) + 1
+                if ok >> x & 1:
+                    break
+                forced_used += 1
             else:
                 stack.pop()
                 continue
@@ -433,15 +470,31 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
         vcnt[a] -= 1
         vcnt[b] -= 1
         trail.append(e)
-        queue = [a, b]
+        if fv < 0:
+            popped, queue = [], [a, b]
+        else:
+            # the forced partner, set as the first pops would set it
+            y = need[fv]
+            label[g] = y
+            pool ^= 1 << y
+            rpool ^= 1 << (q2 - y)
+            need[fv] = 0
+            need[o] -= y
+            vcnt[fv] = 0
+            vcnt[o] -= 1
+            trail.append(g)
+            propagations += 1
+            popped, queue = ([b], [a, o]) if fv == b else ([b, a], [o])
 
     state.pool, state.rpool = pool, rpool  # the state is consistent at every exit
     stats.nodes, stats.propagations, stats.max_depth = nodes, propagations, max_depth
+    if forced_used:
+        prunes["forced-used"] = prunes.get("forced-used", 0) + forced_used
     rest = []
     if status == _CUT and split:
         path, deepest = [(f, label[f]) for f in trail], len(stack) - 1
         taken = piece[0][:-1] if piece else ()
-        for i, (*_, values, mark, _, _, stop) in enumerate(stack):
+        for i, (_, _, _, values, mark, _, _, stop, *_) in enumerate(stack):
             # the candidate each frame is in; the deepest one's was drawn but not tried
             k = stop - operator.length_hint(values) - 1
             start = k if i == deepest else k + 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scalar_reference import H, V, all_edges, label
-from torusmagic.grid import dims
+from torusmagic.grid import GridDims, dims
 from torusmagic.labeling import DomainMismatch, Labeling
 from torusmagic.serialize import decode, encode
 
@@ -80,13 +80,25 @@ def test_constructor_validates_shape():
         Labeling(d, [[1] * 3] * 3, [[1] * 3] * 3)
 
 
-def test_rejects_nonpositive_entries():
-    d = dims(3, 3)
-    h = np.ones((3, 3), dtype=int)
-    v = np.ones((3, 3), dtype=int)
-    v[1, 1] = 0
-    with pytest.raises(DomainMismatch):
-        Labeling(d, h, v)
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint8, np.uint64])
+def test_rejects_nonpositive_entries(dtype):
+    lab = tiny()
+    for spoilt, value in (("h", 0), ("v", 0), ("h", -1), ("v", -1)):
+        if value < 0 and np.dtype(dtype).kind == "u":
+            continue
+        for at in ((0, 0), (1, 1), (2, 2)):
+            h, v = lab.h.astype(dtype), lab.v.astype(dtype)
+            (h if spoilt == "h" else v)[at] = value
+            with pytest.raises(DomainMismatch, match="^labels must be positive integers"):
+                Labeling(lab.dims, h, v)
+
+
+def test_empty_matrices_have_no_label_to_refuse():
+    # GridDims itself takes a 0-row grid; its (0, 3) matrices hold no label
+    d = GridDims(n=0, m=3, l=0, d=3, q=0, lp=None)
+    empty = np.ones((0, 3), dtype=np.int64)
+    lab = Labeling(d, empty, empty)
+    assert lab.labels().tolist() == []
 
 
 @pytest.mark.parametrize("dtype", [bool, np.float64, np.float32, object])

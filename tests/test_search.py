@@ -4,6 +4,7 @@ import itertools
 import multiprocessing
 import multiprocessing.connection
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scalar_reference import H, V, all_edges, label
 from test_search_differential import WORKER_PINS
@@ -27,6 +29,7 @@ from torusmagic.search import (
     SearchTooLarge,
     _labelings,
     _luby,
+    _shuffle,
     enumerate_completions,
     pool_size,
     search,
@@ -120,6 +123,27 @@ def test_spelling_out_the_seeded_policy_gives_the_same_config():
                (b.status, b.stats.nodes, b.stats.restarts, b.stats.prunes)
         assert a.labeling == b.labeling
     assert SearchConfig(value_order="ascending", restart_policy="none") == SearchConfig()
+
+
+def test_numpy_integer_seeds_and_budgets_are_stored_as_ints():
+    cfg = SearchConfig(seed=np.int64(1), node_budget=np.int64(100_000_000))
+    assert cfg == SearchConfig(seed=1) and hash(cfg) == hash(SearchConfig(seed=1))
+    assert type(cfg.seed) is int and type(cfg.node_budget) is int
+    assert type(SearchConfig(seed=np.uint8(7), node_budget=np.int32(50_000)).seed) is int
+    out = search(3, 6, cfg)
+    assert (out.status, out.stats.nodes, out.stats.restarts) == WORKER_PINS["3x6-seed1"][:3]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 2**64))
+def test_the_inlined_draws_shuffle_as_the_standard_library_does(length, seed):
+    values = list(range(100, 100 + length))
+    ours, theirs = random.Random(seed), random.Random(seed)
+    expected = values[:]
+    theirs.shuffle(expected)
+    _shuffle(values, ours.getrandbits)
+    assert values == expected
+    assert ours.getstate() == theirs.getstate()  # the same draws, no more
 
 
 POLICIES_THE_SEED_CONTRADICTS = [

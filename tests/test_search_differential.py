@@ -134,11 +134,23 @@ WORKER_PINS = {
     **{f"3x5-ascending-budget{budget}": (BUDGET_EXCEEDED, budget)
        for budget in (4_096, 4_097, 100_000, 471_803)},
     "3x5-ascending-budget471804": (FOUND, 471_804),
-    "3x3-all-x9": (EXHAUSTED, 113_394, 0, 455),
+    "3x3-all-x9": (EXHAUSTED, 113_394, 0, 455, 54_869),
     "3x3-all-x9-budget40000": (BUDGET_EXCEEDED, 40_000, 0, 150),
     "3x3-all-x9-boundary": (BUDGET_EXCEEDED, 30_917),
     "3x3-all-x9-last-boundary": (EXHAUSTED, 113_394, 0, 455),
     "3x3-forced-root-budget1": (BUDGET_EXCEEDED, 1, 0, 0, 1),
+}
+
+# (prunes per rule, max depth) of the benchmark's trees: no rule but these fires
+TREE_PINS = {
+    "3x4-ascending": ({"bounds": 14_417, "pair": 16_793, "forced-used": 67_659,
+                       "forced-range": 26}, 12),
+    "3x5-ascending": ({"bounds": 39_999, "pair": 43_178, "forced-used": 305_077,
+                       "forced-range": 136}, 15),
+    "3x6-seed1": ({"bounds": 20_313, "pair": 98_120, "forced-used": 438_852,
+                   "forced-range": 175}, 18),
+    "3x3-all-x9": ({"bounds": 6_958, "pair": 24_907, "forced-used": 56_525,
+                    "forced-range": 92}, 8),
 }
 
 
@@ -155,9 +167,11 @@ def test_worker_counts_give_identical_searches(pools, monkeypatch, case):
     assert one == two
     assert one_found == two_found
     assert all(verify(labeling).is_supermagic for labeling in two_found)
-    status, nodes, propagations, restarts, _, _ = two
+    status, nodes, propagations, restarts, depth, prunes = two
     pin = WORKER_PINS.get(case, ())
     assert (status, nodes, restarts, len(two_found), propagations)[:len(pin)] == pin
+    if case in TREE_PINS:
+        assert (prunes, depth) == TREE_PINS[case]
 
 
 @pytest.mark.parametrize("budget", [1, 1_000, 50_000])
