@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import EdgeRef, GridDims, TorusMagicError, wrap
+from .grid import EdgeRef, GridDims, TorusMagicError, as_int, wrap
 
 
 class InvalidStartColumn(TorusMagicError):
@@ -68,6 +68,9 @@ class Diagonal:
     def __post_init__(self) -> None:
         # The rotation passes through row 1 at column s as an h-edge start
         # only when s is congruent to j mod d.
+        for name in ("index", "start_col"):
+            value = as_int(getattr(self, name), f"{name} must be an integer")
+            object.__setattr__(self, name, value)
         j, s, d = self.index, self.start_col, self.dims
         if not (1 <= j <= d.d):
             raise InvalidStartColumn(f"diagonal index {j} out of 1..{d.d}")
@@ -138,8 +141,7 @@ def diagonal_of_edge(e: EdgeRef, dims: GridDims) -> tuple[int, int, str]:
     of the diagonal that starts at row 1, column j.  An edge off the grid
     raises TorusMagicError.
     """
-    if not (1 <= e.i <= dims.n and 1 <= e.j <= dims.m):
-        raise TorusMagicError(f"{e} is not an edge of C_{dims.n} x C_{dims.m}")
+    dims.cell(e)  # raises for an edge off the grid
     if e.orient == "H":
         j = wrap(e.j - e.i + 1, dims.d)
         k = _crt_step(e.i, wrap(e.j - j + 1, dims.m), dims)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class TorusMagicError(ValueError):
@@ -37,39 +37,51 @@ def wrap(x: int, size: int) -> int:
     return (x - 1) % size + 1
 
 
+def as_int(x: object, rule: str) -> int:
+    """x as an int, converting a numpy integer, whose fixed-width arithmetic
+    overflows; a bool or a non-integer raises TorusMagicError(f"{rule}, got {x!r}")."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise TorusMagicError(f"{rule}, got {x!r}")
+    return operator.index(x)
+
+
 @dataclass(frozen=True)
 class GridDims:
     """Dimensions of C_n x C_m with the derived diagonal parameters.
 
-    l = lcm(n,m) is the half-length of every diagonal cycle, d = gcd(n,m)
-    the number of diagonals, q = 2nm the edge count.  lp = (l-1)/2 is
-    defined only when l is odd (equivalently when n and m are both odd).
+    Requires integers n, m >= 3.  l = lcm(n,m) is the half-length of
+    every diagonal cycle, d = gcd(n,m) the number of diagonals, q = 2nm
+    the edge count.  lp = (l-1)/2 is defined only when l is odd
+    (equivalently when n and m are both odd).
     """
 
     n: int
     m: int
-    l: int
-    d: int
-    q: int
-    lp: int | None
+    l: int = field(init=False)
+    d: int = field(init=False)
+    q: int = field(init=False)
+    lp: int | None = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.l * self.d != self.n * self.m:
-            raise TorusMagicError("inconsistent lcm/gcd")
+        n, m = (as_int(x, "n and m must be integers") for x in (self.n, self.m))
+        if n < 3 or m < 3:
+            raise DimensionTooSmall(f"need n, m >= 3, got ({n}, {m})")
+        d = math.gcd(n, m)
+        l = n * m // d
+        derived = dict(n=n, m=m, l=l, d=d, q=2 * n * m, lp=(l - 1) // 2 if l % 2 == 1 else None)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    def cell(self, e: EdgeRef) -> int:
+        """The 0-based cell (i-1)*m + j-1 of edge e, or TorusMagicError off the grid."""
+        if not (isinstance(e, EdgeRef) and 1 <= e.i <= self.n and 1 <= e.j <= self.m):
+            raise TorusMagicError(f"{e} is not an edge of C_{self.n} x C_{self.m}")
+        return (e.i - 1) * self.m + e.j - 1
 
 
 def dims(n: int, m: int) -> GridDims:
-    """Build GridDims for C_n x C_m.  Requires integers n, m >= 3."""
-    for x in (n, m):
-        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-            raise TorusMagicError(f"n and m must be integers, got ({n!r}, {m!r})")
-    n, m = operator.index(n), operator.index(m)  # a numpy integer would overflow
-    if n < 3 or m < 3:
-        raise DimensionTooSmall(f"need n, m >= 3, got ({n}, {m})")
-    d = math.gcd(n, m)
-    l = n * m // d
-    lp = (l - 1) // 2 if l % 2 == 1 else None
-    return GridDims(n=n, m=m, l=l, d=d, q=2 * n * m, lp=lp)
+    """GridDims(n, m): the grid C_n x C_m.  Requires integers n, m >= 3."""
+    return GridDims(n, m)
 
 
 @dataclass(frozen=True)
@@ -91,9 +103,9 @@ class EdgeRef:
     def __post_init__(self) -> None:
         if self.orient not in ("H", "V"):
             raise TorusMagicError(f"orient must be 'H' or 'V', got {self.orient!r}")
-        for x in (self.i, self.j):
-            if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-                raise TorusMagicError(f"edge indices must be integers, got {x!r}")
+        for name in ("i", "j"):
+            index = as_int(getattr(self, name), "edge indices must be integers")
+            object.__setattr__(self, name, index)
 
     def sort_key(self) -> tuple[int, int, str]:
         """Lexicographic order by (i, j, orient), 'H' before 'V'."""

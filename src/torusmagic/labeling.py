@@ -29,6 +29,11 @@ class Labeling:
     v: np.ndarray
 
     def __post_init__(self) -> None:
+        self.check()
+
+    def check(self) -> None:
+        """Raise DomainMismatch unless h and v are (n, m) integer arrays of
+        positive labels below 2**63; `verify` checks again, as they can change."""
         if not (isinstance(self.h, np.ndarray) and isinstance(self.v, np.ndarray)):
             raise DomainMismatch(f"h and v must be numpy arrays, got {type(self.h).__name__} "
                                  f"and {type(self.v).__name__}")
@@ -42,8 +47,7 @@ class Labeling:
             raise DomainMismatch(
                 f"labels must have an integer dtype, got {self.h.dtype} and {self.v.dtype}"
             )
-        # one reduction per matrix; an empty one has no label to refuse
-        if self.h.min(initial=1) < 1 or self.v.min(initial=1) < 1:
+        if self.h.min() < 1 or self.v.min() < 1:
             raise DomainMismatch("labels must be positive integers")
         # decode refuses labels of 2**63 and more, which only uint64 holds
         for matrix in (self.h, self.v):
@@ -59,9 +63,7 @@ class Labeling:
     def transpose(self) -> "Labeling":
         """The same labeling on C_m x C_n: rows and columns swap roles,
         so horizontal and vertical matrices exchange (transposed)."""
-        from .grid import dims as make_dims
-
-        return Labeling(make_dims(self.dims.m, self.dims.n),
+        return Labeling(GridDims(self.dims.m, self.dims.n),
                         self.v.T.copy(), self.h.T.copy())
 
     def __eq__(self, other: object) -> bool:

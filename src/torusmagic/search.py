@@ -65,7 +65,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .grid import EdgeRef, GridDims, TorusMagicError, dims as make_dims
+from .grid import EdgeRef, GridDims, TorusMagicError, as_int, dims as make_dims
 from .labeling import Labeling
 from .verify import _supermagic_rows, forced_constant, verify
 
@@ -103,20 +103,16 @@ class SearchConfig:
     restart_policy: InitVar[str | None] = None
 
     def __post_init__(self, value_order: str | None, restart_policy: str | None) -> None:
-        # a fractional node budget would cut no run where the one walk stops
-        if isinstance(self.node_budget, bool) or not isinstance(self.node_budget, numbers.Integral):
-            raise TorusMagicError(f"node_budget must be an integer, got {self.node_budget!r}")
+        # a fractional node budget would cut no run where the one walk stops;
+        # numpy integers become ints, so that equal configs compare and hash equal
+        object.__setattr__(self, "node_budget",
+                           as_int(self.node_budget, "node_budget must be an integer"))
         if isinstance(self.time_budget, bool) or not isinstance(self.time_budget, numbers.Real):
             raise TorusMagicError(f"time_budget must be a number, got {self.time_budget!r}")
         if not (self.node_budget > 0 and self.time_budget > 0):  # NaN fails too
             raise TorusMagicError("budgets must be positive")
-        if self.seed is not None and (isinstance(self.seed, bool)
-                                      or not isinstance(self.seed, numbers.Integral)):
-            raise TorusMagicError(f"seed must be an integer or None, got {self.seed!r}")
-        # numpy integers to ints, so that equal configs compare and hash equal
-        object.__setattr__(self, "node_budget", operator.index(self.node_budget))
         if self.seed is not None:
-            object.__setattr__(self, "seed", operator.index(self.seed))
+            object.__setattr__(self, "seed", as_int(self.seed, "seed must be an integer or None"))
         implied = ("ascending", "none") if self.seed is None else ("random", "luby")
         if value_order not in (None, implied[0]) or restart_policy not in (None, implied[1]):
             raise TorusMagicError(f"seed={self.seed!r} means value_order={implied[0]!r} and "
@@ -197,20 +193,12 @@ class PartialLabeling:
             for e, value in sorted(assignments.items(), key=lambda kv: kv[0].sort_key()):
                 self.assign(e, value)
 
-    def edge_index(self, e: EdgeRef) -> int:
-        if not (1 <= e.i <= self.dims.n and 1 <= e.j <= self.dims.m):
-            raise TorusMagicError(f"{e} is not an edge of C_{self.dims.n} x C_{self.dims.m}")
-        base = 0 if e.orient == "H" else self.nm
-        return base + (e.i - 1) * self.dims.m + (e.j - 1)
-
     def is_free(self, value: int) -> bool:
         return 1 <= value <= self.dims.q and bool(self.pool >> value & 1)
 
     def assign(self, e: EdgeRef, value: int) -> None:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise TorusMagicError(f"label of {e} must be an integer, got {value!r}")
-        value = operator.index(value)  # a numpy integer to an int
-        idx = self.edge_index(e)
+        value = as_int(value, f"label of {e} must be an integer")
+        idx = self.dims.cell(e) + (0 if e.orient == "H" else self.nm)
         if self.label[idx]:
             raise TorusMagicError(f"{e} already labeled")
         if not self.is_free(value):

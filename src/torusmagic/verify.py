@@ -32,7 +32,7 @@ from .construct import ExpectedCornerTable, expected_corner_table
 from .construct import PlanShapeMismatch  # re-exported: raised by audit_corners
 from .diagonals import CornerPos, decompose, diagonal_cells
 from .grid import GridDims, VertexRef
-from .labeling import DomainMismatch, Labeling
+from .labeling import Labeling
 
 __all__ = [
     "VerificationReport", "CornerAuditReport", "PlanShapeMismatch",
@@ -143,13 +143,9 @@ def verify(lab: Labeling) -> VerificationReport:
     Works on arbitrary positive labelings, so it doubles as the acceptance
     oracle for searched and externally supplied labelings.
     """
+    lab.check()  # its arrays may have changed since it was built
     d = lab.dims
-    shape = (d.n, d.m)
-    if lab.h.shape != shape or lab.v.shape != shape:
-        raise DomainMismatch(f"matrices must be {shape}")
     flat = lab.labels()
-    if flat.min() < 1:
-        raise DomainMismatch("labels must be positive integers")
 
     high = int(flat.max())
     small = flat if high <= d.q else flat[flat <= d.q]

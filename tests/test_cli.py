@@ -430,7 +430,12 @@ def test_out_to_a_pipe_through_dev_fd_is_written_in_place(tmp_path, capsys):
     # target for a pipe is no path; the document must go down the pipe
     r, w = os.pipe()
     received = []
-    reader = threading.Thread(target=lambda: received.append(os.fdopen(r, "rb").read()))
+
+    def read_all():
+        with os.fdopen(r, "rb") as pipe:
+            received.append(pipe.read())
+
+    reader = threading.Thread(target=read_all)
     reader.start()
     try:
         code, out, err = run(capsys, "generate", "99", "153", "--out", f"/dev/fd/{w}")

@@ -9,7 +9,7 @@ from scalar_reference import H, V, all_vertices, endpoints, incident_edges
 from torusmagic.construct import plan_for
 from torusmagic.diagonals import (Diagonal, InvalidStartColumn, decompose, diagonal_cells,
                                   diagonal_of_edge)
-from torusmagic.grid import TorusMagicError, VertexRef, dims
+from torusmagic.grid import EdgeRef, TorusMagicError, VertexRef, dims
 
 sizes = st.integers(min_value=3, max_value=24)
 
@@ -82,11 +82,30 @@ def test_diagonal_of_edge_examples():
     assert diagonal_of_edge(H(1, 4), dims(3, 9))[0] == 1
 
 
-@pytest.mark.parametrize("e", [H(4, 1), V(0, 10), H(100, -7)], ids=str)
+@pytest.mark.parametrize("e", [H(4, 1), V(0, 10), H(100, -7), ("H", 1, 1)], ids=str)
 def test_diagonal_of_edge_rejects_edges_off_the_grid(e):
-    # off-grid indices whose residues mod 3 and mod 9 still name a diagonal step
+    # off-grid indices whose residues mod 3 and mod 9 still name a diagonal
+    # step, and a tuple, which names no edge
     with pytest.raises(TorusMagicError, match=rf"^{re.escape(str(e))} is not an edge of C_3 x C_9$"):
         diagonal_of_edge(e, dims(3, 9))
+
+
+def test_diagonal_of_edge_returns_ints_for_numpy_indices():
+    where = diagonal_of_edge(EdgeRef("H", np.int64(2), np.int64(3)), dims(3, 9))
+    assert where == (2, 2, "H") and [type(x) for x in where] == [int, int, str]
+
+
+@pytest.mark.parametrize("bad", ["1", 1.0, True, None])
+def test_decompose_refuses_start_columns_that_are_not_integers(bad):
+    message = f"start_col must be an integer, got {bad!r}"
+    with pytest.raises(TorusMagicError, match=f"^{re.escape(message)}$"):
+        decompose(dims(3, 9), [bad, 2, 3])
+
+
+def test_decompose_stores_numpy_start_columns_as_ints():
+    diagonals = decompose(dims(3, 9), [np.int64(4), np.uint8(2), 3])
+    assert [(diag.index, diag.start_col) for diag in diagonals] == [(1, 4), (2, 2), (3, 3)]
+    assert all(type(diag.index) is int and type(diag.start_col) is int for diag in diagonals)
 
 
 @given(sizes, sizes)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from scalar_reference import H, V, all_edges, all_vertices, endpoints, incident_edges
-from torusmagic.grid import DimensionTooSmall, EdgeRef, TorusMagicError, VertexRef, dims, wrap
+from torusmagic.grid import (DimensionTooSmall, EdgeRef, GridDims, TorusMagicError, VertexRef, dims,
+                            wrap)
 
 small_sizes = st.integers(min_value=3, max_value=40)
 
@@ -39,7 +40,7 @@ def test_dims_6_4():
     assert (d.l, d.d, d.q) == (12, 2, 48)
 
 
-@pytest.mark.parametrize("n,m", [(1, 5), (2, 4), (3, 2), (0, 3)])
+@pytest.mark.parametrize("n,m", [(1, 5), (2, 4), (3, 2), (0, 3), (-3, -3)])
 def test_dims_rejects_short_cycles(n, m):
     with pytest.raises(DimensionTooSmall):
         dims(n, m)
@@ -51,10 +52,27 @@ def test_dims_rejects_non_integers(n, m):
         dims(n, m)
 
 
+# GridDims(n, m) and dims(n, m) are the same grid, checked by the same rule;
+# a 0-row grid, whose matrices would hold no label, cannot be built
+@pytest.mark.parametrize("n,m,error,message", [
+    (-3, -3, DimensionTooSmall, r"^need n, m >= 3, got \(-3, -3\)$"),
+    (0, 3, DimensionTooSmall, r"^need n, m >= 3, got \(0, 3\)$"),
+    (3.0, 3, TorusMagicError, r"^n and m must be integers, got 3\.0$"),
+], ids=["negative", "zero-rows", "float"])
+def test_grid_dims_checks_what_dims_checks(n, m, error, message):
+    with pytest.raises(error, match=message):
+        GridDims(n, m)
+
+
 def test_dims_stores_numpy_integers_as_ints():
-    d = dims(np.int64(3), np.uint16(5))
-    assert d == dims(3, 5)
-    assert all(type(getattr(d, f)) is int for f in ("n", "m", "l", "d", "q", "lp"))
+    for d in (dims(np.int64(3), np.uint16(5)), GridDims(np.int64(3), np.uint16(5))):
+        assert d == dims(3, 5)
+        assert all(type(getattr(d, f)) is int for f in ("n", "m", "l", "d", "q", "lp"))
+
+
+def test_grid_dims_derives_every_other_field():
+    with pytest.raises(TypeError):
+        GridDims(n=3, m=3, l=3, d=3, q=18, lp=1)
 
 
 @given(small_sizes, small_sizes)
@@ -110,6 +128,15 @@ def test_endpoints_wrap():
     d = dims(3, 5)
     assert endpoints(H(2, 5), d) == (VertexRef(2, 5), VertexRef(2, 1))
     assert endpoints(V(3, 2), d) == (VertexRef(3, 2), VertexRef(1, 2))
+
+
+def test_edge_ref_stores_numpy_indices_as_ints():
+    e = EdgeRef("H", np.int64(1), np.uint8(1))
+    assert e == EdgeRef("H", 1, 1) and hash(e) == hash(EdgeRef("H", 1, 1))
+    assert type(e.i) is int and type(e.j) is int
+    for bad in (1.0, True, "1", None):
+        with pytest.raises(TorusMagicError, match="^edge indices must be integers"):
+            EdgeRef("V", 1, bad)
 
 
 def test_edge_ref_validation_and_order():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scalar_reference import H, V, all_edges, label
-from torusmagic.grid import GridDims, dims
+from torusmagic.grid import dims
 from torusmagic.labeling import DomainMismatch, Labeling
 from torusmagic.serialize import decode, encode
 
@@ -91,14 +91,6 @@ def test_rejects_nonpositive_entries(dtype):
             (h if spoilt == "h" else v)[at] = value
             with pytest.raises(DomainMismatch, match="^labels must be positive integers"):
                 Labeling(lab.dims, h, v)
-
-
-def test_empty_matrices_have_no_label_to_refuse():
-    # GridDims itself takes a 0-row grid; its (0, 3) matrices hold no label
-    d = GridDims(n=0, m=3, l=0, d=3, q=0, lp=None)
-    empty = np.ones((0, 3), dtype=np.int64)
-    lab = Labeling(d, empty, empty)
-    assert lab.labels().tolist() == []
 
 
 @pytest.mark.parametrize("dtype", [bool, np.float64, np.float32, object])

@@ -100,3 +100,18 @@ def test_every_definition_has_a_caller():
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                and not (node.name.startswith("__") and node.name.endswith("__"))}
     assert sorted((where, name) for where, name in defined if name not in used) == []
+
+
+def test_no_check_rests_on_assert_or_a_raised_recursion_limit():
+    # python -O strips every assert, and a raised recursion limit hides a
+    # walk that should not recurse; the package and the demos use neither
+    paths = sorted((ROOT / "src" / "torusmagic").glob("*.py"))
+    paths += sorted((ROOT / "demos").glob("*.py"))
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert) or (
+                    isinstance(node, ast.Call)
+                    and ast.unparse(node.func).rpartition(".")[2] == "setrecursionlimit"):
+                found.append((path.name, node.lineno))
+    assert found == []

@@ -527,6 +527,8 @@ def test_partial_labeling_guards():
         partial.assign(H(1, 4), 2)  # off the 3 x 3 grid, not H(2,1)
     with pytest.raises(TorusMagicError):
         partial.assign(V(0, 1), 2)  # off the grid, not V(3,1)
+    with pytest.raises(TorusMagicError, match=r"^\('H', 1, 2\) is not an edge of C_3 x C_3$"):
+        partial.assign(("H", 1, 2), 2)  # not an EdgeRef
     # the refused calls changed nothing
     assert partial.label.count(0) == 17
     assert not partial.is_free(1) and partial.is_free(2)

@@ -163,6 +163,21 @@ def test_verify_shape_guard():
         Labeling(dims(3, 4), lab.h, lab.v)
 
 
+def test_verify_checks_arrays_changed_after_construction():
+    # verify's own checks are Labeling.check, run again on the arrays as they are now
+    lab = Labeling(dims(3, 3), golden().h.copy(), golden().v.astype(np.uint64))
+    lab.h[0, 0] = 0
+    with pytest.raises(DomainMismatch, match="^labels must be positive integers$"):
+        verify(lab)
+    lab.h[0, 0] = 1
+    lab.v[2, 2] = 2**63
+    with pytest.raises(DomainMismatch, match=r"^labels must be below 2\*\*63"):
+        verify(lab)
+    object.__setattr__(lab, "h", lab.h[:2])
+    with pytest.raises(DomainMismatch, match=r"^matrices must be \(3, 3\)"):
+        verify(lab)
+
+
 @pytest.mark.parametrize("n,m", [(15, 9), (9, 3), (12, 8)])
 def test_audit_transposed_shapes_clean(n, m):
     lab = construct(n, m)
