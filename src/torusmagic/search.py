@@ -19,8 +19,8 @@ the complete solution set of a partial assignment.
 
 Decision edges follow the most-constrained-vertex-first rule: take an
 unlabeled edge at a vertex with the fewest unlabeled edges, breaking ties
-lexicographically by (i, j, orientation); that order, like each edge's
-endpoints, is a closed form of its flat index.  Without a seed a search is
+lexicographically by (i, j, orientation), which is the order the edges'
+slots are numbered in.  Without a seed a search is
 one tree walked in ascending value order; a seed gives seeded-random value
 order with Luby restarts, for the harder satisfiable instances.  With a
 fixed seed every run is fully deterministic (wall-clock time aside).
@@ -76,8 +76,9 @@ BUDGET_EXCEEDED = "budget-exceeded"
 _CUT = "cut"
 
 # Largest grid search takes on, in edges.  PartialLabeling builds about
-# 420 bytes of Python state per edge before the first node, so the cap
-# keeps that under about 85 MB; exact search is hopeless long before.
+# 230 bytes of Python state per edge before the first node (tracemalloc's
+# count on C_300 x C_300), so the cap keeps that under about 47 MB; exact
+# search is hopeless long before.
 MAX_SEARCH_EDGES = 200_000
 
 
@@ -151,11 +152,11 @@ def _luby(i: int) -> int:
 class PartialLabeling:
     """Mutable partial assignment over the grid's edges.
 
-    Edge slots are flat indices: the H block row-major, then the V block.
-    Slot e sits at cell c = e % nm = i*m + j (0-based), so its decision
-    rank, lexicographic by (i, j, orient), is 2c + e // nm.  Its endpoints,
-    ascending, are c and the cell east (H) or south (V) of c; vertex c's
-    edges are slots c, west-of-c, nm + c and nm + north-of-c.
+    Edge slots are in decision order: the H edge at cell c = i*m + j
+    (0-based) is slot 2c and the V edge is slot 2c + 1, so slot order is
+    lexicographic by (i, j, orient).  Slot s's endpoints, ascending, are
+    cell s >> 1 and the cell east (H) or south (V) of it; vertex v's edges
+    are slots 2v, 2v + 1, 2 * west-of-v and 2 * north-of-v + 1.
     The free labels are a bitset `pool` (bit x set while label x is
     unused) with a mirrored copy `rpool` (bit 2q - x), so the smallest
     and largest free labels are low set bits of one or the other, and the
@@ -174,12 +175,12 @@ class PartialLabeling:
         m, q = dims.m, dims.q
         nm = dims.n * m
         self.nm = nm
-        self.edge_verts = ([(c, c + 1) if (c + 1) % m else (c + 1 - m, c) for c in range(nm)]
-                           + [(c, c + m) if c + m < nm else (c + m - nm, c) for c in range(nm)])
-        self.rank = [2 * (e % nm) + e // nm for e in range(q)]
-        # each vertex's edges by rank: its first unlabeled one is its best
-        self.vert_edges = [tuple(sorted((v, v - v % m + (v - 1) % m, nm + v, nm + (v - m) % nm),
-                                        key=self.rank.__getitem__)) for v in range(nm)]
+        self.edge_verts = [ends for c in range(nm)
+                           for ends in ((c, c + 1) if (c + 1) % m else (c + 1 - m, c),
+                                        (c, c + m) if c + m < nm else (c + m - nm, c))]
+        # each vertex's edges by slot: its first unlabeled one is its best
+        self.vert_edges = [tuple(sorted((2 * v, 2 * v + 1, 2 * (v - v % m + (v - 1) % m),
+                                         2 * ((v - m) % nm) + 1))) for v in range(nm)]
 
         self.label = [0] * q          # 0 = unassigned
         self.pool = ((1 << q) - 1) << 1   # bits 1..q
@@ -198,7 +199,7 @@ class PartialLabeling:
 
     def assign(self, e: EdgeRef, value: int) -> None:
         value = as_int(value, f"label of {e} must be an integer")
-        idx = self.dims.cell(e) + (0 if e.orient == "H" else self.nm)
+        idx = 2 * self.dims.cell(e) + (e.orient == "V")
         if self.label[idx]:
             raise TorusMagicError(f"{e} already labeled")
         if not self.is_free(value):
@@ -234,11 +235,12 @@ def _shuffle(values: list, getrandbits) -> None:
 
 
 def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadline: float,
-         rng=None, find_all: bool = False, piece: tuple[tuple, int] | None = None,
-         split: bool = False) -> tuple[str, list[list[int]], list[tuple]]:
+         rng=None, find_all: bool = False,
+         piece: tuple[tuple, int] | None = None) -> tuple[str, list[list[int]], list[tuple]]:
     """One depth-first run over a PartialLabeling: (status, solutions,
-    rest).  Each solution is a row of its q labels, as the state's `label`
-    holds them.  Status is _CUT when the run stops at `node_limit`.
+    rest).  Each solution is a row of its q labels in Labeling.labels()
+    order, the H block and then the V block: the state's even slots, then
+    its odd ones.  Status is _CUT when the run stops at `node_limit`.
 
     The tree is walked with an explicit stack of frames, one per decision
     level: (edge, its endpoints, candidate iterator, trail mark, pool and
@@ -259,17 +261,17 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
     With `piece` = (key, stop) the state is a node that a walk of the
     whole tree has already entered, key being the candidate indices on
     its path and then a start: its checks have passed, so none is run
-    again, and its decision keeps candidates start..stop-1.  When a
-    `split` run is cut, rest is what it left unexplored as pieces, one
-    per open frame with candidates left, deepest first: (key, the trail as
-    (edge, label) pairs, the frame's trail mark, stop).  Key order is
-    depth-first order.
+    again, and its decision keeps candidates start..stop-1.  When an
+    ascending run (no rng) is cut, rest is what it left unexplored, one
+    piece per open frame with candidates left, deepest first: (key, (the
+    trail as (edge, label) pairs, the frame's trail mark, stop)).  Key
+    order is depth-first order.
     """
     prunes = stats.prunes
     q, c = state.dims.q, state.constant
     q2, top = 2 * q, 2 * q + 1
     label, need, vcnt, trail = state.label, state.need, state.vcnt, state.trail
-    ends, vert_edges, rank = state.edge_verts, state.vert_edges, state.rank
+    ends, vert_edges = state.edge_verts, state.vert_edges
     pool, rpool = state.pool, state.rpool
     getrandbits = None if rng is None else rng.getrandbits
     nodes, propagations, max_depth = stats.nodes, stats.propagations, stats.max_depth
@@ -356,20 +358,19 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
         if rule is not None:
             prunes[rule] = prunes.get(rule, 0) + 1
         elif len(trail) < q:
-            # Enter the node.  Branch on the lowest-ranked open edge of
-            # the vertices with the fewest open edges; after propagation
-            # no vertex has exactly one.
+            # Enter the node.  Branch on the lowest open slot of the
+            # vertices with the fewest open edges; after propagation no
+            # vertex has exactly one.
             if len(stack) > max_depth:
                 max_depth = len(stack)
             best = 2 if 2 in vcnt else 3 if 3 in vcnt else 4
-            best_rank = q
+            e = q
             v = -1
             for _ in range(vcnt.count(best)):
                 v = vcnt.index(best, v + 1)
                 for f in vert_edges[v]:
                     if not label[f]:
-                        if rank[f] < best_rank:
-                            best_rank = rank[f]
+                        if f < e:
                             e = f
                         break
             a, b = ends[e]
@@ -411,7 +412,7 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
         else:
             if len(stack) > max_depth:
                 max_depth = len(stack)
-            solutions.append(label[:])
+            solutions.append(label[0::2] + label[1::2])
             if not find_all:
                 status = FOUND
                 break
@@ -479,7 +480,7 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
     if forced_used:
         prunes["forced-used"] = prunes.get("forced-used", 0) + forced_used
     rest = []
-    if status == _CUT and split:
+    if status == _CUT and getrandbits is None:
         path, deepest = [(f, label[f]) for f in trail], len(stack) - 1
         taken = piece[0][:-1] if piece else ()
         for i, (_, _, _, values, mark, _, _, stop, *_) in enumerate(stack):
@@ -487,7 +488,7 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
             k = stop - operator.length_hint(values) - 1
             start = k if i == deepest else k + 1
             if start < stop:
-                rest.append((taken + (start,), path, mark, stop))
+                rest.append((taken + (start,), (path, mark, stop)))
             taken += (k,)
         rest.reverse()
     return status, solutions, rest
@@ -540,50 +541,45 @@ def pool_size() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _run_specs(cfg: SearchConfig, branch: int, offset: int, deadline: float):
-    """(key, value-order seed, piece, start offset, node limit) of each Luby
-    run of a branch in run order, keyed by run number, each made as its run
-    is about to start, after a check of both budgets.  Every run but the
-    last fills its window, so the next starts where it stopped."""
+def _run_specs(cfg: SearchConfig, branch: int, whole: tuple, offset: int, deadline: float):
+    """(key, value-order seed, the whole tree, start offset, node limit) of
+    each Luby run of a branch in run order, keyed by run number, each made
+    as its run is about to start, after a check of both budgets.  Every
+    run but the last fills its window, so the next starts where it stopped."""
     for run in count(1):
         if offset >= cfg.node_budget or time.perf_counter() > deadline:
             return
         limit = min(offset + _LUBY_UNIT * _luby(run), cfg.node_budget)
-        yield (run,), _derived_seed(cfg.seed, branch, run), None, offset, limit
+        yield (run,), _derived_seed(cfg.seed, branch, run), whole, offset, limit
         offset = limit
 
 
-def _one_run(dims: GridDims, base: Mapping[EdgeRef, int], deadline: float, find_all: bool,
-             budget: int, spec: tuple) -> tuple[str, list[list[int]], SearchStats, list[tuple]]:
+def _one_run(dims: GridDims, deadline: float, find_all: bool,
+             spec: tuple) -> tuple[str, list[list[int]], SearchStats, list[tuple]]:
     """One run from its spec: (status, solutions, stats, rest), each
     solution a plain row of labels, which is all that crosses a worker's
     pipe; its nodes counted from its own start and rest the specs of the
-    pieces it left when a window short of the node budget cut it, each
-    with that window.
+    pieces it left when its window cut an ascending run, each with that
+    window.
 
-    A spec without a piece walks the whole tree from `base`.  A piece is
-    (a trail as (edge, label) pairs, the length of its part that reaches
-    the piece's node, stop); it counts only what lies below that node, but
-    for the depth, to which it adds the node's."""
-    key, seed, piece, offset, limit = spec
+    A spec's piece is (a trail as (edge, label) pairs, the length of the
+    part to replay, stop), and every run replays it on an empty state.  A
+    whole-tree or Luby run's trail is the root's, with no stop.  A piece's
+    reaches its node, whose candidates it keeps from the last index of
+    its key to stop; it counts only what lies below that node, but for
+    the depth, to which it adds the node's."""
+    key, seed, (path, mark, stop), offset, limit = spec
     # counting from the offset puts the clock checks on the one walk's nodes
     stats = SearchStats(nodes=offset)
-    if piece is None:
-        state = PartialLabeling(dims, base)
-    else:
-        path, mark, stop = piece
-        state = PartialLabeling(dims)
-        for f, x in path[:mark]:
-            state.put(f, x)
+    state = PartialLabeling(dims)
+    for f, x in path[:mark]:
+        state.put(f, x)
     status, solutions, rest = _run(state, stats, node_limit=limit, deadline=deadline,
-                                   find_all=find_all, piece=piece and (key, stop),
-                                   rng=None if seed is None else random.Random(seed),
-                                   split=seed is None and limit < budget)
-    if piece is not None:
-        stats.max_depth += len(key) - 1
+                                   find_all=find_all, piece=None if stop is None else (key, stop),
+                                   rng=None if seed is None else random.Random(seed))
+    stats.max_depth += len(key) - 1  # a whole-tree or Luby run's key has one index
     stats.nodes -= offset
-    return status, solutions, stats, [(at, None, (trail, end, last), 0, limit - offset)
-                                      for at, trail, end, last in rest]
+    return status, solutions, stats, [(at, None, piece, 0, limit - offset) for at, piece in rest]
 
 
 def _serve(ours, theirs, one_run) -> None:
@@ -676,39 +672,42 @@ def _results(one_run, pieces: list[tuple], specs, size: int, deadline: float):
             worker.join()
 
 
-def _run_branch(dims: GridDims, base: Mapping[EdgeRef, int], cfg: SearchConfig,
-                stats: SearchStats, deadline: float, branch: int, size: int,
-                find_all: bool = False) -> tuple[str, list[list[int]]]:
-    """(status, solution rows) of one pinned branch, its counters added to
-    stats.
+def _run_branch(root: PartialLabeling, cfg: SearchConfig, stats: SearchStats, deadline: float,
+                branch: int, size: int, find_all: bool = False) -> tuple[str, list[list[int]]]:
+    """(status, solution rows) of one pinned branch from the caller's root
+    state, its counters added to stats.  Every run replays the root's
+    trail or a piece's path, so the caller has refused bad pins and a grid
+    too large to search before any worker starts.
 
     A seeded branch is its Luby runs, which go on while each fills its
     window.  An unseeded tree is pieces, which go on while each is refuted
     or cut by its window.  With one worker it is one piece, the whole
     tree.  With more, a first-solution search starts as the whole tree in
     a window of _PIECE_NODES nodes, each cut leaving pieces with that
-    window.  An enumeration's root is walked here, and each of its
-    candidates is one piece with the whole node budget.  The runs merge in
-    key order into the counters of one walk: nodes, propagations and
-    prunes add up, the depth is the maximum, solutions concatenate and
-    each seeded run after the first is a restart.  A run whose nodes would
-    take the total past the node budget closes the pool and is walked
-    again here, from where the one walk enters it, to the exact cut; only
-    a piece can, as a Luby window never passes the budget.
+    window.  An enumeration walks `root` here, and each of its candidates
+    is one piece with the whole node budget.  The runs merge in key order
+    into the counters of one walk: nodes, propagations and prunes add up,
+    the depth is the maximum, solutions concatenate and each seeded run
+    after the first is a restart.  A run whose nodes would take the total
+    past the node budget closes the pool and is walked again here, from
+    where the one walk enters it, to the exact cut; only a piece can, as a
+    Luby window never passes the budget.  The merge stops at a run cut by
+    the node budget, so the pieces that run leaves are never walked.
     """
     offset, budget = stats.nodes, cfg.node_budget
-    one_run = partial(_one_run, dims, base, deadline, find_all, budget)
+    one_run = partial(_one_run, root.dims, deadline, find_all)
+    trail = [(f, root.label[f]) for f in root.trail]
+    whole = (trail, len(trail), None)
     status, found, pieces, specs, go_on = _CUT, [], [], iter(()), (_CUT, EXHAUSTED)
     if cfg.seed is not None:
-        specs, go_on = _run_specs(cfg, branch, offset, deadline), (_CUT,)
+        specs, go_on = _run_specs(cfg, branch, whole, offset, deadline), (_CUT,)
     elif size == 1 or not find_all:
         window = budget if size == 1 else offset + _PIECE_NODES
-        pieces = [((0,), None, None, offset, window)]
+        pieces = [((0,), None, whole, offset, window)]
     else:
-        status, found, rest = _run(PartialLabeling(dims, base), stats, node_limit=offset,
-                                   deadline=deadline, find_all=True, split=True)
+        status, found, rest = _run(root, stats, node_limit=offset, deadline=deadline, find_all=True)
         if rest:  # the root's one piece, split per candidate
-            [(_, path, mark, stop)] = rest
+            [(_, (path, mark, stop))] = rest
             pieces = [((k,), None, (path, mark, k + 1), offset, budget) for k in range(stop)]
         size = size if len(pieces) > 1 else 1
     with closing(_results(one_run, pieces, specs, size, deadline)) as results:
@@ -748,7 +747,7 @@ def search(n: int, m: int, cfg: SearchConfig | None = None) -> SearchOutcome:
     deadline = start + cfg.time_budget
     size = pool_size()
     for branch, pin in enumerate(_pins(d)):
-        status, solutions = _run_branch(d, pin, cfg, stats, deadline, branch, size)
+        status, solutions = _run_branch(PartialLabeling(d, pin), cfg, stats, deadline, branch, size)
         if status != EXHAUSTED:
             break
     labeling = None
@@ -776,7 +775,7 @@ def enumerate_completions(dims: GridDims, assignments: Mapping[EdgeRef, int],
                               "it takes no seed")
     stats = SearchStats()
     start = time.perf_counter()
-    status, rows = _run_branch(dims, assignments, cfg, stats,
+    status, rows = _run_branch(PartialLabeling(dims, assignments), cfg, stats,
                                start + cfg.time_budget, 0, pool_size(), find_all=True)
     block = np.array(rows, dtype=np.int64).reshape(len(rows), dims.q)
     if not _supermagic_rows(dims, block).all():

@@ -76,6 +76,7 @@ class ShapeError(TorusMagicError):
 _LABEL_LIMIT = 2**63  # labels are stored as int64
 _LABEL_DIGITS = 19  # every label below 2**63 has at most 19 digits
 _DIGITS = b"0123456789"
+_BOM = "\ufeff"  # a UTF-8 byte-order mark, as text
 
 
 # The layout encode writes, around and inside its two matrix blocks.
@@ -229,8 +230,9 @@ def _read_header(text: str) -> tuple[GridDims, int] | None:
 
 def header_dims(text: str) -> GridDims | None:
     """The grid a document in encode's layout declares, read from its
-    header lines without parsing the rest; None for any other text."""
-    head = _read_header(text)
+    header lines without parsing the rest; None for any other text.  A
+    leading byte-order mark is ignored, as decode ignores it."""
+    head = _read_header(text.removeprefix(_BOM))
     return None if head is None else head[0]
 
 
@@ -359,7 +361,10 @@ def _decode_edge_list(text: str) -> Labeling:
 
 
 def decode(text: str) -> Labeling:
-    """Parse a labeling document (JSON or edge-list, auto-detected)."""
+    """Parse a labeling document (JSON or edge-list, auto-detected).  One
+    leading byte-order mark, which RFC 8259 lets a JSON parser ignore, is
+    dropped first."""
+    text = text.removeprefix(_BOM)
     lab = _decode_canonical(text)
     if lab is not None:
         return lab

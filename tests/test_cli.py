@@ -272,6 +272,20 @@ def test_render_from_stdin(tmp_path, capsys, monkeypatch):
     assert out.startswith("graph torus_3x3")
 
 
+def test_verify_reads_a_byte_order_mark_from_stdin(capsys, monkeypatch):
+    # the UTF-8 mark some editors write comes through stdin as U+FEFF
+    import io
+
+    lab = construct(3, 3)
+    edges = "\n".join(f"{e.orient} {e.i} {e.j} {ref.label(lab, e)}" for e in ref.all_edges(lab.dims))
+    for text in (encode(lab), edges):
+        data = b"\xef\xbb\xbf" + text.encode("utf-8")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        code, out, err = run(capsys, "verify", "-")
+        assert (code, err) == (EXIT_OK, "")
+        assert "supermagic: True" in out
+
+
 def test_render_svg_to_file(tmp_path, capsys):
     src = tmp_path / "lab.json"
     src.write_text(encode(construct(3, 3)))

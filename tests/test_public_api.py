@@ -115,3 +115,38 @@ def test_no_check_rests_on_assert_or_a_raised_recursion_limit():
                     and ast.unparse(node.func).rpartition(".")[2] == "setrecursionlimit"):
                 found.append((path.name, node.lineno))
     assert found == []
+
+
+def unread_imports(path):
+    """(line, name) of each name the module at `path` imports and never
+    reads.  A name in the module's `__all__` is read by its importers, a
+    `__future__` import is a compiler switch, and a line marked
+    `# noqa: F401` keeps a name for callers that reach it as an attribute."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+            read.update(ast.literal_eval(node.value))
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                unread.append((node.lineno, name))
+    return unread
+
+
+def test_every_import_is_read_where_it_is_made():
+    # no linter is a dependency; an import nothing reads is dead code
+    package = sorted((ROOT / "src" / "torusmagic").glob("*.py"))
+    assert [(path.name, *hit) for path in package for hit in unread_imports(path)] == []

@@ -183,13 +183,33 @@ def test_pool_size_is_the_usable_cpus_of_a_forking_parent(monkeypatch):
     assert pool_size() == 1
 
 
-def test_importing_the_package_leaves_multiprocessing_unloaded():
+def python_prints(code):
+    """What `code` prints in a fresh interpreter that imports this package."""
     src = Path(importlib.import_module("torusmagic").__file__).resolve().parents[1]
-    code = "import sys, torusmagic, torusmagic.cli; print('multiprocessing' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_importing_the_package_leaves_multiprocessing_unloaded():
+    code = "import sys, torusmagic, torusmagic.cli; print('multiprocessing' in sys.modules)"
+    assert python_prints(code) == "False"
+
+
+def test_a_grid_over_the_edge_cap_is_refused_before_any_worker_starts(pools):
+    # the calling process builds the pinned root, so two CPUs start no pool
+    with pytest.raises(SearchTooLarge, match="C_400 x C_400 has 320000 edges"):
+        search(400, 400)
+    assert pools == []
+    # nor does it import multiprocessing to refuse
+    code = ("import os, sys, torusmagic\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "try:\n"
+            "    torusmagic.search(400, 400)\n"
+            "except torusmagic.SearchTooLarge:\n"
+            "    print('multiprocessing' in sys.modules)\n")
+    assert python_prints(code) == "False"
 
 
 def test_no_child_process_outlives_a_search(pools):

@@ -9,7 +9,14 @@ from scalar_reference import all_edges, label
 from torusmagic.construct import construct
 from torusmagic.grid import DimensionTooSmall, TorusMagicError, dims
 from torusmagic.labeling import Labeling
-from torusmagic.serialize import ParseError, ShapeError, decode, encode, write_decimal
+from torusmagic.serialize import (
+    ParseError,
+    ShapeError,
+    decode,
+    encode,
+    header_dims,
+    write_decimal,
+)
 
 
 def random_labeling(rng, n, m):
@@ -187,6 +194,22 @@ def test_decode_autodetects_format():
 def edge_lines(lab):
     return [f"{o} {i + 1} {j + 1} {mat[i, j]}" for o, mat in (("H", lab.h), ("V", lab.v))
             for i in range(lab.dims.n) for j in range(lab.dims.m)]
+
+
+def test_decode_ignores_one_leading_byte_order_mark():
+    # RFC 8259 section 8.1 lets a JSON parser ignore a leading U+FEFF, and
+    # an edge list is read the same way
+    lab = construct(3, 3)
+    canonical = encode(lab)
+    loose = json.dumps({"n": 3, "m": 3, "horizontal": lab.h.tolist(), "vertical": lab.v.tolist()})
+    edges = "\n".join(edge_lines(lab))
+    for text in (canonical, loose, edges):
+        assert decode("\ufeff" + text) == lab
+    assert header_dims("\ufeff" + canonical) == lab.dims
+    # one mark, not two
+    for text in (canonical, edges):
+        with pytest.raises(ParseError, match=r"^line 1: expected 'H\|V i j label'"):
+            decode("\ufeff\ufeff" + text)
 
 
 @settings(max_examples=50, deadline=None)
