@@ -178,9 +178,8 @@ class PartialLabeling:
         self.edge_verts = [ends for c in range(nm)
                            for ends in ((c, c + 1) if (c + 1) % m else (c + 1 - m, c),
                                         (c, c + m) if c + m < nm else (c + m - nm, c))]
-        # each vertex's edges by slot: its first unlabeled one is its best
-        self.vert_edges = [tuple(sorted((2 * v, 2 * v + 1, 2 * (v - v % m + (v - 1) % m),
-                                         2 * ((v - m) % nm) + 1))) for v in range(nm)]
+        self.vert_edges = [(2 * v, 2 * v + 1, 2 * (v - v % m + (v - 1) % m), 2 * ((v - m) % nm) + 1)
+                           for v in range(nm)]
 
         self.label = [0] * q          # 0 = unassigned
         self.pool = ((1 << q) - 1) << 1   # bits 1..q
@@ -217,6 +216,8 @@ class PartialLabeling:
         self.trail.append(idx)
 
 
+# the pruning rules, in the order _run indexes its counts by
+_RULES = ("closed-sum", "forced-range", "forced-used", "bounds", "pair")
 # binary digits '0'/'1' to the bytes 0/1, so they can select from a range
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -246,9 +247,18 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
     level: (edge, its endpoints, candidate iterator, trail mark, pool and
     mirrored pool at the mark, end of its candidate range, forced-label
     mask, forced endpoint, its partner edge and that edge's far end).
+    The locals hold the fields of the frame last pushed or resumed, so a
+    frame is unpacked only when it resumes after its child's frame is
+    popped; nothing between two resumes of one frame reassigns them.
     Resuming a frame undoes the trail to its mark and restores both pools
     from it.  Candidates are tried in ascending order, or in the order
     rng.shuffle would give when an rng is given.
+
+    The decision edge is the lowest open slot with an endpoint that has
+    the fewest open edges of any vertex: a vertex's lowest open slot is
+    its candidate under the (i, j, orient) tie-break, so one scan of
+    `label` for zeros finds the lowest of them.  Prunes are counted by
+    index into _RULES and added to stats.prunes by name at exit.
 
     When the edge leaves an endpoint (b, else a) with one open edge, that
     is the forced endpoint: a candidate x forces its partner edge to its
@@ -267,7 +277,6 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
     trail as (edge, label) pairs, the frame's trail mark, stop)).  Key
     order is depth-first order.
     """
-    prunes = stats.prunes
     q, c = state.dims.q, state.constant
     q2, top = 2 * q, 2 * q + 1
     label, need, vcnt, trail = state.label, state.need, state.vcnt, state.trail
@@ -275,8 +284,10 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
     pool, rpool = state.pool, state.rpool
     getrandbits = None if rng is None else rng.getrandbits
     nodes, propagations, max_depth = stats.nodes, stats.propagations, stats.max_depth
-    forced_used = 0  # refutations in the resume loop, added to prunes at exit
+    pruned = [0] * len(_RULES)  # by index into _RULES, added to prunes at exit
+    forced_used = 0  # refutations in the resume loop, likewise
     stack: list[tuple] = []
+    frame = None  # the frame whose fields the locals hold
     solutions: list[list[int]] = []
     status = EXHAUSTED
     queue = [] if piece else list(range(state.nm))  # the root checks every vertex
@@ -295,10 +306,10 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
             if r == 1:
                 x = need[v]
                 if x < 1 or x > q:
-                    rule = "forced-range"
+                    rule = 1  # forced-range
                     break
                 if not pool >> x & 1:
-                    rule = "forced-used"
+                    rule = 2  # forced-used
                     break
                 for f in vert_edges[v]:
                     if not label[f]:
@@ -316,7 +327,7 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
                 # v is closed with need 0 now: only the far end can fail
                 queue.append(fb if fa == v else fa)
             elif not r and need[v]:
-                rule = "closed-sum"
+                rule = 0  # closed-sum
                 break
         if rule is None:
             # Sum-range bounds: a vertex with r open edges needs between
@@ -344,7 +355,7 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
             highs = (0, hi1, hi2, hi2 + top - (p & -p).bit_length(), c)
             for x, r in zip(need, vcnt):
                 if x < lows[r] or x > highs[r]:
-                    rule = "bounds"
+                    rule = 3  # bounds
                     break
             else:
                 # exact pair test where two edges are open (the sum is
@@ -353,32 +364,39 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
                     if vcnt[v] == 2:
                         pairs = pool & (rpool >> (q2 - need[v]))
                         if not pairs & (pairs - 1):
-                            rule = "pair"
+                            rule = 4  # pair
                             break
         if rule is not None:
-            prunes[rule] = prunes.get(rule, 0) + 1
+            pruned[rule] += 1
         elif len(trail) < q:
-            # Enter the node.  Branch on the lowest open slot of the
-            # vertices with the fewest open edges; after propagation no
-            # vertex has exactly one.
+            # Enter the node.  Branch on the lowest open slot with an
+            # endpoint that has the fewest open edges, best; after
+            # propagation no vertex has exactly one, so a vertex with best
+            # open edges has an open slot and the scan stops inside label.
             if len(stack) > max_depth:
                 max_depth = len(stack)
             best = 2 if 2 in vcnt else 3 if 3 in vcnt else 4
-            e = q
-            v = -1
-            for _ in range(vcnt.count(best)):
-                v = vcnt.index(best, v + 1)
-                for f in vert_edges[v]:
-                    if not label[f]:
-                        if f < e:
-                            e = f
-                        break
+            e = label.index(0)
             a, b = ends[e]
+            while vcnt[a] != best and vcnt[b] != best:
+                e = label.index(0, e + 1)
+                a, b = ends[e]
             # the label plus r-1 further free labels must make up each
-            # endpoint's need
+            # endpoint's need (compared inline: max() and min() cost more)
             ra, rb = vcnt[a] - 1, vcnt[b] - 1
-            lo = max(need[a] - highs[ra], need[b] - highs[rb], 1)
-            hi = min(need[a] - lows[ra], need[b] - lows[rb], q)
+            wa, wb = need[a], need[b]
+            lo = wa - highs[ra]
+            x = wb - highs[rb]
+            if x > lo:
+                lo = x
+            if lo < 1:
+                lo = 1
+            hi = wa - lows[ra]
+            x = wb - lows[rb]
+            if x < hi:
+                hi = x
+            if hi > q:
+                hi = q
             values = []
             if lo <= hi:
                 # The free labels in lo..hi, read off the pool's binary
@@ -408,7 +426,9 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
                         break
                 ga, gb = ends[g]
                 o = gb if ga == fv else ga
-            stack.append((e, a, b, iter(values), len(trail), pool, rpool, stop, ok, fv, g, o))
+            values, mark = iter(values), len(trail)
+            frame = (e, a, b, values, mark, pool, rpool, stop, ok, fv, g, o)
+            stack.append(frame)
         else:
             if len(stack) > max_depth:
                 max_depth = len(stack)
@@ -424,7 +444,11 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
         # exactly and keeps a forced label within 1..q, so the one rule
         # that can refute here is a forced label in use.
         while stack:
-            e, a, b, values, mark, pool, rpool, _, ok, fv, g, o = stack[-1]
+            if stack[-1] is not frame:
+                frame = stack[-1]
+                e, a, b, values, mark, pool, rpool, _, ok, fv, g, o = frame
+            else:
+                pool, rpool = frame[5], frame[6]
             while len(trail) > mark:
                 f = trail.pop()
                 x = label[f]
@@ -477,8 +501,10 @@ def _run(state: PartialLabeling, stats: SearchStats, *, node_limit: int, deadlin
 
     state.pool, state.rpool = pool, rpool  # the state is consistent at every exit
     stats.nodes, stats.propagations, stats.max_depth = nodes, propagations, max_depth
-    if forced_used:
-        prunes["forced-used"] = prunes.get("forced-used", 0) + forced_used
+    pruned[2] += forced_used
+    for rule, k in zip(_RULES, pruned):
+        if k:
+            stats.prunes[rule] = stats.prunes.get(rule, 0) + k
     rest = []
     if status == _CUT and getrandbits is None:
         path, deepest = [(f, label[f]) for f in trail], len(stack) - 1

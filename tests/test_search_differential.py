@@ -106,6 +106,9 @@ WORKER_CASES = {
     "3x4-endless-time-budget": (searched, (3, 4),
                                 dataclasses.replace(LUBY, seed=1, time_budget=float("inf"))),
     "3x6-seed1": (searched, (3, 6), dataclasses.replace(LUBY, seed=1)),
+    # beyond 3 x m: a Luby search, and an ascending walk 55 levels deep
+    "4x5-seed1": (searched, (4, 5), dataclasses.replace(LUBY, seed=1)),
+    "7x8-ascending-budget20000": (searched, (7, 8), SearchConfig(node_budget=20_000)),
     **{f"3x{m}-ascending": (searched, (3, m), SearchConfig()) for m in (3, 4, 5)},
     # cut where the first piece's window ends, one node into its pieces,
     # inside them, one node short of the labeling and at it
@@ -130,6 +133,8 @@ WORKER_PINS = {
     "3x4-ascending": (FOUND, 129_091, 0, 1),
     "3x5-ascending": (FOUND, 471_804, 0, 1),
     "3x6-seed1": (FOUND, 656_723, 62, 1),
+    "4x5-seed1": (FOUND, 91_774, 13, 1, 32_691),
+    "7x8-ascending-budget20000": (BUDGET_EXCEEDED, 20_000, 0, 0, 7_432),
     "3x4-time-budget": (BUDGET_EXCEEDED, 0),  # the clock is read before the first run
     **{f"3x5-ascending-budget{budget}": (BUDGET_EXCEEDED, budget)
        for budget in (4_096, 4_097, 100_000, 471_803)},
@@ -141,7 +146,8 @@ WORKER_PINS = {
     "3x3-forced-root-budget1": (BUDGET_EXCEEDED, 1, 0, 0, 1),
 }
 
-# (prunes per rule, max depth) of the benchmark's trees: no rule but these fires
+# (prunes per rule, max depth) of the benchmark's trees and of two beyond
+# 3 x m: no rule but these fires
 TREE_PINS = {
     "3x4-ascending": ({"bounds": 14_417, "pair": 16_793, "forced-used": 67_659,
                        "forced-range": 26}, 12),
@@ -151,6 +157,8 @@ TREE_PINS = {
                    "forced-range": 175}, 18),
     "3x3-all-x9": ({"bounds": 6_958, "pair": 24_907, "forced-used": 56_525,
                     "forced-range": 92}, 8),
+    "4x5-seed1": ({"bounds": 2_261, "pair": 17_327, "forced-used": 58_976}, 20),
+    "7x8-ascending-budget20000": ({"bounds": 379, "pair": 3_419, "forced-used": 13_386}, 55),
 }
 
 
