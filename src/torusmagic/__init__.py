@@ -14,22 +14,18 @@ necessarily 4nm+2.  The package provides:
     constructions do not cover (`search`, `enumerate_completions`);
   * JSON/edge-list serialization, DOT/SVG figures, and a command-line
     front end (`encode`, `decode`, `render`, console script `torusmagic`).
+
+Names load on first use (PEP 562): `import torusmagic` imports no
+submodule, and `torusmagic.X` imports only the submodule that defines X
+and what that submodule imports.  `torusmagic.construct`, `.render`,
+`.search` and `.verify` are always the functions, never the submodules of
+the same names, whatever was imported first; `importlib.import_module`
+reaches a submodule.
 """
 
-from .construct import (
-    ConstructionError,
-    PlanShapeMismatch,
-    construct,
-    expected_corner_table,
-    plan_for,
-)
-from .diagonals import InvalidStartColumn, decompose, diagonal_of_edge
-from .grid import DimensionTooSmall, EdgeRef, TorusMagicError, dims
-from .labeling import DomainMismatch
-from .render import RenderSpec, RenderTooLarge, render
-from .search import FOUND, SearchConfig, SearchTooLarge, enumerate_completions, search
-from .serialize import ParseError, ShapeError, decode, encode
-from .verify import audit_corners, forced_constant, verify, weight_matrix
+import importlib
+import sys
+from types import ModuleType
 
 __version__ = "0.1.0"
 
@@ -68,3 +64,48 @@ __all__ = [
     "SearchTooLarge",
     "ShapeError",
 ]
+
+# The submodule that defines each name in __all__.
+_HOME = {
+    name: module
+    for module, names in {
+        "construct": ["ConstructionError", "PlanShapeMismatch", "construct",
+                      "expected_corner_table", "plan_for"],
+        "diagonals": ["InvalidStartColumn", "decompose", "diagonal_of_edge"],
+        "grid": ["DimensionTooSmall", "EdgeRef", "TorusMagicError", "dims"],
+        "labeling": ["DomainMismatch"],
+        "render": ["RenderSpec", "RenderTooLarge", "render"],
+        "search": ["FOUND", "SearchConfig", "SearchTooLarge", "enumerate_completions", "search"],
+        "serialize": ["ParseError", "ShapeError", "decode", "encode"],
+        "verify": ["audit_corners", "forced_constant", "verify", "weight_matrix"],
+    }.items()
+    for name in names
+}
+_SUBMODULES = {*_HOME.values(), "cli"}
+
+
+def __getattr__(name):
+    if name in _HOME:
+        value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME, *_SUBMODULES})
+
+
+class _Package(ModuleType):
+    def __setattr__(self, name, value):
+        # Importing torusmagic.search binds the submodule onto the package
+        # as `search`; the function of that name keeps the attribute.
+        if name in _HOME and value is sys.modules.get(f"{__name__}.{name}"):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -12,8 +12,11 @@ import importlib.util
 import re
 from pathlib import Path
 
+import pytest
+
 import torusmagic
 import torusmagic.cli  # noqa: F401  (the benchmark imports it the same way)
+from test_search import python_prints
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLERS = sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
@@ -150,3 +153,54 @@ def test_every_import_is_read_where_it_is_made():
     # no linter is a dependency; an import nothing reads is dead code
     package = sorted((ROOT / "src" / "torusmagic").glob("*.py"))
     assert [(path.name, *hit) for path in package for hit in unread_imports(path)] == []
+
+
+LOADED = "print(sorted(name for name in sys.modules if name.startswith('torusmagic.')))"
+
+
+def test_a_cold_import_loads_only_the_submodules_a_caller_touches():
+    assert python_prints(f"import sys, torusmagic\n{LOADED}") == "[]"
+    # the benchmark's set-up code; verify imports construct and diagonals
+    setup = "import sys, torusmagic\ntorusmagic.verify(torusmagic.construct(3, 3))\n"
+    assert python_prints(setup + LOADED) == str(sorted(
+        f"torusmagic.{name}" for name in ("grid", "labeling", "diagonals", "construct", "verify")))
+
+
+# What a fresh interpreter sees of the package after each load order: the
+# import system binds every submodule onto the package, and the four
+# functions that share a submodule's name must keep theirs.
+PACKAGE_FACTS = """\
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+print([getattr(torusmagic, name) is getattr(sys.modules["torusmagic." + name], name)
+       for name in ("construct", "render", "search", "verify")])
+import torusmagic.render as r
+print(r is sys.modules["torusmagic.render"].render)
+print([type(getattr(torusmagic, name)).__name__ for name in ("grid", "serialize")])
+names = {}
+exec("from torusmagic import *", names)
+print(sorted(torusmagic.__all__) == sorted(set(names) - {"__builtins__"}),
+      set(torusmagic.__all__) <= set(dir(torusmagic)))
+try:
+    torusmagic.nope
+except AttributeError:
+    print("no nope")
+out = torusmagic.search(3, 4)
+print(out.status, out.stats.nodes)
+"""
+
+
+@pytest.mark.parametrize("first", [
+    "import torusmagic",
+    "import torusmagic, torusmagic.cli",
+    "import torusmagic, torusmagic.search, torusmagic.render",
+], ids=["attribute", "cli", "search-render"])
+def test_shadowed_names_stay_functions_in_every_load_order(first):
+    assert python_prints(f"{first}\n{PACKAGE_FACTS}").splitlines() == [
+        "[True, True, True, True]",
+        "True",
+        "['module', 'module']",
+        "True True",
+        "no nope",
+        "found 129091",
+    ]
